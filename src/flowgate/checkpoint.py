@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -66,16 +67,22 @@ def save_checkpoint(path: str | Path, ckpt: Checkpoint) -> None:
         "tensors": [[name, list(ckpt.tensors[name].shape)] for name in names],
     }
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    # written beside the target and renamed over it, so a run killed mid-save
+    # leaves the old file or none, never a truncated one
+    tmp = Path(path).with_name(Path(path).name + ".tmp")
     try:
-        with open(path, "wb") as fh:
+        with open(tmp, "wb") as fh:
             fh.write(MAGIC)
             fh.write(struct.pack("<B", FORMAT_VERSION))
             fh.write(struct.pack("<I", len(blob)))
             fh.write(blob)
             for name in names:
                 fh.write(np.ascontiguousarray(ckpt.tensors[name], dtype=np.float64).tobytes())
+        os.replace(tmp, path)
     except OSError as err:
         raise IoFailure(f"cannot write checkpoint {path}: {err}") from err
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def load_checkpoint(path: str | Path, expect_stage: Optional[str] = None,
@@ -95,12 +102,16 @@ def load_checkpoint(path: str | Path, expect_stage: Optional[str] = None,
     if raw[:len(MAGIC)] != MAGIC:
         raise CheckpointMismatch(f"{path}: bad magic")
     offset = len(MAGIC)
+    if len(raw) < offset + 5:
+        raise CheckpointMismatch(f"{path}: truncated header")
     version = raw[offset]
     if version != FORMAT_VERSION:
         raise CheckpointMismatch(f"{path}: unsupported format version {version}")
     offset += 1
     (header_len,) = struct.unpack_from("<I", raw, offset)
     offset += 4
+    if len(raw) < offset + header_len:
+        raise CheckpointMismatch(f"{path}: truncated header")
     try:
         header = json.loads(raw[offset:offset + header_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as err:

@@ -1,12 +1,22 @@
 """CSV storage for encoded packets and latent vectors.
 
 Packet rows are 1600 values plus a label column ("0" normal, "1" anomaly,
-empty when unlabeled). Values are written as shortest exact decimals so a
-round trip reproduces them bit for bit.
+empty when unlabeled). Every packet value is b/255 for a byte b, and
+write_dataset spells it as the shortest exact decimal of that double, one
+of 256 strings, so a round trip reproduces it bit for bit.
+
+read_dataset decodes a row whose values are all in that spelling by table
+lookup. A row with any other field (quoted, padded, in exponent form, `0`
+for 0.0, hand-written) is tokenized by csv.reader and parsed as floats,
+which is slower but accepts any decimal whose product with 255 is within
+1e-9 of a whole number. NaN, infinities, values outside [0, 1] or off that
+grid, a wrong column count and a label other than empty, "0" or "1" are
+rejected with MalformedRow naming the line.
 """
 from __future__ import annotations
 
 import csv
+import itertools
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
@@ -19,6 +29,9 @@ DATASET_HEADER = [f"f{i}" for i in range(VECTOR_LEN)] + ["label"]
 
 # all 256 representable byte values, pre-formatted
 _BYTE_STR = [repr(b / 255.0) for b in range(256)]
+# write_dataset's spelling of a value -> its byte
+_BYTE_OF = {text: b for b, text in enumerate(_BYTE_STR)}
+_LABEL_OF = {"": None, "0": Label.NORMAL, "1": Label.ANOMALY}
 
 
 def _label_str(label: Optional[Label]) -> str:
@@ -26,13 +39,10 @@ def _label_str(label: Optional[Label]) -> str:
 
 
 def _parse_label(text: str) -> Optional[Label]:
-    if text == "":
-        return None
-    if text == "0":
-        return Label.NORMAL
-    if text == "1":
-        return Label.ANOMALY
-    raise MalformedRow(f"bad label field {text!r}")
+    try:
+        return _LABEL_OF[text]
+    except KeyError:
+        raise MalformedRow(f"bad label field {text!r}") from None
 
 
 def write_dataset(packets: Iterable[EncodedPacket], out: str | Path) -> int:
@@ -51,35 +61,72 @@ def write_dataset(packets: Iterable[EncodedPacket], out: str | Path) -> int:
     return count
 
 
+def _lookup_row(line: str) -> Optional[tuple[np.ndarray, Optional[Label]]]:
+    """Values and label of a line in write_dataset's spelling, else None."""
+    # a file in another spelling usually differs in its first field already;
+    # skip splitting the line that the float parser will split again
+    if line[:line.find(",")] not in _BYTE_OF:
+        return None
+    # a line holds one record ending in at most one of \n, \r, \r\n
+    fields = line.rstrip("\r\n").split(",")
+    if len(fields) != VECTOR_LEN + 1 or fields[-1] not in _LABEL_OF:
+        return None
+    label = _LABEL_OF[fields.pop()]
+    try:
+        codes = bytes(map(_BYTE_OF.__getitem__, fields))
+    except KeyError:
+        return None
+    # uint8 / 255.0 is the same correctly rounded quotient repr(b / 255.0) spells
+    return np.frombuffer(codes, dtype=np.uint8) / 255.0, label
+
+
+def _parse_row(row: list[str], where: str) -> tuple[np.ndarray, Optional[Label]]:
+    """Values and label of a csv.reader record holding decimals of any spelling."""
+    if len(row) != VECTOR_LEN + 1:
+        raise MalformedRow(f"{where}: expected {VECTOR_LEN + 1} columns, got {len(row)}")
+    try:
+        values = np.array(row[:-1], dtype=np.float64)
+    except ValueError as err:
+        raise MalformedRow(f"{where}: non-numeric value") from err
+    # written so that NaN, which fails every comparison, fails the check
+    if not (values.min() >= 0.0 and values.max() <= 1.0):
+        raise MalformedRow(f"{where}: value outside [0, 1]")
+    if row[-1] not in _LABEL_OF:
+        raise MalformedRow(f"{where}: bad label field {row[-1]!r}")
+    return values, _LABEL_OF[row[-1]]
+
+
 def read_dataset(path: str | Path) -> list[EncodedPacket]:
-    """Read rows written by write_dataset, validating every one."""
+    """Read a packet CSV, validating every row (see the module docstring)."""
     fid = Path(path).name
     packets: list[EncodedPacket] = []
     try:
         fh = open(path, "r", newline="")
     except OSError as err:
         raise IoFailure(f"cannot read {path}: {err}") from err
+    where = f"{path}:1"
     with fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != DATASET_HEADER:
-            raise MalformedRow(f"{path}: missing or wrong header row")
-        for lineno, row in enumerate(reader):
-            if len(row) != VECTOR_LEN + 1:
-                raise MalformedRow(
-                    f"{path}:{lineno + 2}: expected {VECTOR_LEN + 1} columns, got {len(row)}")
-            try:
-                values = np.array(row[:-1], dtype=np.float64)
-            except ValueError as err:
-                raise MalformedRow(f"{path}:{lineno + 2}: non-numeric value") from err
-            if values.min() < 0.0 or values.max() > 1.0:
-                raise MalformedRow(f"{path}:{lineno + 2}: value outside [0, 1]")
-            label = _parse_label(row[-1])
-            try:
-                packets.append(EncodedPacket(values=values, label=label,
-                                             source_id=(fid, lineno)))
-            except ValueError as err:
-                raise MalformedRow(f"{path}:{lineno + 2}: {err}") from err
+        try:
+            lines = iter(fh)
+            if next(csv.reader(lines), None) != DATASET_HEADER:
+                raise MalformedRow(f"{path}: missing or wrong header row")
+            for lineno, line in enumerate(lines):
+                where = f"{path}:{lineno + 2}"
+                parsed = _lookup_row(line)
+                if parsed is None:
+                    # csv.reader pulls further lines when a quoted field spans them
+                    record = next(csv.reader(itertools.chain([line], lines)))
+                    parsed = _parse_row(record, where)
+                values, label = parsed
+                try:
+                    packets.append(EncodedPacket(values=values, label=label,
+                                                 source_id=(fid, lineno)))
+                except ValueError as err:
+                    raise MalformedRow(f"{where}: {err}") from err
+        except csv.Error as err:
+            raise MalformedRow(f"{where}: {err}") from err
+        except UnicodeDecodeError as err:
+            raise MalformedRow(f"{path}: undecodable text: {err.reason}") from err
     return packets
 
 

@@ -89,7 +89,8 @@ class EncodedPacket:
         self.values = np.asarray(self.values, dtype=np.float64)
         if self.values.shape != (VECTOR_LEN,):
             raise ValueError(f"expected {VECTOR_LEN} values, got {self.values.shape}")
-        if self.values.min() < 0.0 or self.values.max() > 1.0:
+        # written so that NaN, which fails every comparison, fails the check
+        if not (self.values.min() >= 0.0 and self.values.max() <= 1.0):
             raise ValueError("values must lie in [0, 1]")
         scaled = self.values * 255.0
         if np.abs(scaled - np.rint(scaled)).max() > 1e-9:

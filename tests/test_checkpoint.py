@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -108,3 +110,32 @@ def test_magic_literal(tmp_path):
     path = tmp_path / "x.ckpt"
     save_checkpoint(path, sample_checkpoint())
     assert path.read_bytes()[:9] == MAGIC == b"FLOWGATE1"
+
+
+def test_saved_bytes_for_a_fixed_seed_unchanged(tmp_path):
+    path = tmp_path / "x.ckpt"
+    save_checkpoint(path, sample_checkpoint())
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "974faf9dc817733df89f9188c9853f5a48cdb96aabc985543c9d582da97a6252")
+
+
+def test_every_truncation_raises_mismatch(tmp_path):
+    path = tmp_path / "x.ckpt"
+    save_checkpoint(path, sample_checkpoint())
+    raw = path.read_bytes()
+    for n in range(len(raw)):
+        path.write_bytes(raw[:n])
+        with pytest.raises(CheckpointMismatch):
+            load_checkpoint(path)
+
+
+def test_failed_save_keeps_the_previous_file(tmp_path):
+    path = tmp_path / "x.ckpt"
+    save_checkpoint(path, sample_checkpoint())
+    before = path.read_bytes()
+    broken = sample_checkpoint()
+    broken.tensors["flow.block0.t.0.W"] = np.array(["not a number"])
+    with pytest.raises(ValueError):
+        save_checkpoint(path, broken)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["x.ckpt"]

@@ -4,7 +4,7 @@ import pytest
 from flowgate.dataset import (
     read_dataset, read_latents, values_matrix, write_dataset, write_latents,
 )
-from flowgate.errors import MalformedRow
+from flowgate.errors import FlowgateError, MalformedRow
 from flowgate.packets import EncodedPacket, Label
 
 
@@ -81,7 +81,6 @@ def test_read_rejects_bad_label(tmp_path):
     path = tmp_path / "d.csv"
     write_dataset([make_packet(np.random.default_rng(4))], path)
     lines = path.read_text().splitlines()
-    lines[1] = lines[1][:-0] + ""  # no-op, now break the label
     fields = lines[1].split(",")
     fields[-1] = "2"
     lines[1] = ",".join(fields)
@@ -106,3 +105,147 @@ def test_latents_empty(tmp_path):
     write_latents(path, np.zeros((0, 70)))
     back, labels = read_latents(path)
     assert back.shape == (0, 70) and labels == []
+
+
+# --- the value contract: lookup spelling, any other exact decimal, rejections ---
+
+def canonical_csv(path):
+    """Three rows, every one holding 0.0 and 1.0, labels normal/anomaly/none."""
+    rng = np.random.default_rng(6)
+    packets = []
+    for i, label in enumerate([Label.NORMAL, Label.ANOMALY, None]):
+        values = rng.integers(0, 256, size=1600) / 255.0
+        values[:2] = (0.0, 1.0)
+        packets.append(EncodedPacket(values=values, label=label, source_id=("mem", i)))
+    write_dataset(packets, path)
+    return packets
+
+
+def rewrite_values(path, spell):
+    """Rewrite every value field of `path` through `spell`."""
+    lines = path.read_text().splitlines()
+    out = [lines[0]]
+    for line in lines[1:]:
+        fields = line.split(",")
+        out.append(",".join([spell(f) for f in fields[:-1]] + fields[-1:]))
+    path.write_text("\n".join(out) + "\n")
+
+
+def rewrite_field(path, line, col, text):
+    lines = path.read_text().splitlines()
+    fields = lines[line - 1].split(",")
+    fields[col] = text
+    lines[line - 1] = ",".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+
+
+def test_all_256_byte_values_round_trip_bit_exact(tmp_path):
+    codes = np.arange(1600) % 256
+    path = tmp_path / "d.csv"
+    write_dataset([EncodedPacket(values=codes / 255.0)], path)
+    (back,) = read_dataset(path)
+    expected = np.array([float(repr(b / 255.0)) for b in codes.tolist()])
+    assert back.values.dtype == np.float64
+    np.testing.assert_array_equal(back.values.view(np.uint64), expected.view(np.uint64))
+
+
+VARIANTS = {
+    "crlf": lambda p: p.write_bytes(p.read_bytes().replace(b"\n", b"\r\n")),
+    "quoted": lambda p: rewrite_field(p, 3, 0, '"0.0"'),
+    "exponent": lambda p: rewrite_values(p, lambda f: "%.18e" % float(f)),
+    "integers": lambda p: rewrite_values(p, lambda f: {"0.0": "0", "1.0": "1"}.get(f, f)),
+    "padded": lambda p: rewrite_field(p, 2, 5, " " + p.read_text().splitlines()[1].split(",")[5]),
+}
+
+
+@pytest.mark.parametrize("variant", sorted(VARIANTS))
+def test_other_spellings_read_like_the_canonical_file(tmp_path, variant):
+    canonical = tmp_path / "canonical.csv"
+    canonical_csv(canonical)
+    path = tmp_path / "variant.csv"
+    path.write_bytes(canonical.read_bytes())
+    VARIANTS[variant](path)
+    assert path.read_bytes() != canonical.read_bytes()
+    want, got = read_dataset(canonical), read_dataset(path)
+    np.testing.assert_array_equal(values_matrix(got), values_matrix(want))
+    assert [p.label for p in got] == [p.label for p in want]
+    assert [p.source_id[1] for p in got] == [p.source_id[1] for p in want]
+
+
+REJECTIONS = [
+    ("nan", 2, 9, "nan"),
+    ("inf", 2, 9, "inf"),
+    ("minus_inf", 2, 9, "-inf"),
+    ("non_numeric", 3, 10, "abc"),
+    ("empty", 3, 10, ""),
+    ("above_one", 3, 0, "1.5"),
+    ("negative", 3, 0, "-0.5"),
+    ("off_grid", 3, 4, "0.0039215686"),
+    ("label", 3, -1, "2"),
+]
+
+
+@pytest.mark.parametrize("line,col,text", [r[1:] for r in REJECTIONS],
+                         ids=[r[0] for r in REJECTIONS])
+def test_rejections_name_their_line(tmp_path, line, col, text):
+    path = tmp_path / "d.csv"
+    canonical_csv(path)
+    rewrite_field(path, line, col, text)
+    with pytest.raises(MalformedRow, match=rf"d\.csv:{line}: "):
+        read_dataset(path)
+
+
+@pytest.mark.parametrize("n_values", [1599, 1601])
+def test_wrong_value_count_names_its_line(tmp_path, n_values):
+    path = tmp_path / "d.csv"
+    canonical_csv(path)
+    lines = path.read_text().splitlines()
+    *values, label = lines[2].split(",")
+    lines[2] = ",".join((values + values)[:n_values] + [label])
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(MalformedRow, match=rf"d\.csv:3: expected 1601 columns, got {n_values + 1}"):
+        read_dataset(path)
+
+
+FUZZ_BYTES = np.frombuffer(b',"\r\n .-+e0159naif\x00\xff', dtype=np.uint8)
+
+
+def mutate(rng, data: bytes) -> bytes:
+    """Flip, delete, insert or truncate a few bytes of `data`."""
+    buf = bytearray(data)
+    for _ in range(int(rng.integers(1, 4))):
+        pos = int(rng.integers(0, len(buf) + 1))
+        kind = int(rng.integers(0, 5))
+        if kind == 0 and pos < len(buf):
+            buf[pos] ^= int(rng.integers(1, 256))
+        elif kind == 1:
+            del buf[pos:pos + int(rng.integers(1, 16))]
+        elif kind == 2:
+            buf[pos:pos] = bytes(rng.choice(FUZZ_BYTES, size=int(rng.integers(1, 6))))
+        elif kind == 3:
+            del buf[pos:]
+        else:  # cut after the end of a line, which can leave a valid file
+            del buf[buf.find(b"\n", pos) + 1 or len(buf):]
+    return bytes(buf)
+
+
+def test_mutated_csvs_raise_only_flowgate_errors_or_read_valid_packets(tmp_path):
+    original = tmp_path / "canonical.csv"
+    canonical_csv(original)
+    data = original.read_bytes()
+    rng = np.random.default_rng(20240315)
+    path = tmp_path / "mutant.csv"
+    accepted = 0
+    for _ in range(300):
+        path.write_bytes(mutate(rng, data))
+        try:
+            packets = read_dataset(path)
+        except FlowgateError:
+            continue
+        accepted += len(packets)
+        for p in packets:
+            v = p.values
+            assert v.shape == (1600,) and np.isfinite(v).all()
+            assert v.min() >= 0.0 and v.max() <= 1.0
+            assert np.abs(v * 255.0 - np.rint(v * 255.0)).max() <= 1e-9
+    assert accepted > 0

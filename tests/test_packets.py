@@ -246,6 +246,14 @@ def test_encoded_packet_validation():
         EncodedPacket(values=frac)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_encoded_packet_rejects_non_finite(value):
+    values = np.zeros(1600)
+    values[7] = value
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        EncodedPacket(values=values)
+
+
 def test_encode_frame_end_to_end():
     enc = encode_frame(tcp_frame(payload=b"GET / HTTP/1.1"),
                        label=Label.NORMAL, source_id=("f", 3))

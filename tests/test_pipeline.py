@@ -1,4 +1,6 @@
+import dataclasses
 import filecmp
+import shutil
 
 import numpy as np
 import pytest
@@ -40,6 +42,17 @@ def test_pipeline_resumes_from_checkpoints(pipeline_run):
     ext_before = first.extractor_ckpt.read_bytes()
     again = run_pipeline(cfg)
     assert again.extractor_ckpt.read_bytes() == ext_before
+    assert again.best.auroc == first.best.auroc
+
+
+def test_pipeline_retrains_a_truncated_checkpoint(pipeline_run, tmp_path):
+    cfg, first = pipeline_run
+    workdir = tmp_path / "work"
+    shutil.copytree(first.extractor_ckpt.parent, workdir)
+    flow_before = first.flow_ckpt.read_bytes()
+    (workdir / "flow.ckpt").write_bytes(flow_before[:12])
+    again = run_pipeline(dataclasses.replace(cfg, workdir=str(workdir)))
+    assert again.flow_ckpt.read_bytes() == flow_before
     assert again.best.auroc == first.best.auroc
 
 
