@@ -56,6 +56,17 @@ class Checkpoint:
         return int(sum(t.size for t in self.tensors.values()))
 
 
+def trained_checkpoint(stage: str, seed: int, config: dict, items, best_epoch: int,
+                       history_key: str, history: Sequence[float],
+                       **counts: int) -> Checkpoint:
+    """A trained stage's parameters, its config, and how its training converged:
+    the best epoch, the epochs run and the holdout metric of every epoch."""
+    meta = {"config": config, "best_epoch": best_epoch, "epochs_run": len(history) - 1,
+            history_key: [float(v) for v in history], **counts}
+    return Checkpoint(stage=stage, seed=seed, config_fingerprint=config_fingerprint(config),
+                      tensors={name: t.data.copy() for name, t in items}, meta=meta)
+
+
 def save_checkpoint(path: str | Path, ckpt: Checkpoint) -> None:
     names = sorted(ckpt.tensors)
     header = {

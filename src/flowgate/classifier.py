@@ -1,42 +1,25 @@
 """Latent-space binary classifier; its sigmoid output is the anomaly score."""
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 import numpy as np
 
 from . import nn
-from .checkpoint import Checkpoint, STAGE_CLASSIFIER, config_fingerprint
-from .errors import BadThreshold, EmptyClass, ShapeMismatch
+from .checkpoint import Checkpoint, STAGE_CLASSIFIER, trained_checkpoint
+from .errors import BadConfig, BadThreshold, EmptyClass, ShapeMismatch
 from .nn import Activation, GradTape, MLP, Tensor
 from .packets import Label
 from .seeding import rng_for
 
 
 @dataclass
-class ClassifierConfig:
+class ClassifierConfig(nn.TrainConfig):
     widths: tuple[int, ...] = (70, 64, 32, 1)
-    epochs: int = 100
-    batch_size: int = 64
-    lr: float = 0.001
-    beta1: float = 0.5
-    beta2: float = 0.999
-    patience: int = 10
-    holdout_fraction: float = 0.1
 
     def __post_init__(self):
+        super().__post_init__()
         if self.widths[-1] != 1:
-            raise ValueError("classifier must end in a scalar output")
-
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["widths"] = list(self.widths)
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ClassifierConfig":
-        d = dict(d)
-        d["widths"] = tuple(d["widths"])
-        return cls(**d)
+            raise BadConfig("classifier widths must end in a scalar output")
 
 
 class ClassifierModel:
@@ -98,66 +81,27 @@ def train_classifier(normals: np.ndarray, pseudo: np.ndarray,
 
     X = np.vstack([normals, pseudo])
     y = np.concatenate([np.zeros(normals.shape[0]), np.ones(pseudo.shape[0])])
-    n = X.shape[0]
-    split_rng = rng_for(seed, "classifier-split")
-    perm = split_rng.permutation(n)
-    n_hold = min(n - 1, max(1, int(round(n * cfg.holdout_fraction)))) if n > 1 else 0
-    hold_idx, train_idx = perm[:n_hold], perm[n_hold:]
-    X_train, y_train = X[train_idx], y[train_idx]
-    X_hold, y_hold = (X[hold_idx], y[hold_idx]) if n_hold else (X_train, y_train)
-
     model = ClassifierModel.create(cfg, seed)
+    update = cfg.adam_update(model.params)
 
-    def holdout_loss() -> float:
-        pred = Tensor(model.net.eval_np(X_hold)[:, 0])
+    def step(xb: np.ndarray, yb: np.ndarray) -> None:
+        with GradTape() as tape:
+            loss = nn.bce(model.net(Tensor(xb)), Tensor(yb[:, None]))
+        update(tape, loss)
+
+    def holdout_loss(x_hold: np.ndarray, y_hold: np.ndarray) -> float:
+        pred = Tensor(model.net.eval_np(x_hold)[:, 0])
         return nn.bce(pred, Tensor(y_hold)).item()
 
-    params = model.params
-    opt = nn.AdamState(params, lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2)
-    batch_rng = rng_for(seed, "classifier-batches")
-    stopper = nn.EarlyStopper(cfg.patience)
-    history = [holdout_loss()]
-    stopper.update(history[0], epoch=0)
-    best = nn.snapshot(params)
-
-    for epoch in range(1, cfg.epochs + 1):
-        for idx in nn.minibatches(batch_rng, X_train.shape[0], cfg.batch_size):
-            with GradTape() as tape:
-                pred = model.net(Tensor(X_train[idx]))
-                loss = nn.bce(pred, Tensor(y_train[idx][:, None]))
-            grads = nn.backward(tape, loss)
-            nn.adam_step(opt, params, nn.grads_for(grads, params))
-        metric = holdout_loss()
-        history.append(metric)
-        if stopper.update(metric, epoch):
-            best = nn.snapshot(params)
-        if stopper.should_stop:
-            break
-
-    nn.restore(params, best)
-    tensors = {name: t.data.copy() for name, t in model.param_items()}
-    meta = {
-        "config": cfg.to_dict(),
-        "best_epoch": stopper.best_epoch,
-        "epochs_run": len(history) - 1,
-        "holdout_bce": [float(v) for v in history],
-        "n_normal": int(normals.shape[0]),
-        "n_pseudo": int(pseudo.shape[0]),
-    }
-    return Checkpoint(stage=STAGE_CLASSIFIER, seed=seed,
-                      config_fingerprint=config_fingerprint(cfg.to_dict()),
-                      tensors=tensors, meta=meta)
+    history, best_epoch, _ = nn.fit(model.params, (X, y), step, holdout_loss,
+                                    cfg, seed, "classifier")
+    return trained_checkpoint(STAGE_CLASSIFIER, seed, cfg.to_dict(), model.param_items(),
+                              best_epoch, "holdout_bce", history,
+                              n_normal=int(normals.shape[0]), n_pseudo=int(pseudo.shape[0]))
 
 
 def classifier_from_checkpoint(ckpt: Checkpoint) -> ClassifierModel:
-    cfg = ClassifierConfig.from_dict(ckpt.meta["config"])
-    model = ClassifierModel.create(cfg, ckpt.seed)
-    for name, tensor in model.param_items():
-        if name not in ckpt.tensors:
-            raise ShapeMismatch(f"checkpoint is missing tensor {name}")
-        saved = ckpt.tensors[name]
-        if saved.shape != tensor.data.shape:
-            raise ShapeMismatch(f"tensor {name} has shape {saved.shape}, "
-                                f"expected {tensor.data.shape}")
-        tensor.data = saved.copy()
+    model = ClassifierModel.create(ClassifierConfig.from_dict(ckpt.meta["config"]),
+                                   ckpt.seed)
+    nn.load_params(model.param_items(), ckpt.tensors)
     return model

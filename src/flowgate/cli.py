@@ -17,13 +17,14 @@ from .checkpoint import (
 )
 from .classifier import ClassifierConfig, train_classifier
 from .corpus import make_synthetic_corpus
-from .dataset import (
-    read_dataset, read_latents, values_matrix, write_dataset, write_latents,
+from .dataset import read_dataset, read_latents, write_dataset, write_latents
+from .errors import AnomalyInTrainingSet, BadConfig, FlowgateError
+from .extractor import (
+    ExtractorConfig, extractor_from_checkpoint, train_extractor, training_matrix,
 )
-from .errors import AnomalyInTrainingSet, FlowgateError
-from .extractor import ExtractorConfig, extractor_from_checkpoint, train_extractor
 from .flow import FlowConfig, FlowModel, flow_from_checkpoint, train_flow
 from .metrics import evaluate, format_report, read_scores, write_report, write_scores
+from .nn import TrainConfig
 from .packets import Label, capture_files, process_capture
 from .pipeline import (
     DEFAULT_NOISE_GRID, PipelineConfig, infer, ratio_ablation, repeat_pipeline,
@@ -45,24 +46,21 @@ def _parse_noise_grid(text: str) -> tuple[tuple[float, float], ...]:
         chunk = chunk.strip()
         if not chunk:
             continue
-        mu, sigma = chunk.split(",")
-        pairs.append((float(mu), float(sigma)))
+        try:
+            mu, sigma = chunk.split(",")
+            pairs.append((float(mu), float(sigma)))
+        except ValueError:
+            raise BadConfig(f"expected 'mu,sigma;mu,sigma;...', got {text!r}") from None
     if not pairs:
-        raise ValueError("empty noise grid")
+        raise BadConfig(f"empty noise grid {text!r}")
     return tuple(pairs)
 
 
-def _read_config_file(path: str) -> dict[str, str]:
-    values: dict[str, str] = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        if "=" not in stripped:
-            raise FlowgateError(f"{path}:{lineno}: expected 'key = value'")
-        key, _, value = stripped.partition("=")
-        values[key.strip()] = value.strip()
-    return values
+def _parse_list(text: str, convert, flag: str) -> list:
+    try:
+        return [convert(item) for item in text.split(",")]
+    except ValueError as err:
+        raise BadConfig(f"{flag}: {err}") from None
 
 
 def cmd_preprocess(args) -> int:
@@ -100,39 +98,50 @@ def cmd_make_corpus(args) -> int:
     return 0
 
 
-def cmd_train_extractor(args) -> int:
-    packets = read_dataset(args.data)
-    cfg = ExtractorConfig(epochs=args.epochs, batch_size=args.batch, lr=args.lr,
-                          patience=args.patience)
-    ckpt = train_extractor(packets, cfg, args.seed)
-    save_checkpoint(args.out, ckpt)
-    print(f"extractor checkpoint -> {args.out} "
+def _add_training_flags(p: argparse.ArgumentParser) -> None:
+    """The shared training flags of the stage commands, defaults from TrainConfig."""
+    defaults = TrainConfig()
+    p.add_argument("--epochs", type=int, default=defaults.epochs)
+    p.add_argument("--batch", type=int, default=defaults.batch_size)
+    p.add_argument("--lr", type=float, default=defaults.lr)
+    p.add_argument("--patience", type=int, default=defaults.patience)
+
+
+def _training(args) -> dict:
+    return dict(epochs=args.epochs, batch_size=args.batch, lr=args.lr,
+                patience=args.patience)
+
+
+def _save_trained(path: str, ckpt) -> int:
+    save_checkpoint(path, ckpt)
+    print(f"{ckpt.stage.lower()} checkpoint -> {path} "
           f"(best epoch {ckpt.meta['best_epoch']} of {ckpt.meta['epochs_run']})")
     return 0
+
+
+def cmd_train_extractor(args) -> int:
+    cfg = ExtractorConfig(**_training(args))
+    return _save_trained(args.out, train_extractor(read_dataset(args.data), cfg, args.seed))
+
+
+def _encode_training_data(data_csv: str, extractor_ckpt: str):
+    """Latents of a normal packet CSV; rows labeled as anomalies are refused."""
+    ext = extractor_from_checkpoint(
+        load_checkpoint(extractor_ckpt, expect_stage=STAGE_EXTRACTOR))
+    return ext.encode(training_matrix(read_dataset(data_csv), ext.config.input_dim))
 
 
 def cmd_train_flow(args) -> int:
-    packets = read_dataset(args.data)
-    ext = extractor_from_checkpoint(
-        load_checkpoint(args.latents_from, expect_stage=STAGE_EXTRACTOR))
-    latents = ext.encode(values_matrix(packets))
-    cfg = FlowConfig(dim=latents.shape[1], epochs=args.epochs,
-                     batch_size=args.batch, lr=args.lr, patience=args.patience,
-                     blocks=args.blocks, hidden=args.hidden)
+    latents = _encode_training_data(args.data, args.latents_from)
+    cfg = FlowConfig(dim=latents.shape[1], blocks=args.blocks, hidden=args.hidden,
+                     **_training(args))
     model = FlowModel.create(cfg, args.seed)
-    ckpt = train_flow(model, latents, cfg, args.seed)
-    save_checkpoint(args.out, ckpt)
-    print(f"flow checkpoint -> {args.out} "
-          f"(best epoch {ckpt.meta['best_epoch']} of {ckpt.meta['epochs_run']})")
-    return 0
+    return _save_trained(args.out, train_flow(model, latents, cfg, args.seed))
 
 
 def cmd_synthesize(args) -> int:
-    packets = read_dataset(args.data)
-    ext = extractor_from_checkpoint(
-        load_checkpoint(args.extractor, expect_stage=STAGE_EXTRACTOR))
+    latents = _encode_training_data(args.data, args.extractor)
     flow = flow_from_checkpoint(load_checkpoint(args.flow, expect_stage=STAGE_FLOW))
-    latents = ext.encode(values_matrix(packets))
     spec = NoiseSpec(mu=args.mu, sigma=args.sigma, seed=args.seed)
     cfg = SynthesisConfig(ratio=args.ratio, allow_oversampling=args.ratio > 1)
     pseudo = synthesize(flow, latents, spec, cfg)
@@ -148,14 +157,8 @@ def cmd_train_classifier(args) -> int:
             raise AnomalyInTrainingSet(
                 f"{args.normals}: row {i} is labeled as an anomaly")
     pseudo, _ = read_latents(args.pseudo)
-    cfg = ClassifierConfig(widths=(normals.shape[1], 64, 32, 1),
-                           epochs=args.epochs, batch_size=args.batch,
-                           lr=args.lr, patience=args.patience)
-    ckpt = train_classifier(normals, pseudo, cfg, args.seed)
-    save_checkpoint(args.out, ckpt)
-    print(f"classifier checkpoint -> {args.out} "
-          f"(best epoch {ckpt.meta['best_epoch']} of {ckpt.meta['epochs_run']})")
-    return 0
+    cfg = ClassifierConfig(widths=(normals.shape[1], 64, 32, 1), **_training(args))
+    return _save_trained(args.out, train_classifier(normals, pseudo, cfg, args.seed))
 
 
 def cmd_infer(args) -> int:
@@ -179,32 +182,46 @@ def cmd_eval(args) -> int:
     return 0
 
 
+# config-file keys and the pipeline flags with the same dest, with their parsers
 _PIPELINE_KEYS = {
     "workdir": str, "train_csv": str, "test_csv": str, "train_pcap": str,
     "test_normal_pcap": str, "test_anomaly_pcap": str, "seed": int,
+    "noise_grid": _parse_noise_grid,
     "ratio": float, "input_dim": int, "latent_dim": int, "w_adv": float,
     "w_rec": float, "epochs": int, "batch_size": int, "lr": float,
     "patience": int, "flow_blocks": int, "flow_hidden": int,
 }
 
 
-def _pipeline_config(args) -> PipelineConfig:
+def _config_value(key: str, text, where: str = ""):
+    try:
+        return _PIPELINE_KEYS[key](text)
+    except ValueError as err:
+        raise BadConfig(f"{where}{key}: {err}") from None
+
+
+def _read_config_file(path: str) -> dict:
     values: dict = {}
-    if args.config:
-        raw = _read_config_file(args.config)
-        for key, text in raw.items():
-            if key == "noise_grid":
-                values[key] = _parse_noise_grid(text)
-            elif key in _PIPELINE_KEYS:
-                values[key] = _PIPELINE_KEYS[key](text)
-            else:
-                raise FlowgateError(f"unknown config key {key!r}")
+    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        if "=" not in stripped:
+            raise BadConfig(f"{path}:{lineno}: expected 'key = value'")
+        key, _, value = stripped.partition("=")
+        key = key.strip()
+        if key not in _PIPELINE_KEYS:
+            raise BadConfig(f"{path}:{lineno}: unknown config key {key!r}")
+        values[key] = _config_value(key, value.strip(), f"{path}:{lineno}: ")
+    return values
+
+
+def _pipeline_config(args) -> PipelineConfig:
+    values = _read_config_file(args.config) if args.config else {}
     for key in _PIPELINE_KEYS:
         arg = getattr(args, key, None)
         if arg is not None:
-            values[key] = arg
-    if args.noise_grid:
-        values["noise_grid"] = _parse_noise_grid(args.noise_grid)
+            values[key] = _config_value(key, arg)
     if "workdir" not in values:
         raise FlowgateError("pipeline needs a workdir (flag or config file)")
     return PipelineConfig(**values)
@@ -213,12 +230,12 @@ def _pipeline_config(args) -> PipelineConfig:
 def cmd_pipeline(args) -> int:
     cfg = _pipeline_config(args)
     if args.seeds:
-        seeds = [int(s) for s in args.seeds.split(",")]
+        seeds = _parse_list(args.seeds, int, "--seeds")
         summary, _ = repeat_pipeline(cfg, seeds)
         print(summary, end="")
         return 0
     if args.ratios:
-        ratios = [float(r) for r in args.ratios.split(",")]
+        ratios = _parse_list(args.ratios, float, "--ratios")
         table, _ = ratio_ablation(cfg, ratios)
         print(table, end="")
         return 0
@@ -259,10 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="normal packet CSV")
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--epochs", type=int, default=100)
-    p.add_argument("--batch", type=int, default=64)
-    p.add_argument("--lr", type=float, default=0.001)
-    p.add_argument("--patience", type=int, default=10)
+    _add_training_flags(p)
     p.set_defaults(fn=cmd_train_extractor)
 
     p = sub.add_parser("train-flow", help="stage 2: bidirectional flow")
@@ -270,10 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="normal packet CSV")
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--epochs", type=int, default=100)
-    p.add_argument("--batch", type=int, default=64)
-    p.add_argument("--lr", type=float, default=0.001)
-    p.add_argument("--patience", type=int, default=10)
+    _add_training_flags(p)
     p.add_argument("--blocks", type=int, default=8)
     p.add_argument("--hidden", type=int, default=128)
     p.set_defaults(fn=cmd_train_flow)
@@ -294,10 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pseudo", required=True, help="pseudo-anomaly latent CSV")
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--epochs", type=int, default=100)
-    p.add_argument("--batch", type=int, default=64)
-    p.add_argument("--lr", type=float, default=0.001)
-    p.add_argument("--patience", type=int, default=10)
+    _add_training_flags(p)
     p.set_defaults(fn=cmd_train_classifier)
 
     p = sub.add_parser("infer", help="score packets with encoder + classifier only")

@@ -5,6 +5,10 @@ class FlowgateError(Exception):
     """Base class for all errors raised by this package."""
 
 
+class BadConfig(FlowgateError, ValueError):
+    """A configuration value is malformed or out of range; names the key."""
+
+
 # --- capture / packet parsing ---
 
 class UnrecognizedMagic(FlowgateError):

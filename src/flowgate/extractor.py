@@ -15,60 +15,37 @@ from typing import Sequence
 import numpy as np
 
 from . import nn
-from .checkpoint import Checkpoint, STAGE_EXTRACTOR, config_fingerprint
-from .errors import AnomalyInTrainingSet, EmptyDataset, ShapeMismatch
+from .checkpoint import Checkpoint, STAGE_EXTRACTOR, trained_checkpoint
+from .dataset import values_matrix
+from .errors import AnomalyInTrainingSet, BadConfig, EmptyDataset, ShapeMismatch
 from .nn import Activation, GradTape, MLP, Tensor
 from .packets import EncodedPacket, Label
 from .seeding import rng_for
 
 
 @dataclass
-class ExtractorConfig:
+class ExtractorConfig(nn.TrainConfig):
     input_dim: int = 1600
     latent_dim: int = 70
     w_adv: float = 1.0
     w_rec: float = 50.0
     encoder_widths: tuple[int, ...] = (1600, 512, 128, 70)
     disc_widths: tuple[int, ...] = (1600, 256, 64, 1)
-    epochs: int = 100
-    batch_size: int = 64
-    lr: float = 0.001
-    beta1: float = 0.5
-    beta2: float = 0.999
-    patience: int = 10
-    holdout_fraction: float = 0.1
 
     def __post_init__(self):
+        super().__post_init__()
         if self.encoder_widths[0] != self.input_dim:
-            raise ValueError("encoder input width must match input_dim")
+            raise BadConfig("encoder_widths must start at input_dim")
         if self.encoder_widths[-1] != self.latent_dim:
-            raise ValueError("encoder output width must match latent_dim")
+            raise BadConfig("encoder_widths must end at latent_dim")
         if self.disc_widths[0] != self.input_dim or self.disc_widths[-1] != 1:
-            raise ValueError("discriminator must map input_dim to a scalar")
+            raise BadConfig("disc_widths must map input_dim to a scalar")
         if self.w_adv < 0 or self.w_rec < 0:
-            raise ValueError("loss weights must be non-negative")
+            raise BadConfig("loss weights w_adv and w_rec must be non-negative")
 
     @property
     def decoder_widths(self) -> tuple[int, ...]:
         return tuple(reversed(self.encoder_widths))
-
-    def to_dict(self) -> dict:
-        return {
-            "input_dim": self.input_dim, "latent_dim": self.latent_dim,
-            "w_adv": self.w_adv, "w_rec": self.w_rec,
-            "encoder_widths": list(self.encoder_widths),
-            "disc_widths": list(self.disc_widths),
-            "epochs": self.epochs, "batch_size": self.batch_size,
-            "lr": self.lr, "beta1": self.beta1, "beta2": self.beta2,
-            "patience": self.patience, "holdout_fraction": self.holdout_fraction,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ExtractorConfig":
-        d = dict(d)
-        d["encoder_widths"] = tuple(d["encoder_widths"])
-        d["disc_widths"] = tuple(d["disc_widths"])
-        return cls(**d)
 
 
 def generator_objective(feat_real: Tensor, feat_fake: Tensor, x: Tensor,
@@ -162,17 +139,16 @@ def training_matrix(dataset: Sequence[EncodedPacket] | np.ndarray,
                     input_dim: int) -> np.ndarray:
     """Stack training inputs, rejecting anything labeled as an anomaly."""
     if isinstance(dataset, np.ndarray):
-        if dataset.ndim != 2 or dataset.shape[0] == 0:
-            raise EmptyDataset("training needs a non-empty [n, input_dim] matrix")
-        return np.asarray(dataset, dtype=np.float64)
-    packets = list(dataset)
-    if not packets:
+        matrix = np.asarray(dataset, dtype=np.float64)
+    else:
+        packets = list(dataset)
+        for p in packets:
+            if p.label is Label.ANOMALY:
+                raise AnomalyInTrainingSet(
+                    f"labeled anomaly {p.source_id} in a training set")
+        matrix = values_matrix(packets)
+    if matrix.ndim != 2 or matrix.shape[0] == 0:
         raise EmptyDataset("training needs at least one packet")
-    for p in packets:
-        if p.label is Label.ANOMALY:
-            raise AnomalyInTrainingSet(
-                f"labeled anomaly {p.source_id} in a training set")
-    matrix = np.stack([p.values for p in packets])
     if matrix.shape[1] != input_dim:
         raise ShapeMismatch(f"packets have {matrix.shape[1]} values, "
                             f"config expects {input_dim}")
@@ -183,74 +159,34 @@ def train_extractor(dataset: Sequence[EncodedPacket] | np.ndarray,
                     cfg: ExtractorConfig, seed: int) -> Checkpoint:
     """Alternating per-batch discriminator/generator updates with early stopping."""
     data = training_matrix(dataset, cfg.input_dim)
-    n = data.shape[0]
-    split_rng = rng_for(seed, "extractor-split")
-    perm = split_rng.permutation(n)
-    n_hold = min(n - 1, max(1, int(round(n * cfg.holdout_fraction)))) if n > 1 else 0
-    hold, train = data[perm[:n_hold]], data[perm[n_hold:]]
-    eval_set = hold if n_hold else train
-
     model = FeatureExtractor.create(cfg, seed)
-    gen_params = model.generator_params
-    disc_params = model.discriminator_params
-    all_params = gen_params + disc_params
-    gen_opt = nn.AdamState(gen_params, lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2)
-    disc_opt = nn.AdamState(disc_params, lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2)
+    gen_update = cfg.adam_update(model.generator_params)
+    disc_update = cfg.adam_update(model.discriminator_params)
 
-    batch_rng = rng_for(seed, "extractor-batches")
-    stopper = nn.EarlyStopper(cfg.patience)
-    history = [model.generator_loss(eval_set)]
-    stopper.update(history[0], epoch=0)
-    best = nn.snapshot(all_params)
+    def step(xb: np.ndarray) -> None:
+        # discriminator step; reconstructions are constants here
+        x_hat = model.decoder.eval_np(model.encoder.eval_np(xb))
+        with GradTape() as tape:
+            d_real = model.discriminator(Tensor(xb))
+            d_fake = model.discriminator(Tensor(x_hat))
+            d_loss = discriminator_objective(d_real, d_fake)
+        disc_update(tape, d_loss)
+        # generator step; discriminator parameters receive no update
+        with GradTape() as tape:
+            g_loss = model._generator_loss_t(Tensor(xb))
+        gen_update(tape, g_loss)
 
-    for epoch in range(1, cfg.epochs + 1):
-        for idx in nn.minibatches(batch_rng, train.shape[0], cfg.batch_size):
-            xb = train[idx]
-            # discriminator step; reconstructions are constants here
-            x_hat = model.decoder.eval_np(model.encoder.eval_np(xb))
-            with GradTape() as tape:
-                d_real = model.discriminator(Tensor(xb))
-                d_fake = model.discriminator(Tensor(x_hat))
-                d_loss = discriminator_objective(d_real, d_fake)
-            grads = nn.backward(tape, d_loss)
-            nn.adam_step(disc_opt, disc_params, nn.grads_for(grads, disc_params))
-            # generator step; discriminator parameters receive no update
-            with GradTape() as tape:
-                g_loss = model._generator_loss_t(Tensor(xb))
-            grads = nn.backward(tape, g_loss)
-            nn.adam_step(gen_opt, gen_params, nn.grads_for(grads, gen_params))
-        metric = model.generator_loss(eval_set)
-        history.append(metric)
-        if stopper.update(metric, epoch):
-            best = nn.snapshot(all_params)
-        if stopper.should_stop:
-            break
-
-    nn.restore(all_params, best)
-    tensors = {name: t.data.copy() for name, t in model.param_items()}
-    meta = {
-        "config": cfg.to_dict(),
-        "best_epoch": stopper.best_epoch,
-        "epochs_run": len(history) - 1,
-        "holdout_generator_loss": [float(v) for v in history],
-        "n_train": int(train.shape[0]),
-    }
-    return Checkpoint(stage=STAGE_EXTRACTOR, seed=seed,
-                      config_fingerprint=config_fingerprint(cfg.to_dict()),
-                      tensors=tensors, meta=meta)
+    history, best_epoch, n_train = nn.fit(
+        model.generator_params + model.discriminator_params, (data,), step,
+        model.generator_loss, cfg, seed, "extractor")
+    return trained_checkpoint(STAGE_EXTRACTOR, seed, cfg.to_dict(), model.param_items(),
+                              best_epoch, "holdout_generator_loss", history, n_train=n_train)
 
 
 def extractor_from_checkpoint(ckpt: Checkpoint) -> FeatureExtractor:
-    cfg = ExtractorConfig.from_dict(ckpt.meta["config"])
-    model = FeatureExtractor.create(cfg, ckpt.seed)
-    for name, tensor in model.param_items():
-        if name not in ckpt.tensors:
-            raise ShapeMismatch(f"checkpoint is missing tensor {name}")
-        saved = ckpt.tensors[name]
-        if saved.shape != tensor.data.shape:
-            raise ShapeMismatch(f"tensor {name} has shape {saved.shape}, "
-                                f"expected {tensor.data.shape}")
-        tensor.data = saved.copy()
+    model = FeatureExtractor.create(ExtractorConfig.from_dict(ckpt.meta["config"]),
+                                    ckpt.seed)
+    nn.load_params(model.param_items(), ckpt.tensors)
     return model
 
 
@@ -260,12 +196,5 @@ def encoder_from_checkpoint(ckpt: Checkpoint) -> MLP:
     cfg = ExtractorConfig.from_dict(ckpt.meta["config"])
     rng = rng_for(ckpt.seed, "extractor-init")
     encoder = MLP.create(rng, cfg.encoder_widths, Activation.RELU, Activation.LINEAR)
-    for name, tensor in encoder.param_items("encoder."):
-        if name not in ckpt.tensors:
-            raise ShapeMismatch(f"checkpoint is missing tensor {name}")
-        saved = ckpt.tensors[name]
-        if saved.shape != tensor.data.shape:
-            raise ShapeMismatch(f"tensor {name} has shape {saved.shape}, "
-                                f"expected {tensor.data.shape}")
-        tensor.data = saved.copy()
+    nn.load_params(encoder.param_items("encoder."), ckpt.tensors)
     return encoder

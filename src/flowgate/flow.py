@@ -10,15 +10,15 @@ zero, so an untrained flow is the identity.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import nn
-from .checkpoint import Checkpoint, STAGE_FLOW, config_fingerprint
+from .checkpoint import Checkpoint, STAGE_FLOW, trained_checkpoint
 from .errors import (
-    EmptyDataset, NonFiniteInput, NonFiniteIntermediate, ShapeMismatch,
+    BadConfig, EmptyDataset, NonFiniteInput, NonFiniteIntermediate, ShapeMismatch,
 )
 from .nn import Activation, GradTape, MLP, Tensor
 from .seeding import rng_for
@@ -27,29 +27,22 @@ LOG_TWO_PI = math.log(2.0 * math.pi)
 
 
 @dataclass
-class FlowConfig:
+class FlowConfig(nn.TrainConfig):
     dim: int = 70
     blocks: int = 8
     hidden: int = 128
     s_clamp: float = 2.0
-    epochs: int = 100
-    batch_size: int = 64
-    lr: float = 0.001
-    beta1: float = 0.5
-    beta2: float = 0.999
-    patience: int = 10
-    holdout_fraction: float = 0.1
 
     def __post_init__(self):
+        super().__post_init__()
         if self.dim < 2:
-            raise ValueError("flow needs at least 2 dimensions")
+            raise BadConfig(f"flow dim must be at least 2, got {self.dim}")
         if self.blocks < 1:
-            raise ValueError("flow needs at least one block")
-        if self.s_clamp <= 0:
-            raise ValueError("s_clamp must be positive")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
+            raise BadConfig(f"flow blocks must be at least 1, got {self.blocks}")
+        if self.hidden < 1:
+            raise BadConfig(f"flow hidden must be at least 1, got {self.hidden}")
+        if not self.s_clamp > 0:
+            raise BadConfig(f"s_clamp must be positive, got {self.s_clamp}")
 
 
 class CouplingBlock:
@@ -220,60 +213,23 @@ def train_flow(model: FlowModel, latents: np.ndarray, cfg: FlowConfig,
     if not np.isfinite(data).all():
         raise NonFiniteInput("latents contain NaN or infinity")
 
-    n = data.shape[0]
-    split_rng = rng_for(seed, "flow-split")
-    perm = split_rng.permutation(n)
-    n_hold = min(n - 1, max(1, int(round(n * cfg.holdout_fraction)))) if n > 1 else 0
-    hold, train = data[perm[:n_hold]], data[perm[n_hold:]]
-    eval_set = hold if n_hold else train
+    update = cfg.adam_update(model.params)
 
-    def holdout_nll() -> float:
-        return float(-np.mean(model.log_likelihood(eval_set)))
+    def step(xb: np.ndarray) -> None:
+        with GradTape() as tape:
+            loss = nll_t(model, Tensor(xb))
+        update(tape, loss)
 
-    params = model.params
-    opt = nn.AdamState(params, lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2)
-    batch_rng = rng_for(seed, "flow-batches")
-    stopper = nn.EarlyStopper(cfg.patience)
-    history = [holdout_nll()]
-    stopper.update(history[0], epoch=0)
-    best = nn.snapshot(params)
+    def holdout_nll(hold: np.ndarray) -> float:
+        return float(-np.mean(model.log_likelihood(hold)))
 
-    for epoch in range(1, cfg.epochs + 1):
-        for idx in nn.minibatches(batch_rng, train.shape[0], cfg.batch_size):
-            with GradTape() as tape:
-                loss = nll_t(model, Tensor(train[idx]))
-            grads = nn.backward(tape, loss)
-            nn.adam_step(opt, params, nn.grads_for(grads, params))
-        metric = holdout_nll()
-        history.append(metric)
-        if stopper.update(metric, epoch):
-            best = nn.snapshot(params)
-        if stopper.should_stop:
-            break
-
-    nn.restore(params, best)
-    tensors = {name: t.data.copy() for name, t in model.param_items()}
-    meta = {
-        "config": cfg.to_dict(),
-        "best_epoch": stopper.best_epoch,
-        "epochs_run": len(history) - 1,
-        "holdout_nll": [float(v) for v in history],
-        "n_train": int(train.shape[0]),
-    }
-    return Checkpoint(stage=STAGE_FLOW, seed=seed,
-                      config_fingerprint=config_fingerprint(cfg.to_dict()),
-                      tensors=tensors, meta=meta)
+    history, best_epoch, n_train = nn.fit(model.params, (data,), step, holdout_nll,
+                                          cfg, seed, "flow")
+    return trained_checkpoint(STAGE_FLOW, seed, cfg.to_dict(), model.param_items(),
+                              best_epoch, "holdout_nll", history, n_train=n_train)
 
 
 def flow_from_checkpoint(ckpt: Checkpoint) -> FlowModel:
-    cfg = FlowConfig(**ckpt.meta["config"])
-    model = FlowModel.create(cfg, ckpt.seed)
-    for name, tensor in model.param_items():
-        if name not in ckpt.tensors:
-            raise ShapeMismatch(f"checkpoint is missing tensor {name}")
-        saved = ckpt.tensors[name]
-        if saved.shape != tensor.data.shape:
-            raise ShapeMismatch(f"tensor {name} has shape {saved.shape}, "
-                                f"expected {tensor.data.shape}")
-        tensor.data = saved.copy()
+    model = FlowModel.create(FlowConfig.from_dict(ckpt.meta["config"]), ckpt.seed)
+    nn.load_params(model.param_items(), ckpt.tensors)
     return model

@@ -9,12 +9,14 @@ be evaluated through the cheaper `eval_np` paths.
 from __future__ import annotations
 
 import math
+from dataclasses import asdict, dataclass
 from enum import Enum
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import DetachedLoss, ShapeMismatch
+from .errors import BadConfig, DetachedLoss, ShapeMismatch
+from .seeding import rng_for
 
 Array = np.ndarray
 
@@ -505,15 +507,56 @@ class MLP:
 
 # --- optimizer ---
 
+@dataclass
+class TrainConfig:
+    """Hyperparameters shared by every training stage; `fit` reads them."""
+
+    epochs: int = 100
+    batch_size: int = 64
+    lr: float = 0.001
+    beta1: float = 0.5
+    beta2: float = 0.999
+    patience: int = 10
+    holdout_fraction: float = 0.1
+
+    def __post_init__(self):
+        if self.epochs < 0:
+            raise BadConfig(f"epochs must be non-negative, got {self.epochs}")
+        if self.batch_size < 1:
+            raise BadConfig(f"batch_size must be at least 1, got {self.batch_size}")
+        if not self.lr > 0:
+            raise BadConfig(f"lr must be positive, got {self.lr}")
+        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
+            raise BadConfig("beta1 and beta2 must lie in [0, 1)")
+        if self.patience < 0:
+            raise BadConfig(f"patience must be non-negative, got {self.patience}")
+        if not 0 <= self.holdout_fraction <= 1:
+            raise BadConfig(f"holdout_fraction must lie in [0, 1], got {self.holdout_fraction}")
+
+    def adam_update(self, params: Sequence[Tensor]) -> Callable[[GradTape, Tensor], None]:
+        """An Adam state for `params`, stepped by `update(tape, loss)`."""
+        state = AdamState(params, lr=self.lr, beta1=self.beta1, beta2=self.beta2)
+
+        def update(tape: GradTape, loss: Tensor) -> None:
+            adam_step(state, params, grads_for(backward(tape, loss), params))
+        return update
+
+    def to_dict(self) -> dict:
+        """Field values with tuples as lists: the form checkpoint meta stores."""
+        return {k: list(v) if isinstance(v, tuple) else v
+                for k, v in asdict(self).items()}
+
+    @classmethod
+    def from_dict(cls, d: Mapping):
+        return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in d.items()})
+
+
 class AdamState:
     """Adam moments for one parameter list; moments start at zero."""
 
-    def __init__(self, params: Sequence[Tensor], lr: float = 0.001,
-                 beta1: float = 0.5, beta2: float = 0.999, eps: float = 1e-8) -> None:
-        if lr <= 0:
-            raise ValueError("lr must be positive")
-        if not (0 <= beta1 < 1 and 0 <= beta2 < 1):
-            raise ValueError("betas must lie in [0, 1)")
+    def __init__(self, params: Sequence[Tensor], lr: float = TrainConfig.lr,
+                 beta1: float = TrainConfig.beta1, beta2: float = TrainConfig.beta2,
+                 eps: float = 1e-8) -> None:
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
@@ -554,13 +597,6 @@ def adam_step(state: AdamState, params: Sequence[Tensor],
 
 # --- training utilities ---
 
-def minibatches(rng: np.random.Generator, n: int, batch_size: int) -> Iterator[Array]:
-    """Shuffled index batches covering range(n) once."""
-    perm = rng.permutation(n)
-    for start in range(0, n, batch_size):
-        yield perm[start:start + batch_size]
-
-
 def snapshot(params: Sequence[Tensor]) -> list[Array]:
     return [p.data.copy() for p in params]
 
@@ -592,3 +628,52 @@ class EarlyStopper:
     @property
     def should_stop(self) -> bool:
         return self.bad_epochs >= self.patience
+
+
+def fit(params: Sequence[Tensor], arrays: Sequence[Array],
+        step: Callable[..., None], holdout_metric: Callable[..., float],
+        cfg: TrainConfig, seed: int, tag: str) -> tuple[list[float], int, int]:
+    """Minibatch training with early stopping on a seeded held-out split.
+
+    The `{tag}-split` stream holds out a `holdout_fraction` of the rows of
+    `arrays`, at least one and never all (one row is both train and holdout).
+    Each epoch runs `step(*batch)` over minibatches from the `{tag}-batches`
+    stream, then scores `holdout_metric(*holdout)`, lower being better. After
+    `patience` epochs without a new best it stops; `params` end at the best
+    epoch, 0 being the untrained start. Returns (metric per epoch from 0,
+    best epoch, training rows).
+    """
+    n = arrays[0].shape[0]
+    perm = rng_for(seed, f"{tag}-split").permutation(n)
+    n_hold = min(n - 1, max(1, int(round(n * cfg.holdout_fraction)))) if n > 1 else 0
+    train = [a[perm[n_hold:]] for a in arrays]
+    hold = [a[perm[:n_hold]] for a in arrays] if n_hold else train
+    batch_rng = rng_for(seed, f"{tag}-batches")
+    stopper = EarlyStopper(cfg.patience)
+    history = [holdout_metric(*hold)]
+    stopper.update(history[0], epoch=0)
+    best = snapshot(params)
+    for epoch in range(1, cfg.epochs + 1):
+        order = batch_rng.permutation(n - n_hold)
+        for start in range(0, n - n_hold, cfg.batch_size):
+            step(*(a[order[start:start + cfg.batch_size]] for a in train))
+        history.append(holdout_metric(*hold))
+        if stopper.update(history[-1], epoch):
+            best = snapshot(params)
+        if stopper.should_stop:
+            break
+    restore(params, best)
+    return history, stopper.best_epoch, n - n_hold
+
+
+def load_params(items: Sequence[tuple[str, Tensor]],
+                tensors: Mapping[str, Array]) -> None:
+    """Copy saved tables into named parameters, each present and of its shape."""
+    for name, tensor in items:
+        if name not in tensors:
+            raise ShapeMismatch(f"checkpoint is missing tensor {name}")
+        saved = tensors[name]
+        if saved.shape != tensor.data.shape:
+            raise ShapeMismatch(f"tensor {name} has shape {saved.shape}, "
+                                f"expected {tensor.data.shape}")
+        tensor.data = saved.copy()

@@ -12,7 +12,7 @@ else was touched.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -27,16 +27,14 @@ from .classifier import (
     train_classifier,
 )
 from .dataset import read_dataset, values_matrix, write_dataset, write_latents
-from .errors import (
-    AnomalyInTrainingSet, CheckpointMismatch, FlowgateError, IoFailure,
-)
+from .errors import CheckpointMismatch, FlowgateError, IoFailure
 from .extractor import (
     ExtractorConfig, encoder_from_checkpoint, extractor_from_checkpoint,
-    train_extractor,
+    train_extractor, training_matrix,
 )
 from .flow import FlowConfig, FlowModel, flow_from_checkpoint, train_flow
 from .metrics import EvalReport, ScoredSample, evaluate, write_report, write_scores
-from .nn import MLP
+from .nn import MLP, TrainConfig
 from .packets import EncodedPacket, Label, process_capture, capture_files
 from .seeding import derive_seed
 from .synthesis import NoiseSpec, SynthesisConfig, synthesize
@@ -62,15 +60,28 @@ class PipelineConfig:
     latent_dim: int = 70
     w_adv: float = 1.0
     w_rec: float = 50.0
-    epochs: int = 100
-    batch_size: int = 64
-    lr: float = 0.001
-    patience: int = 10
+    epochs: int = TrainConfig.epochs
+    batch_size: int = TrainConfig.batch_size
+    lr: float = TrainConfig.lr
+    patience: int = TrainConfig.patience
     flow_blocks: int = 8
     flow_hidden: int = 128
     encoder_widths: Optional[tuple[int, ...]] = None
     disc_widths: Optional[tuple[int, ...]] = None
     classifier_widths: Optional[tuple[int, ...]] = None
+
+    def __post_init__(self):
+        # every stage's config, so a bad value fails before any data is read
+        self.extractor_config()
+        self.flow_config()
+        self.classifier_config()
+        SynthesisConfig(ratio=self.ratio, allow_oversampling=self.ratio > 1)
+        for mu, sigma in self.noise_grid:
+            NoiseSpec(mu=mu, sigma=sigma, seed=self.seed)
+
+    def _training(self) -> dict:
+        return dict(epochs=self.epochs, batch_size=self.batch_size, lr=self.lr,
+                    patience=self.patience)
 
     def extractor_config(self) -> ExtractorConfig:
         enc = self.encoder_widths or (self.input_dim, 512, 128, self.latent_dim)
@@ -78,21 +89,15 @@ class PipelineConfig:
         return ExtractorConfig(
             input_dim=self.input_dim, latent_dim=self.latent_dim,
             w_adv=self.w_adv, w_rec=self.w_rec,
-            encoder_widths=tuple(enc), disc_widths=tuple(disc),
-            epochs=self.epochs, batch_size=self.batch_size, lr=self.lr,
-            patience=self.patience)
+            encoder_widths=tuple(enc), disc_widths=tuple(disc), **self._training())
 
     def flow_config(self) -> FlowConfig:
-        return FlowConfig(
-            dim=self.latent_dim, blocks=self.flow_blocks, hidden=self.flow_hidden,
-            epochs=self.epochs, batch_size=self.batch_size, lr=self.lr,
-            patience=self.patience)
+        return FlowConfig(dim=self.latent_dim, blocks=self.flow_blocks,
+                          hidden=self.flow_hidden, **self._training())
 
     def classifier_config(self) -> ClassifierConfig:
         widths = self.classifier_widths or (self.latent_dim, 64, 32, 1)
-        return ClassifierConfig(
-            widths=tuple(widths), epochs=self.epochs, batch_size=self.batch_size,
-            lr=self.lr, patience=self.patience)
+        return ClassifierConfig(widths=tuple(widths), **self._training())
 
 
 def _tag_stage(err: FlowgateError, stage: str) -> None:
@@ -130,13 +135,6 @@ def _cached_checkpoint(path: Path, stage: str, fingerprint: str, seed: int,
         log.info("reusing %s", path.name)
         return ckpt
     return None
-
-
-def _guard_training_labels(packets: Sequence[EncodedPacket]) -> None:
-    for p in packets:
-        if p.label is Label.ANOMALY:
-            raise AnomalyInTrainingSet(
-                f"labeled anomaly {p.source_id} in the training data")
 
 
 class InferenceEngine:
@@ -236,8 +234,7 @@ def _train_stages(cfg: PipelineConfig, workdir: Path, train_csv: Path,
                   ) -> tuple[Path, Path, np.ndarray]:
     """Extractor and flow stages; returns checkpoint paths and normal latents."""
     with _Stage("load-train"):
-        train_packets = read_dataset(train_csv)
-        _guard_training_labels(train_packets)
+        train_matrix = training_matrix(read_dataset(train_csv), cfg.input_dim)
 
     ext_cfg = cfg.extractor_config()
     ext_seed = derive_seed(cfg.seed, "stage:extractor")
@@ -246,14 +243,14 @@ def _train_stages(cfg: PipelineConfig, workdir: Path, train_csv: Path,
     with _Stage("train-extractor"):
         ckpt = _cached_checkpoint(ext_path, STAGE_EXTRACTOR, ext_fp, ext_seed)
         if ckpt is None:
-            ckpt = train_extractor(train_packets, ext_cfg, ext_seed)
+            ckpt = train_extractor(train_matrix, ext_cfg, ext_seed)
             save_checkpoint(ext_path, ckpt)
             log.info("extractor: best epoch %s of %s",
                      ckpt.meta["best_epoch"], ckpt.meta["epochs_run"])
         extractor = extractor_from_checkpoint(ckpt)
 
     with _Stage("encode-latents"):
-        latents = extractor.encode(values_matrix(train_packets))
+        latents = extractor.encode(train_matrix)
         write_latents(workdir / "train_latents.csv", latents,
                       [Label.NORMAL] * latents.shape[0])
 
@@ -352,7 +349,8 @@ def ratio_ablation(cfg: PipelineConfig, ratios: Sequence[float],
     workdir cache. Emits a comparison table: one row per noise setting, one
     column per ratio.
     """
-    results = {r: run_pipeline(cfg, ratio=r) for r in ratios}
+    configs = {r: replace(cfg, ratio=r) for r in ratios}  # checks every ratio first
+    results = {r: run_pipeline(c) for r, c in configs.items()}
     header = f"{'mu':>8}  {'sigma':>6}  " + "  ".join(
         f"ratio={r:g}".rjust(12) for r in ratios)
     lines = [header]

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyInput, NegativeSigma
+from .errors import BadConfig, EmptyInput, NegativeSigma
 from .flow import FlowModel
 from .seeding import rng_for
 
@@ -34,10 +34,10 @@ class SynthesisConfig:
     allow_oversampling: bool = False  # lets ratio exceed 1 for ablation runs
 
     def __post_init__(self):
-        if self.ratio <= 0:
-            raise ValueError("ratio must be positive")
+        if not self.ratio > 0:
+            raise BadConfig(f"ratio must be positive, got {self.ratio}")
         if self.ratio > 1 and not self.allow_oversampling:
-            raise ValueError("ratio above 1 requires allow_oversampling")
+            raise BadConfig(f"ratio {self.ratio} above 1 requires allow_oversampling")
 
 
 def sample_noise(spec: NoiseSpec, n: int, dim: int = 70) -> np.ndarray:

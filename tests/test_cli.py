@@ -1,10 +1,14 @@
+import argparse
+import dataclasses
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from flowgate.cli import main
+from flowgate.cli import _PIPELINE_KEYS, build_parser, main
+from flowgate.nn import TrainConfig
+from flowgate.pipeline import PipelineConfig
 from flowgate.dataset import read_dataset, read_latents
 from flowgate.metrics import read_report, read_scores
 from flowgate.packets import Label
@@ -161,3 +165,103 @@ def test_console_entry_point_runs():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "pipeline" in proc.stdout
+
+
+@pytest.mark.parametrize("flags, key", [
+    (["--noise-grid", "1"], "noise_grid"),
+    (["--noise-grid", ";"], "noise_grid"),
+    (["--flow-blocks", "0"], "blocks"),
+    (["--ratio", "0"], "ratio"),
+    (["--seeds", "1,x"], "--seeds"),
+    (["--ratios", "0.5,0"], "ratio"),
+], ids=["grid-1", "grid-semicolon", "flow-blocks-0", "ratio-0", "seeds", "ratios"])
+def test_pipeline_bad_value_fails_before_training(tiny_corpus, tmp_path, capsys,
+                                                  flags, key):
+    train_csv, test_csv = tiny_corpus
+    work = tmp_path / "work"
+    code = run_cli("pipeline", "--workdir", work, "--train-csv", train_csv,
+                   "--test-csv", test_csv, "--epochs", 1, *flags)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and key in err
+    assert not list(tmp_path.rglob("*.ckpt"))
+
+
+def test_pipeline_bad_config_file_value_names_key_and_line(tiny_corpus, tmp_path,
+                                                           capsys):
+    train_csv, test_csv = tiny_corpus
+    config = tmp_path / "run.cfg"
+    config.write_text(f"workdir = {tmp_path / 'work'}\n"
+                      f"train_csv = {train_csv}\ntest_csv = {test_csv}\n"
+                      "epochs = abc\n")
+    assert run_cli("pipeline", "--config", config) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert f"{config}:4: epochs" in err
+    assert not list(tmp_path.rglob("*.ckpt"))
+
+
+def test_train_flow_rejects_labeled_anomalies(stage_artifacts, tmp_path, capsys):
+    root, ext, flw, clf, test_csv = stage_artifacts  # test.csv holds anomalies
+    code = run_cli("train-flow", "--latents-from", ext, "--data", test_csv,
+                   "--out", tmp_path / "f.ckpt", "--seed", 2, "--epochs", 1)
+    assert code == 2
+    assert "labeled anomaly" in capsys.readouterr().err
+    assert not (tmp_path / "f.ckpt").exists()
+
+
+def test_synthesize_rejects_labeled_anomalies(stage_artifacts, tmp_path, capsys):
+    root, ext, flw, clf, test_csv = stage_artifacts
+    code = run_cli("synthesize", "--flow", flw, "--extractor", ext,
+                   "--data", test_csv, "--mu", 0, "--sigma", 1, "--seed", 2,
+                   "--out", tmp_path / "p.csv")
+    assert code == 2
+    assert "labeled anomaly" in capsys.readouterr().err
+    assert not (tmp_path / "p.csv").exists()
+
+
+def _subcommands() -> dict[str, argparse.ArgumentParser]:
+    parser = build_parser()
+    action = next(a for a in parser._actions
+                  if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+def test_stage_training_flag_defaults_follow_train_config():
+    defaults = TrainConfig()
+    expected = (defaults.epochs, defaults.batch_size, defaults.lr, defaults.patience)
+    for name in ("train-extractor", "train-flow", "train-classifier"):
+        sub = _subcommands()[name]
+        assert tuple(sub.get_default(d) for d in ("epochs", "batch", "lr", "patience")) \
+            == expected, name
+
+
+def test_pipeline_keys_are_pipeline_config_fields():
+    fields = {f.name for f in dataclasses.fields(PipelineConfig)}
+    assert set(_PIPELINE_KEYS) <= fields
+
+
+def test_subcommand_flags_unchanged():
+    expected = {
+        "preprocess": "--in --label --out",
+        "make-corpus": "--n-anomaly --n-normal --n-test-anomaly --n-test-normal "
+                       "--n-train --out-dir --seed",
+        "train-extractor": "--batch --data --epochs --lr --out --patience --seed",
+        "train-flow": "--batch --blocks --data --epochs --hidden --latents-from --lr "
+                      "--out --patience --seed",
+        "synthesize": "--data --extractor --flow --mu --out --ratio --seed --sigma",
+        "train-classifier": "--batch --epochs --lr --normals --out --patience "
+                            "--pseudo --seed",
+        "infer": "--classifier --data --extractor --report-out --scores-out",
+        "eval": "--report-out --scores",
+        "pipeline": "--batch-size --config --epochs --flow-blocks --flow-hidden "
+                    "--latent-dim --lr --noise-grid --patience --ratio --ratios --seed "
+                    "--seeds --test-anomaly-pcap --test-csv --test-normal-pcap "
+                    "--train-csv --train-pcap --workdir",
+    }
+    subs = _subcommands()
+    assert set(subs) == set(expected)
+    for name, flags in expected.items():
+        got = {o for a in subs[name]._actions for o in a.option_strings
+               if o != "--help" and o.startswith("--")}
+        assert got == set(flags.split()), name

@@ -4,7 +4,18 @@ import numpy as np
 import pytest
 
 from flowgate import nn
+from flowgate.checkpoint import (
+    Checkpoint, STAGE_CLASSIFIER, STAGE_EXTRACTOR, STAGE_FLOW,
+)
+from flowgate.classifier import (
+    ClassifierConfig, ClassifierModel, classifier_from_checkpoint,
+)
 from flowgate.errors import DetachedLoss, ShapeMismatch
+from flowgate.extractor import (
+    ExtractorConfig, FeatureExtractor, encoder_from_checkpoint,
+    extractor_from_checkpoint,
+)
+from flowgate.flow import FlowConfig, FlowModel, flow_from_checkpoint
 from flowgate.nn import (
     Activation, AdamState, DenseLayer, GradTape, MLP, Tensor,
     adam_step, backward, bce, forward, grads_for, mse,
@@ -238,3 +249,120 @@ def test_dense_create_weight_range():
     limit = math.sqrt(6.0 / 50.0)
     assert np.abs(layer.weights.data).max() <= limit
     np.testing.assert_array_equal(layer.bias.data, np.zeros(20))
+
+
+# --- the shared training loop and parameter loader ---
+
+def _counting_fit(epochs, patience, target=2.0):
+    """One step per epoch adds 1 to a scalar parameter; the holdout metric is
+    its distance to `target`, so the best epoch is `target`."""
+    p = Tensor(np.array(0.0))
+
+    def step(xb):
+        p.data = p.data + 1.0
+
+    cfg = nn.TrainConfig(epochs=epochs, patience=patience, batch_size=8)
+    history, best_epoch, n_train = nn.fit(
+        [p], (np.arange(8.0),), step, lambda hold: abs(float(p.data) - target),
+        cfg, seed=0, tag="test")
+    return p, history, best_epoch, n_train
+
+
+def test_fit_restores_the_best_epoch_not_the_last():
+    p, history, best_epoch, n_train = _counting_fit(epochs=5, patience=10)
+    assert history == [2.0, 1.0, 0.0, 1.0, 2.0, 3.0]
+    assert best_epoch == 2
+    assert float(p.data) == 2.0
+    assert n_train == 7  # round(0.1 * 8) = 1 row held out
+
+
+def test_fit_stops_after_patience_epochs_without_a_new_best():
+    p, history, best_epoch, _ = _counting_fit(epochs=50, patience=3)
+    epochs_run = len(history) - 1
+    assert epochs_run == best_epoch + 3 == 5
+    assert history == [2.0, 1.0, 0.0, 1.0, 2.0, 3.0]
+    assert float(p.data) == 2.0
+
+
+def test_fit_one_row_is_train_and_holdout():
+    row = np.array([[4.0, 5.0]])
+    steps, holds = [], []
+
+    def metric(hold):
+        holds.append(hold)
+        return 0.0
+
+    history, best_epoch, n_train = nn.fit(
+        [], (row,), steps.append, metric, nn.TrainConfig(epochs=2), seed=1, tag="one")
+    assert n_train == 1
+    assert len(history) == 3 and best_epoch == 0
+    assert len(steps) == 2 and len(holds) == 3
+    for batch in steps + holds:
+        np.testing.assert_array_equal(batch, row)
+
+
+def test_fit_splits_every_array_alike():
+    x = np.arange(20.0)
+    cfg = nn.TrainConfig(epochs=1, batch_size=4)
+    pairs = []
+
+    def step(xb, yb):
+        pairs.append((xb, yb))
+
+    _, _, n_train = nn.fit([], (x, -x), step, lambda xh, yh: float(np.sum(xh + yh)),
+                           cfg, seed=2, tag="pair")
+    assert n_train == 18
+    assert sum(len(xb) for xb, _ in pairs) == 18
+    for xb, yb in pairs:
+        np.testing.assert_array_equal(yb, -xb)
+
+
+def _untrained_checkpoint(stage: str) -> Checkpoint:
+    """A small model's parameters and config, saved as `stage` would save them."""
+    if stage == STAGE_EXTRACTOR:
+        cfg = ExtractorConfig(latent_dim=4, encoder_widths=(1600, 8, 4),
+                              disc_widths=(1600, 4, 1))
+        model = FeatureExtractor.create(cfg, 0)
+    elif stage == STAGE_FLOW:
+        cfg = FlowConfig(dim=4, blocks=2, hidden=4)
+        model = FlowModel.create(cfg, 0)
+    else:
+        cfg = ClassifierConfig(widths=(4, 3, 1))
+        model = ClassifierModel.create(cfg, 0)
+    tensors = {name: t.data.copy() for name, t in model.param_items()}
+    return Checkpoint(stage=stage, seed=0, config_fingerprint="",
+                      tensors=tensors, meta={"config": cfg.to_dict()})
+
+
+LOADERS = pytest.mark.parametrize("load, stage, table", [
+    (extractor_from_checkpoint, STAGE_EXTRACTOR, "decoder.1.W"),
+    (encoder_from_checkpoint, STAGE_EXTRACTOR, "encoder.0.W"),
+    (flow_from_checkpoint, STAGE_FLOW, "flow.block1.t.2.b"),
+    (classifier_from_checkpoint, STAGE_CLASSIFIER, "classifier.1.W"),
+], ids=["extractor", "encoder", "flow", "classifier"])
+
+
+@LOADERS
+def test_loaders_reject_a_missing_table(load, stage, table):
+    ckpt = _untrained_checkpoint(stage)
+    load(ckpt)  # the intact checkpoint loads
+    del ckpt.tensors[table]
+    with pytest.raises(ShapeMismatch, match=f"missing tensor {table}"):
+        load(ckpt)
+
+
+@LOADERS
+def test_loaders_reject_a_misshapen_table(load, stage, table):
+    ckpt = _untrained_checkpoint(stage)
+    ckpt.tensors[table] = np.zeros(ckpt.tensors[table].shape + (1,))
+    with pytest.raises(ShapeMismatch, match=f"tensor {table} has shape"):
+        load(ckpt)
+
+
+def test_load_params_copies_the_saved_values():
+    p = Tensor(np.zeros((2, 3)))
+    saved = {"w": np.arange(6.0).reshape(2, 3)}
+    nn.load_params([("w", p)], saved)
+    np.testing.assert_array_equal(p.data, saved["w"])
+    saved["w"][0, 0] = 99.0
+    assert p.data[0, 0] == 0.0
