@@ -103,7 +103,8 @@ def load_checkpoint(path: str | Path, expect_stage: Optional[str] = None,
     `include` restricts which parameter tables are materialized: only tensors
     whose name starts with one of the given prefixes are read, everything else
     is skipped over. The returned Checkpoint's `tensors` holds exactly what was
-    materialized; `available` lists every table in the file.
+    materialized; `available` lists every table in the file. A NaN or infinity
+    in a materialized tensor raises CheckpointMismatch.
     """
     try:
         with open(path, "rb") as fh:
@@ -148,6 +149,8 @@ def load_checkpoint(path: str | Path, expect_stage: Optional[str] = None,
         size = int(np.prod(shape, dtype=np.int64))
         if include is None or any(name.startswith(p) for p in include):
             flat = np.frombuffer(raw, dtype="<f8", count=size, offset=offset)
+            if not np.isfinite(flat).all():
+                raise CheckpointMismatch(f"{path}: tensor {name} holds a non-finite value")
             tensors[name] = flat.reshape(shape).copy()
         offset += size * 8
 

@@ -11,6 +11,7 @@ import argparse
 import logging
 import sys
 from pathlib import Path
+from typing import Optional, get_type_hints
 
 from .checkpoint import (
     STAGE_EXTRACTOR, STAGE_FLOW, load_checkpoint, save_checkpoint,
@@ -18,7 +19,7 @@ from .checkpoint import (
 from .classifier import ClassifierConfig, train_classifier
 from .corpus import make_synthetic_corpus
 from .dataset import read_dataset, read_latents, write_dataset, write_latents
-from .errors import AnomalyInTrainingSet, BadConfig, FlowgateError
+from .errors import AnomalyInTrainingSet, BadConfig, FlowgateError, IoFailure
 from .extractor import (
     ExtractorConfig, extractor_from_checkpoint, train_extractor, training_matrix,
 )
@@ -27,8 +28,7 @@ from .metrics import evaluate, format_report, read_scores, write_report, write_s
 from .nn import TrainConfig
 from .packets import Label, capture_files, process_capture
 from .pipeline import (
-    DEFAULT_NOISE_GRID, PipelineConfig, infer, ratio_ablation, repeat_pipeline,
-    run_pipeline,
+    NoiseGrid, PipelineConfig, infer, ratio_ablation, repeat_pipeline, run_pipeline,
 )
 from .synthesis import NoiseSpec, SynthesisConfig, synthesize
 
@@ -143,8 +143,7 @@ def cmd_synthesize(args) -> int:
     latents = _encode_training_data(args.data, args.extractor)
     flow = flow_from_checkpoint(load_checkpoint(args.flow, expect_stage=STAGE_FLOW))
     spec = NoiseSpec(mu=args.mu, sigma=args.sigma, seed=args.seed)
-    cfg = SynthesisConfig(ratio=args.ratio, allow_oversampling=args.ratio > 1)
-    pseudo = synthesize(flow, latents, spec, cfg)
+    pseudo = synthesize(flow, latents, spec, SynthesisConfig(ratio=args.ratio))
     write_latents(args.out, pseudo, [Label.ANOMALY] * pseudo.shape[0])
     print(f"wrote {pseudo.shape[0]} pseudo-anomaly latents to {args.out}")
     return 0
@@ -157,7 +156,8 @@ def cmd_train_classifier(args) -> int:
             raise AnomalyInTrainingSet(
                 f"{args.normals}: row {i} is labeled as an anomaly")
     pseudo, _ = read_latents(args.pseudo)
-    cfg = ClassifierConfig(widths=(normals.shape[1], 64, 32, 1), **_training(args))
+    cfg = ClassifierConfig(widths=(normals.shape[1],) + ClassifierConfig.widths[1:],
+                           **_training(args))
     return _save_trained(args.out, train_classifier(normals, pseudo, cfg, args.seed))
 
 
@@ -182,18 +182,19 @@ def cmd_eval(args) -> int:
     return 0
 
 
-# config-file keys and the pipeline flags with the same dest, with their parsers
-_PIPELINE_KEYS = {
-    "workdir": str, "train_csv": str, "test_csv": str, "train_pcap": str,
-    "test_normal_pcap": str, "test_anomaly_pcap": str, "seed": int,
-    "noise_grid": _parse_noise_grid,
-    "ratio": float, "input_dim": int, "latent_dim": int, "w_adv": float,
-    "w_rec": float, "epochs": int, "batch_size": int, "lr": float,
-    "patience": int, "flow_blocks": int, "flow_hidden": int,
+# every PipelineConfig field is a config-file key and a pipeline flag, parsed by
+# its type; the structured types show their format as the flag's metavar
+_FIELD_TYPES = get_type_hints(PipelineConfig)
+_PARSERS = {
+    str: str, Optional[str]: str, int: int, float: float,
+    NoiseGrid: _parse_noise_grid,
+    Optional[tuple[int, ...]]: lambda text: tuple(int(w) for w in text.split(",")),
 }
+_METAVARS = {NoiseGrid: "MU,SIGMA;...", Optional[tuple[int, ...]]: "WIDTH,..."}
+_PIPELINE_KEYS = {name: _PARSERS[hint] for name, hint in _FIELD_TYPES.items()}
 
 
-def _config_value(key: str, text, where: str = ""):
+def _config_value(key: str, text: str, where: str = ""):
     try:
         return _PIPELINE_KEYS[key](text)
     except ValueError as err:
@@ -201,8 +202,14 @@ def _config_value(key: str, text, where: str = ""):
 
 
 def _read_config_file(path: str) -> dict:
+    try:
+        text = Path(path).read_text()
+    except OSError as err:
+        raise IoFailure(f"cannot read config file {path}: {err}") from err
+    except UnicodeDecodeError as err:
+        raise BadConfig(f"{path}: not a text file: {err}") from None
     values: dict = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
+    for lineno, line in enumerate(text.splitlines(), 1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -219,9 +226,9 @@ def _read_config_file(path: str) -> dict:
 def _pipeline_config(args) -> PipelineConfig:
     values = _read_config_file(args.config) if args.config else {}
     for key in _PIPELINE_KEYS:
-        arg = getattr(args, key, None)
-        if arg is not None:
-            values[key] = _config_value(key, arg)
+        text = getattr(args, key)
+        if text is not None:
+            values[key] = _config_value(key, text)
     if "workdir" not in values:
         raise FlowgateError("pipeline needs a workdir (flag or config file)")
     return PipelineConfig(**values)
@@ -285,8 +292,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, required=True)
     _add_training_flags(p)
-    p.add_argument("--blocks", type=int, default=8)
-    p.add_argument("--hidden", type=int, default=128)
+    p.add_argument("--blocks", type=int, default=FlowConfig.blocks)
+    p.add_argument("--hidden", type=int, default=FlowConfig.hidden)
     p.set_defaults(fn=cmd_train_flow)
 
     p = sub.add_parser("synthesize", help="pseudo-anomaly latents via the flow")
@@ -295,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="normal packet CSV")
     p.add_argument("--mu", type=float, required=True)
     p.add_argument("--sigma", type=float, required=True)
-    p.add_argument("--ratio", type=float, default=0.5)
+    p.add_argument("--ratio", type=float, default=SynthesisConfig.ratio)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True, help="latent CSV output")
     p.set_defaults(fn=cmd_synthesize)
@@ -323,27 +330,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pipeline", help="run all stages end to end")
     p.add_argument("--config", help="flat key=value config file")
-    p.add_argument("--workdir")
-    p.add_argument("--train-csv", dest="train_csv")
-    p.add_argument("--test-csv", dest="test_csv")
-    p.add_argument("--train-pcap", dest="train_pcap")
-    p.add_argument("--test-normal-pcap", dest="test_normal_pcap")
-    p.add_argument("--test-anomaly-pcap", dest="test_anomaly_pcap")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--noise-grid", dest="noise_grid",
-                   help="e.g. '-9,5;-25,5;-100,5;0,1' "
-                        f"(default {';'.join(f'{m:g},{s:g}' for m, s in DEFAULT_NOISE_GRID)})")
-    p.add_argument("--ratio", type=float)
+    for name, hint in _FIELD_TYPES.items():
+        p.add_argument("--" + name.replace("_", "-"), dest=name,
+                       metavar=_METAVARS.get(hint))
     p.add_argument("--ratios", help="comma list; runs the ratio ablation table")
     p.add_argument("--seeds", help="comma list; repeats the pipeline per seed "
                                    "and reports mean/stddev")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--patience", type=int)
-    p.add_argument("--latent-dim", dest="latent_dim", type=int)
-    p.add_argument("--flow-blocks", dest="flow_blocks", type=int)
-    p.add_argument("--flow-hidden", dest="flow_hidden", type=int)
     p.set_defaults(fn=cmd_pipeline)
     return parser
 

@@ -137,10 +137,6 @@ def values_matrix(packets: Sequence[EncodedPacket]) -> np.ndarray:
     return np.stack([p.values for p in packets])
 
 
-def labels_of(packets: Sequence[EncodedPacket]) -> list[Optional[Label]]:
-    return [p.label for p in packets]
-
-
 # --- latent-vector CSV (70 columns + label) ---
 
 def write_latents(path: str | Path, latents: np.ndarray,

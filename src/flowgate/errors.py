@@ -19,6 +19,10 @@ class TruncatedRecord(FlowgateError):
     """A capture record header claims more bytes than remain in the file."""
 
 
+class OversizedRecord(FlowgateError):
+    """A capture record header claims more bytes than any capture may hold."""
+
+
 class TooShort(FlowgateError):
     """Frame too short to contain a link-layer header."""
 

@@ -10,10 +10,13 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
 
-from .errors import TruncatedRecord, UnrecognizedMagic
+from .errors import OversizedRecord, TruncatedRecord, UnrecognizedMagic
 
 GLOBAL_HEADER_LEN = 24
 RECORD_HEADER_LEN = 16
+# libpcap's MAXIMUM_SNAPLEN; a larger caplen is a corrupt header, refused before
+# the read so that it cannot ask for up to 4 GiB
+MAX_CAPLEN = 262_144
 
 # magic bytes as they appear on disk -> struct byte order
 _MAGICS = {
@@ -37,8 +40,9 @@ class RawPacket:
 def parse_capture(file_path: str | Path) -> Iterator[RawPacket]:
     """Yield RawPackets in file order, indices 0, 1, 2, ...
 
-    Raises UnrecognizedMagic for an unknown container and TruncatedRecord when
-    a record header claims more bytes than the file holds.
+    Raises UnrecognizedMagic for an unknown container, OversizedRecord when a
+    record header claims more than MAX_CAPLEN bytes, and TruncatedRecord when
+    it claims more bytes than the file holds.
     """
     path = Path(file_path)
     with open(path, "rb") as fh:
@@ -56,6 +60,10 @@ def parse_capture(file_path: str | Path) -> Iterator[RawPacket]:
             if len(raw) < RECORD_HEADER_LEN:
                 raise TruncatedRecord(f"{path}: record {index} header cut short")
             _ts_sec, _ts_frac, caplen, origlen = record.unpack(raw)
+            if caplen > MAX_CAPLEN:
+                raise OversizedRecord(
+                    f"{path}: record {index} claims {caplen} bytes, "
+                    f"above the {MAX_CAPLEN}-byte maximum")
             data = fh.read(caplen)
             if len(data) < caplen:
                 raise TruncatedRecord(

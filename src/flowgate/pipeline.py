@@ -35,17 +35,20 @@ from .extractor import (
 from .flow import FlowConfig, FlowModel, flow_from_checkpoint, train_flow
 from .metrics import EvalReport, ScoredSample, evaluate, write_report, write_scores
 from .nn import MLP, TrainConfig
-from .packets import EncodedPacket, Label, process_capture, capture_files
+from .packets import EncodedPacket, Label, VECTOR_LEN, process_capture, capture_files
 from .seeding import derive_seed
 from .synthesis import NoiseSpec, SynthesisConfig, synthesize
 
 log = logging.getLogger("flowgate")
 
-DEFAULT_NOISE_GRID = ((-9.0, 5.0), (-25.0, 5.0), (-100.0, 5.0), (0.0, 1.0))
+NoiseGrid = tuple[tuple[float, float], ...]
+DEFAULT_NOISE_GRID: NoiseGrid = ((-9.0, 5.0), (-25.0, 5.0), (-100.0, 5.0), (0.0, 1.0))
 
 
 @dataclass
 class PipelineConfig:
+    """Every pipeline setting: each field is a config-file key and a flag."""
+
     workdir: str
     train_csv: Optional[str] = None
     test_csv: Optional[str] = None
@@ -54,18 +57,18 @@ class PipelineConfig:
     test_normal_pcap: Optional[str] = None
     test_anomaly_pcap: Optional[str] = None
     seed: int = 7
-    noise_grid: tuple[tuple[float, float], ...] = DEFAULT_NOISE_GRID
-    ratio: float = 0.5
-    input_dim: int = 1600
-    latent_dim: int = 70
-    w_adv: float = 1.0
-    w_rec: float = 50.0
+    noise_grid: NoiseGrid = DEFAULT_NOISE_GRID
+    ratio: float = SynthesisConfig.ratio
+    latent_dim: int = ExtractorConfig.latent_dim
+    w_adv: float = ExtractorConfig.w_adv
+    w_rec: float = ExtractorConfig.w_rec
     epochs: int = TrainConfig.epochs
     batch_size: int = TrainConfig.batch_size
     lr: float = TrainConfig.lr
     patience: int = TrainConfig.patience
-    flow_blocks: int = 8
-    flow_hidden: int = 128
+    flow_blocks: int = FlowConfig.blocks
+    flow_hidden: int = FlowConfig.hidden
+    # None: the stage's default widths, with latent_dim as the latent width
     encoder_widths: Optional[tuple[int, ...]] = None
     disc_widths: Optional[tuple[int, ...]] = None
     classifier_widths: Optional[tuple[int, ...]] = None
@@ -75,7 +78,7 @@ class PipelineConfig:
         self.extractor_config()
         self.flow_config()
         self.classifier_config()
-        SynthesisConfig(ratio=self.ratio, allow_oversampling=self.ratio > 1)
+        SynthesisConfig(ratio=self.ratio)
         for mu, sigma in self.noise_grid:
             NoiseSpec(mu=mu, sigma=sigma, seed=self.seed)
 
@@ -84,19 +87,19 @@ class PipelineConfig:
                     patience=self.patience)
 
     def extractor_config(self) -> ExtractorConfig:
-        enc = self.encoder_widths or (self.input_dim, 512, 128, self.latent_dim)
-        disc = self.disc_widths or (self.input_dim, 256, 64, 1)
+        enc = self.encoder_widths or ExtractorConfig.encoder_widths[:-1] + (self.latent_dim,)
         return ExtractorConfig(
-            input_dim=self.input_dim, latent_dim=self.latent_dim,
-            w_adv=self.w_adv, w_rec=self.w_rec,
-            encoder_widths=tuple(enc), disc_widths=tuple(disc), **self._training())
+            latent_dim=self.latent_dim, w_adv=self.w_adv, w_rec=self.w_rec,
+            encoder_widths=tuple(enc),
+            disc_widths=tuple(self.disc_widths or ExtractorConfig.disc_widths),
+            **self._training())
 
     def flow_config(self) -> FlowConfig:
         return FlowConfig(dim=self.latent_dim, blocks=self.flow_blocks,
                           hidden=self.flow_hidden, **self._training())
 
     def classifier_config(self) -> ClassifierConfig:
-        widths = self.classifier_widths or (self.latent_dim, 64, 32, 1)
+        widths = self.classifier_widths or (self.latent_dim,) + ClassifierConfig.widths[1:]
         return ClassifierConfig(widths=tuple(widths), **self._training())
 
 
@@ -234,7 +237,7 @@ def _train_stages(cfg: PipelineConfig, workdir: Path, train_csv: Path,
                   ) -> tuple[Path, Path, np.ndarray]:
     """Extractor and flow stages; returns checkpoint paths and normal latents."""
     with _Stage("load-train"):
-        train_matrix = training_matrix(read_dataset(train_csv), cfg.input_dim)
+        train_matrix = training_matrix(read_dataset(train_csv), VECTOR_LEN)
 
     ext_cfg = cfg.extractor_config()
     ext_seed = derive_seed(cfg.seed, "stage:extractor")
@@ -270,9 +273,8 @@ def _train_stages(cfg: PipelineConfig, workdir: Path, train_csv: Path,
 
 
 def _classifier_for_noise(cfg: PipelineConfig, workdir: Path, flow: FlowModel,
-                          latents: np.ndarray, mu: float, sigma: float,
-                          ratio: float) -> Path:
-    tag = _noise_tag(mu, sigma, ratio)
+                          latents: np.ndarray, mu: float, sigma: float) -> Path:
+    tag = _noise_tag(mu, sigma, cfg.ratio)
     clf_cfg = cfg.classifier_config()
     clf_seed = derive_seed(cfg.seed, f"stage:classifier:{tag}")
     clf_fp = config_fingerprint({**clf_cfg.to_dict(), "noise": tag})
@@ -282,8 +284,7 @@ def _classifier_for_noise(cfg: PipelineConfig, workdir: Path, flow: FlowModel,
             return clf_path
         spec = NoiseSpec(mu=mu, sigma=sigma,
                          seed=derive_seed(cfg.seed, f"stage:synthesize:{tag}"))
-        syn_cfg = SynthesisConfig(ratio=ratio, allow_oversampling=ratio > 1)
-        pseudo = synthesize(flow, latents, spec, syn_cfg)
+        pseudo = synthesize(flow, latents, spec, SynthesisConfig(ratio=cfg.ratio))
         write_latents(workdir / f"pseudo_{tag}.csv", pseudo,
                       [Label.ANOMALY] * pseudo.shape[0])
     with _Stage(f"train-classifier-{tag}"):
@@ -293,12 +294,10 @@ def _classifier_for_noise(cfg: PipelineConfig, workdir: Path, flow: FlowModel,
     return clf_path
 
 
-def run_pipeline(cfg: PipelineConfig, ratio: Optional[float] = None,
-                 ) -> PipelineResult:
+def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
     """All stages end to end; returns every per-noise report plus the best."""
     workdir = Path(cfg.workdir)
     workdir.mkdir(parents=True, exist_ok=True)
-    ratio = cfg.ratio if ratio is None else ratio
     train_csv, test_csv = _prepare_datasets(cfg, workdir)
     ext_path, flow_path, latents = _train_stages(cfg, workdir, train_csv)
 
@@ -310,8 +309,8 @@ def run_pipeline(cfg: PipelineConfig, ratio: Optional[float] = None,
     result = PipelineResult(best=None, best_setting=None,  # type: ignore[arg-type]
                             extractor_ckpt=ext_path, flow_ckpt=flow_path)
     for mu, sigma in cfg.noise_grid:
-        tag = _noise_tag(mu, sigma, ratio)
-        clf_path = _classifier_for_noise(cfg, workdir, flow, latents, mu, sigma, ratio)
+        tag = _noise_tag(mu, sigma, cfg.ratio)
+        clf_path = _classifier_for_noise(cfg, workdir, flow, latents, mu, sigma)
         with _Stage(f"infer-{tag}"):
             scored = infer(ext_path, clf_path, test_packets)
             write_scores(workdir / f"scores_{tag}.csv", scored)
@@ -319,14 +318,14 @@ def run_pipeline(cfg: PipelineConfig, ratio: Optional[float] = None,
             report = evaluate(scored)
             write_report(workdir / f"report_{tag}.txt", report)
         log.info("noise (mu=%g, sigma=%g) ratio=%g -> AUROC %.4f",
-                 mu, sigma, ratio, report.auroc)
+                 mu, sigma, cfg.ratio, report.auroc)
         result.reports[(mu, sigma)] = report
         result.classifier_ckpts[(mu, sigma)] = clf_path
         if result.best is None or report.auroc > result.best.auroc:
             result.best = report
             result.best_setting = (mu, sigma)
 
-    summary = noise_grid_table(result.reports, ratio)
+    summary = noise_grid_table(result.reports, cfg.ratio)
     (workdir / "summary.txt").write_text(summary)
     log.info("best: mu=%g sigma=%g AUROC %.4f",
              result.best_setting[0], result.best_setting[1], result.best.auroc)

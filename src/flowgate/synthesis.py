@@ -30,14 +30,11 @@ class NoiseSpec:
 
 @dataclass(frozen=True)
 class SynthesisConfig:
-    ratio: float = 0.5  # pseudo-anomalies per normal sample
-    allow_oversampling: bool = False  # lets ratio exceed 1 for ablation runs
+    ratio: float = 0.5  # pseudo-anomalies per normal sample; above 1 oversamples
 
     def __post_init__(self):
         if not self.ratio > 0:
             raise BadConfig(f"ratio must be positive, got {self.ratio}")
-        if self.ratio > 1 and not self.allow_oversampling:
-            raise BadConfig(f"ratio {self.ratio} above 1 requires allow_oversampling")
 
 
 def sample_noise(spec: NoiseSpec, n: int, dim: int = 70) -> np.ndarray:

@@ -1,4 +1,5 @@
 import hashlib
+import struct
 
 import numpy as np
 import pytest
@@ -139,3 +140,16 @@ def test_failed_save_keeps_the_previous_file(tmp_path):
         save_checkpoint(path, broken)
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["x.ckpt"]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_non_finite_payload_raises_mismatch(tmp_path, bad):
+    path = tmp_path / "x.ckpt"
+    save_checkpoint(path, sample_checkpoint())
+    # the payload's last value belongs to the last table in name order
+    path.write_bytes(path.read_bytes()[:-8] + struct.pack("<d", bad))
+    with pytest.raises(CheckpointMismatch, match="flow.block0.t.0.W"):
+        load_checkpoint(path)
+    # only materialized tables are checked
+    assert set(load_checkpoint(path, include=("flow.block0.s.",)).tensors) == {
+        "flow.block0.s.0.W", "flow.block0.s.0.b"}

@@ -1,5 +1,6 @@
 import argparse
 import dataclasses
+import struct
 import subprocess
 import sys
 
@@ -111,6 +112,16 @@ def test_infer_and_eval_commands(stage_artifacts, tmp_path):
     assert report.n_pos == 60 and report.n_neg == 60
 
 
+def test_infer_refuses_a_nan_in_the_classifier(stage_artifacts, tmp_path, capsys):
+    root, ext, flw, clf, test_csv = stage_artifacts
+    poisoned = tmp_path / "classifier.ckpt"
+    poisoned.write_bytes(clf.read_bytes()[:-8] + struct.pack("<d", np.nan))
+    assert run_cli("infer", "--extractor", ext, "--classifier", poisoned,
+                   "--data", test_csv, "--scores-out", tmp_path / "s.csv") == 2
+    assert "non-finite" in capsys.readouterr().err
+    assert not (tmp_path / "s.csv").exists()
+
+
 def test_pipeline_command_with_config_file(tiny_corpus, tmp_path, capsys):
     train_csv, test_csv = tiny_corpus
     config = tmp_path / "run.cfg"
@@ -126,22 +137,45 @@ noise_grid = 0,1
 latent_dim = 16
 flow_blocks = 4
 flow_hidden = 16
+encoder_widths = 1600,32,16
+disc_widths = 1600, 16, 1
+classifier_widths = 16,8,1
 """)
-    # CLI flag overrides the file value
-    assert run_cli("pipeline", "--config", config, "--seed", 5) == 0
+    # CLI flags override file values
+    assert run_cli("pipeline", "--config", config, "--seed", 5, "--w-rec", 10) == 0
     out = capsys.readouterr().out
     assert "auroc:" in out
     from flowgate.checkpoint import load_checkpoint
     from flowgate.seeding import derive_seed
     ckpt = load_checkpoint(tmp_path / "work" / "extractor.ckpt")
     assert ckpt.seed == derive_seed(5, "stage:extractor")
+    config_meta = ckpt.meta["config"]
+    assert config_meta["encoder_widths"] == [1600, 32, 16]
+    assert config_meta["disc_widths"] == [1600, 16, 1]
+    assert config_meta["w_rec"] == 10.0
+    (clf_ckpt,) = (tmp_path / "work").glob("classifier_*.ckpt")
+    assert load_checkpoint(clf_ckpt).meta["config"]["widths"] == [16, 8, 1]
 
 
 def test_pipeline_command_rejects_unknown_config_key(tmp_path, capsys):
     config = tmp_path / "bad.cfg"
-    config.write_text("workdir = w\nbogus_key = 1\n")
-    assert run_cli("pipeline", "--config", config) == 2
-    assert "bogus_key" in capsys.readouterr().err
+    # every packet row holds 1600 values, so input_dim is no setting
+    for key in ("bogus_key", "input_dim"):
+        config.write_text(f"workdir = w\n{key} = 1600\n")
+        assert run_cli("pipeline", "--config", config) == 2
+        assert f"unknown config key {key!r}" in capsys.readouterr().err
+
+
+def test_pipeline_command_unreadable_config_file(tmp_path, capsys):
+    missing = tmp_path / "missing.cfg"
+    assert run_cli("pipeline", "--config", missing) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(missing) in err
+    binary = tmp_path / "binary.cfg"
+    binary.write_bytes(b"workdir = \xff\n")
+    assert run_cli("pipeline", "--config", binary) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(binary) in err
 
 
 def test_train_classifier_rejects_anomaly_labeled_normals(tmp_path, capsys):
@@ -174,7 +208,10 @@ def test_console_entry_point_runs():
     (["--ratio", "0"], "ratio"),
     (["--seeds", "1,x"], "--seeds"),
     (["--ratios", "0.5,0"], "ratio"),
-], ids=["grid-1", "grid-semicolon", "flow-blocks-0", "ratio-0", "seeds", "ratios"])
+    (["--seed", "abc"], "seed"),
+    (["--encoder-widths", "1600,x,70"], "encoder_widths"),
+], ids=["grid-1", "grid-semicolon", "flow-blocks-0", "ratio-0", "seeds", "ratios",
+        "seed-abc", "encoder-widths-x"])
 def test_pipeline_bad_value_fails_before_training(tiny_corpus, tmp_path, capsys,
                                                   flags, key):
     train_csv, test_csv = tiny_corpus
@@ -238,7 +275,16 @@ def test_stage_training_flag_defaults_follow_train_config():
 
 def test_pipeline_keys_are_pipeline_config_fields():
     fields = {f.name for f in dataclasses.fields(PipelineConfig)}
-    assert set(_PIPELINE_KEYS) <= fields
+    assert set(_PIPELINE_KEYS) == fields
+
+
+def test_pipeline_flags_are_one_per_config_field():
+    flags = {o: a.dest for a in _subcommands()["pipeline"]._actions
+             for o in a.option_strings if o != "--help" and o.startswith("--")}
+    expected = {"--" + f.name.replace("_", "-"): f.name
+                for f in dataclasses.fields(PipelineConfig)}
+    expected.update({"--config": "config", "--ratios": "ratios", "--seeds": "seeds"})
+    assert flags == expected
 
 
 def test_subcommand_flags_unchanged():
@@ -257,7 +303,8 @@ def test_subcommand_flags_unchanged():
         "pipeline": "--batch-size --config --epochs --flow-blocks --flow-hidden "
                     "--latent-dim --lr --noise-grid --patience --ratio --ratios --seed "
                     "--seeds --test-anomaly-pcap --test-csv --test-normal-pcap "
-                    "--train-csv --train-pcap --workdir",
+                    "--train-csv --train-pcap --workdir --w-adv --w-rec "
+                    "--encoder-widths --disc-widths --classifier-widths",
     }
     subs = _subcommands()
     assert set(subs) == set(expected)

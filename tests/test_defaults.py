@@ -5,7 +5,7 @@ from flowgate.classifier import ClassifierConfig
 from flowgate.extractor import ExtractorConfig, FeatureExtractor
 from flowgate.flow import FlowConfig
 from flowgate.nn import AdamState, Tensor
-from flowgate.pipeline import DEFAULT_NOISE_GRID
+from flowgate.pipeline import DEFAULT_NOISE_GRID, PipelineConfig
 from flowgate.synthesis import SynthesisConfig
 
 
@@ -65,3 +65,11 @@ def test_synthesis_ratio_default_half():
 def test_noise_grid_default():
     assert DEFAULT_NOISE_GRID == ((-9.0, 5.0), (-25.0, 5.0), (-100.0, 5.0),
                                   (0.0, 1.0))
+
+
+def test_pipeline_defaults_are_the_stage_defaults():
+    cfg = PipelineConfig(workdir="w")
+    assert cfg.extractor_config() == ExtractorConfig()
+    assert cfg.flow_config() == FlowConfig()
+    assert cfg.classifier_config() == ClassifierConfig()
+    assert cfg.ratio == SynthesisConfig().ratio

@@ -1,3 +1,7 @@
+import struct
+import subprocess
+import sys
+
 import pytest
 
 from flowgate.errors import TruncatedRecord, UnrecognizedMagic
@@ -68,3 +72,24 @@ def test_truncated_global_header(tmp_path):
     path = write(tmp_path, b"\xd4\xc3\xb2\xa1" + bytes(10))
     with pytest.raises(TruncatedRecord):
         list(parse_capture(path))
+
+
+def test_oversized_caplen_refused_before_reading(tmp_path):
+    claim = struct.pack("<IIII", 0, 0, 0xFFFFFFF0, 0xFFFFFFF0)
+    path = write(tmp_path, pcap_bytes([]) + claim + bytes(64))
+    # parsed in a process limited to 1 GiB of address space, where reading
+    # the claimed length would raise MemoryError instead
+    script = (
+        "import resource, sys\n"
+        "from flowgate.errors import FlowgateError\n"
+        "from flowgate.pcap import parse_capture\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "try:\n"
+        "    list(parse_capture(sys.argv[1]))\n"
+        "except FlowgateError as err:\n"
+        "    print(type(err).__name__, err)\n")
+    proc = subprocess.run([sys.executable, "-c", script, str(path)],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("OversizedRecord")
+    assert "record 0 claims 4294967280 bytes" in proc.stdout

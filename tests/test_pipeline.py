@@ -1,6 +1,7 @@
 import dataclasses
 import filecmp
 import shutil
+import struct
 
 import numpy as np
 import pytest
@@ -51,6 +52,17 @@ def test_pipeline_retrains_a_truncated_checkpoint(pipeline_run, tmp_path):
     shutil.copytree(first.extractor_ckpt.parent, workdir)
     flow_before = first.flow_ckpt.read_bytes()
     (workdir / "flow.ckpt").write_bytes(flow_before[:12])
+    again = run_pipeline(dataclasses.replace(cfg, workdir=str(workdir)))
+    assert again.flow_ckpt.read_bytes() == flow_before
+    assert again.best.auroc == first.best.auroc
+
+
+def test_pipeline_retrains_a_nan_poisoned_checkpoint(pipeline_run, tmp_path):
+    cfg, first = pipeline_run
+    workdir = tmp_path / "work"
+    shutil.copytree(first.extractor_ckpt.parent, workdir)
+    flow_before = first.flow_ckpt.read_bytes()
+    (workdir / "flow.ckpt").write_bytes(flow_before[:-8] + struct.pack("<d", np.nan))
     again = run_pipeline(dataclasses.replace(cfg, workdir=str(workdir)))
     assert again.flow_ckpt.read_bytes() == flow_before
     assert again.best.auroc == first.best.auroc

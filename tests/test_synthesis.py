@@ -98,10 +98,8 @@ def test_synthesize_does_not_modify_inputs():
 def test_synthesize_oversampling_ratio():
     flow = identity_flow(dim=4)
     latents = np.random.default_rng(16).standard_normal((10, 4))
-    with pytest.raises(ValueError):
-        SynthesisConfig(ratio=2.0)
     out = synthesize(flow, latents, NoiseSpec(mu=0.0, sigma=1.0, seed=17),
-                     SynthesisConfig(ratio=2.0, allow_oversampling=True))
+                     SynthesisConfig(ratio=2.0))
     assert out.shape == (20, 4)
 
 
