@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import struct
 from dataclasses import dataclass, field
@@ -103,8 +104,9 @@ def load_checkpoint(path: str | Path, expect_stage: Optional[str] = None,
     `include` restricts which parameter tables are materialized: only tensors
     whose name starts with one of the given prefixes are read, everything else
     is skipped over. The returned Checkpoint's `tensors` holds exactly what was
-    materialized; `available` lists every table in the file. A NaN or infinity
-    in a materialized tensor raises CheckpointMismatch.
+    materialized; `available` lists every table in the file. A malformed header,
+    or a NaN or infinity in a materialized tensor, raises CheckpointMismatch
+    naming the path.
     """
     try:
         with open(path, "rb") as fh:
@@ -126,9 +128,11 @@ def load_checkpoint(path: str | Path, expect_stage: Optional[str] = None,
         raise CheckpointMismatch(f"{path}: truncated header")
     try:
         header = json.loads(raw[offset:offset + header_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as err:
+    except ValueError as err:  # bad UTF-8 or JSON, or an integer too long to parse
         raise CheckpointMismatch(f"{path}: corrupt header") from err
     offset += header_len
+    if not isinstance(header, dict):
+        raise CheckpointMismatch(f"{path}: header is not a JSON object")
 
     stage = header.get("stage")
     if stage not in STAGES:
@@ -136,9 +140,16 @@ def load_checkpoint(path: str | Path, expect_stage: Optional[str] = None,
     if expect_stage is not None and stage != expect_stage:
         raise CheckpointMismatch(
             f"{path}: expected stage {expect_stage}, found {stage}")
+    seed, meta, table = header.get("seed"), header.get("meta"), header.get("tensors")
+    if not (type(seed) is int and isinstance(header.get("config_fingerprint"), str)
+            and isinstance(meta, dict) and isinstance(table, list)
+            and all(_is_table_entry(entry) for entry in table)):
+        raise CheckpointMismatch(
+            f"{path}: header needs an int seed, a string config_fingerprint, a meta "
+            "object and a tensors list of [name, [non-negative ints]]")
 
-    table = header.get("tensors", [])
-    total = sum(int(np.prod(shape, dtype=np.int64)) for _, shape in table)
+    # exact integer sizes: a shape too large for int64 cannot wrap to a small one
+    total = sum(math.prod(shape) for _, shape in table)
     if len(raw) - offset != total * 8:
         raise CheckpointMismatch(
             f"{path}: payload holds {(len(raw) - offset) // 8} values, "
@@ -146,18 +157,28 @@ def load_checkpoint(path: str | Path, expect_stage: Optional[str] = None,
 
     tensors: dict[str, np.ndarray] = {}
     for name, shape in table:
-        size = int(np.prod(shape, dtype=np.int64))
+        size = math.prod(shape)
         if include is None or any(name.startswith(p) for p in include):
             flat = np.frombuffer(raw, dtype="<f8", count=size, offset=offset)
             if not np.isfinite(flat).all():
                 raise CheckpointMismatch(f"{path}: tensor {name} holds a non-finite value")
-            tensors[name] = flat.reshape(shape).copy()
+            try:
+                tensors[name] = flat.reshape(shape).copy()
+            except ValueError as err:  # a zero-size shape numpy cannot represent
+                raise CheckpointMismatch(f"{path}: tensor {name}: {err}") from err
         offset += size * 8
 
-    return Checkpoint(stage=stage, seed=int(header["seed"]),
+    return Checkpoint(stage=stage, seed=seed,
                       config_fingerprint=header["config_fingerprint"],
-                      tensors=tensors, meta=header.get("meta", {}),
+                      tensors=tensors, meta=meta,
                       available=tuple(name for name, _ in table))
+
+
+def _is_table_entry(entry) -> bool:
+    """`[name, shape]`: a string and a list of non-negative ints."""
+    return (isinstance(entry, list) and len(entry) == 2 and isinstance(entry[0], str)
+            and isinstance(entry[1], list)
+            and all(type(n) is int and n >= 0 for n in entry[1]))
 
 
 def matches(ckpt: Checkpoint, stage: str, fingerprint: str, seed: int) -> bool:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import re
 import sys
 from pathlib import Path
 from typing import Optional, get_type_hints
@@ -76,6 +77,15 @@ def cmd_preprocess(args) -> int:
 
 
 def cmd_make_corpus(args) -> int:
+    # every count is checked before anything is generated or written
+    for name in ("n_normal", "n_anomaly", "n_train", "n_test_normal", "n_test_anomaly"):
+        if getattr(args, name) < 0:
+            raise BadConfig(f"--{name.replace('_', '-')} must be non-negative, "
+                            f"got {getattr(args, name)}")
+    if args.n_train and args.n_train + args.n_test_normal > args.n_normal:
+        raise BadConfig("not enough normal rows for the requested splits")
+    if args.n_train and args.n_test_anomaly > args.n_anomaly:
+        raise BadConfig("not enough anomaly rows for the requested split")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     normals, anomalies = make_synthetic_corpus(args.seed, args.n_normal,
@@ -85,10 +95,6 @@ def cmd_make_corpus(args) -> int:
     print(f"wrote {len(normals)} normal rows and {len(anomalies)} anomaly rows "
           f"to {out_dir}")
     if args.n_train:
-        if args.n_train + args.n_test_normal > len(normals):
-            raise FlowgateError("not enough normal rows for the requested splits")
-        if args.n_test_anomaly > len(anomalies):
-            raise FlowgateError("not enough anomaly rows for the requested split")
         write_dataset(normals[:args.n_train], out_dir / "train.csv")
         test = (normals[args.n_train:args.n_train + args.n_test_normal]
                 + anomalies[:args.n_test_anomaly])
@@ -340,8 +346,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_grid_values(argv: list[str]) -> list[str]:
+    """`--noise-grid -9,5;0,1` as one `--noise-grid=-9,5;0,1` token: argparse
+    reads a separate value that starts with `-` and a digit as a flag."""
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1] == "--noise-grid" and re.match(r"-[\d.]", token):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(
+        _join_grid_values(sys.argv[1:] if argv is None else list(argv)))
     logging.basicConfig(
         level=logging.DEBUG if args.verbose else logging.INFO,
         format="%(asctime)s %(name)s %(message)s", datefmt="%H:%M:%S")

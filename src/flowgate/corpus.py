@@ -12,6 +12,7 @@ from __future__ import annotations
 import struct
 import numpy as np
 
+from .errors import BadConfig
 from .packets import EncodedPacket, FilterVerdict, Label, encode_frame
 from .seeding import rng_for
 
@@ -120,7 +121,8 @@ def make_synthetic_corpus(seed: int, n_normal: int, n_anomaly: int,
                           ) -> tuple[list[EncodedPacket], list[EncodedPacket]]:
     """Generate the two labeled packet sets, already cleaned and encoded."""
     if n_normal < 0 or n_anomaly < 0:
-        raise ValueError("counts must be non-negative")
+        raise BadConfig(f"counts must be non-negative, got {n_normal} normal "
+                        f"and {n_anomaly} anomaly")
     out: dict[bool, list[EncodedPacket]] = {False: [], True: []}
     for anomaly, count, tag in ((False, n_normal, "synthetic-normal"),
                                 (True, n_anomaly, "synthetic-anomaly")):

@@ -2,8 +2,11 @@
 
 Stages run in order: extractor, flow, then per noise setting synthesis plus
 classifier, followed by inference and evaluation on the labeled test set.
-Every stage checkpoint is cached in the work directory and reused when its
-config fingerprint and seed match, so a pipeline is resumable stage by stage.
+Each stage checkpoint is cached in the work directory under its seed and a
+key: its config plus the sha256 of its direct upstream (`train.csv`,
+`extractor.ckpt`, or `flow.ckpt` and the noise tag). It is reused only when
+both match, so a pipeline resumes stage by stage, and a changed `train.csv`
+retrains all three stages.
 
 Inference deliberately loads only the encoder and classifier parameter
 tables; the loader records what it materialized so tests can verify nothing
@@ -11,10 +14,12 @@ else was touched.
 """
 from __future__ import annotations
 
+import hashlib
 import logging
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -103,27 +108,18 @@ class PipelineConfig:
         return ClassifierConfig(widths=tuple(widths), **self._training())
 
 
-def _tag_stage(err: FlowgateError, stage: str) -> None:
-    err.stage = stage  # type: ignore[attr-defined]
-    err.args = (f"[stage {stage}] {err.args[0]}" if err.args else f"[stage {stage}]",) \
-        + err.args[1:]
-
-
-class _Stage:
-    """Context manager that attaches the failing stage's name to errors."""
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-
-    def __enter__(self):
-        log.info("stage %s", self.name)
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        if exc is not None and isinstance(exc, FlowgateError) \
-                and not hasattr(exc, "stage"):
-            _tag_stage(exc, self.name)
-        return False
+@contextmanager
+def _stage(name: str):
+    """Logs the stage, and attaches its name to a FlowgateError raised inside."""
+    log.info("stage %s", name)
+    try:
+        yield
+    except FlowgateError as err:
+        if not hasattr(err, "stage"):
+            err.stage = name  # type: ignore[attr-defined]
+            err.args = (f"[stage {name}] {err.args[0]}" if err.args
+                        else f"[stage {name}]",) + err.args[1:]
+        raise
 
 
 def _cached_checkpoint(path: Path, stage: str, fingerprint: str, seed: int,
@@ -138,6 +134,33 @@ def _cached_checkpoint(path: Path, stage: str, fingerprint: str, seed: int,
         log.info("reusing %s", path.name)
         return ckpt
     return None
+
+
+def _sha256(path: Path) -> str:
+    """sha256 of a file's bytes, read in chunks so memory stays flat."""
+    digest = hashlib.sha256()
+    try:
+        with open(path, "rb") as fh:
+            while chunk := fh.read(1 << 20):
+                digest.update(chunk)
+    except OSError as err:
+        raise IoFailure(f"cannot read {path}: {err}") from err
+    return digest.hexdigest()
+
+
+def _cached_stage(path: Path, stage: str, seed: int, key: str,
+                  train: Callable[[], Checkpoint]) -> Checkpoint:
+    """The checkpoint at `path` when it was saved under `key` and `seed`, else
+    `train()`'s, saved there under `key`: the fingerprint of the stage's config
+    and the sha256 of its direct upstream, so it covers everything upstream."""
+    ckpt = _cached_checkpoint(path, stage, key, seed)
+    if ckpt is None:
+        ckpt = train()
+        ckpt.config_fingerprint = key
+        save_checkpoint(path, ckpt)
+        log.info("%s: best epoch %s of %s", path.name,
+                 ckpt.meta["best_epoch"], ckpt.meta["epochs_run"])
+    return ckpt
 
 
 class InferenceEngine:
@@ -176,10 +199,13 @@ class InferenceEngine:
     def score_packets(self, packets: Sequence[EncodedPacket]) -> list[ScoredSample]:
         if not packets:
             return []
-        z = self.encoder.eval_np(values_matrix(packets))
-        scores = self.classifier.score(z)
-        return [ScoredSample(score=float(s), label=p.label, source_id=p.source_id)
-                for s, p in zip(np.atleast_1d(scores), packets)]
+        return _scored(self.classifier.score(self.encoder.eval_np(values_matrix(packets))),
+                       packets)
+
+
+def _scored(scores: np.ndarray, packets: Sequence[EncodedPacket]) -> list[ScoredSample]:
+    return [ScoredSample(score=float(s), label=p.label, source_id=p.source_id)
+            for s, p in zip(np.atleast_1d(scores), packets)]
 
 
 def infer(extractor_ckpt: str | Path, classifier_ckpt: str | Path,
@@ -204,94 +230,38 @@ class PipelineResult:
 
 
 def _prepare_datasets(cfg: PipelineConfig, workdir: Path) -> tuple[Path, Path]:
-    train_csv = Path(cfg.train_csv) if cfg.train_csv else None
-    test_csv = Path(cfg.test_csv) if cfg.test_csv else None
-    if cfg.train_pcap:
-        with _Stage("preprocess-train"):
+    """The train and test CSVs: as given, or preprocessed from raw captures."""
+    csvs = {"train": cfg.train_csv, "test": cfg.test_csv}
+    captures = {"train": ((cfg.train_pcap, Label.NORMAL),),
+                "test": ((cfg.test_normal_pcap, Label.NORMAL),
+                         (cfg.test_anomaly_pcap, Label.ANOMALY))}
+    for split, sources in captures.items():
+        if not any(src for src, _ in sources):
+            continue
+        with _stage(f"preprocess-{split}"):
             packets = []
-            for f in capture_files(cfg.train_pcap):
-                kept, stats = process_capture(f, label=Label.NORMAL)
-                log.info("%s: %s", f.name, stats.summary())
-                packets.extend(kept)
-            train_csv = workdir / "train.csv"
-            write_dataset(packets, train_csv)
-    if cfg.test_normal_pcap or cfg.test_anomaly_pcap:
-        with _Stage("preprocess-test"):
-            packets = []
-            for src, label in ((cfg.test_normal_pcap, Label.NORMAL),
-                               (cfg.test_anomaly_pcap, Label.ANOMALY)):
-                if not src:
-                    continue
-                for f in capture_files(src):
+            for src, label in sources:
+                for f in capture_files(src) if src else ():
                     kept, stats = process_capture(f, label=label)
                     log.info("%s: %s", f.name, stats.summary())
                     packets.extend(kept)
-            test_csv = workdir / "test.csv"
-            write_dataset(packets, test_csv)
-    if train_csv is None or test_csv is None:
+            csvs[split] = workdir / f"{split}.csv"
+            write_dataset(packets, csvs[split])
+    if not (csvs["train"] and csvs["test"]):
         raise IoFailure("pipeline needs train/test CSVs or raw captures")
-    return train_csv, test_csv
+    return Path(csvs["train"]), Path(csvs["test"])
 
 
-def _train_stages(cfg: PipelineConfig, workdir: Path, train_csv: Path,
-                  ) -> tuple[Path, Path, np.ndarray]:
-    """Extractor and flow stages; returns checkpoint paths and normal latents."""
-    with _Stage("load-train"):
-        train_matrix = training_matrix(read_dataset(train_csv), VECTOR_LEN)
-
-    ext_cfg = cfg.extractor_config()
-    ext_seed = derive_seed(cfg.seed, "stage:extractor")
-    ext_fp = config_fingerprint(ext_cfg.to_dict())
-    ext_path = workdir / "extractor.ckpt"
-    with _Stage("train-extractor"):
-        ckpt = _cached_checkpoint(ext_path, STAGE_EXTRACTOR, ext_fp, ext_seed)
-        if ckpt is None:
-            ckpt = train_extractor(train_matrix, ext_cfg, ext_seed)
-            save_checkpoint(ext_path, ckpt)
-            log.info("extractor: best epoch %s of %s",
-                     ckpt.meta["best_epoch"], ckpt.meta["epochs_run"])
-        extractor = extractor_from_checkpoint(ckpt)
-
-    with _Stage("encode-latents"):
-        latents = extractor.encode(train_matrix)
-        write_latents(workdir / "train_latents.csv", latents,
-                      [Label.NORMAL] * latents.shape[0])
-
-    flow_cfg = cfg.flow_config()
-    flow_seed = derive_seed(cfg.seed, "stage:flow")
-    flow_fp = config_fingerprint(flow_cfg.to_dict())
-    flow_path = workdir / "flow.ckpt"
-    with _Stage("train-flow"):
-        ckpt = _cached_checkpoint(flow_path, STAGE_FLOW, flow_fp, flow_seed)
-        if ckpt is None:
-            model = FlowModel.create(flow_cfg, flow_seed)
-            ckpt = train_flow(model, latents, flow_cfg, flow_seed)
-            save_checkpoint(flow_path, ckpt)
-            log.info("flow: best epoch %s of %s",
-                     ckpt.meta["best_epoch"], ckpt.meta["epochs_run"])
-    return ext_path, flow_path, latents
-
-
-def _classifier_for_noise(cfg: PipelineConfig, workdir: Path, flow: FlowModel,
-                          latents: np.ndarray, mu: float, sigma: float) -> Path:
+def _synthesize(cfg: PipelineConfig, workdir: Path, flow: FlowModel,
+                latents: np.ndarray, mu: float, sigma: float) -> np.ndarray:
     tag = _noise_tag(mu, sigma, cfg.ratio)
-    clf_cfg = cfg.classifier_config()
-    clf_seed = derive_seed(cfg.seed, f"stage:classifier:{tag}")
-    clf_fp = config_fingerprint({**clf_cfg.to_dict(), "noise": tag})
-    clf_path = workdir / f"classifier_{tag}.ckpt"
-    with _Stage(f"synthesize-{tag}"):
-        if _cached_checkpoint(clf_path, STAGE_CLASSIFIER, clf_fp, clf_seed):
-            return clf_path
+    with _stage(f"synthesize-{tag}"):
         spec = NoiseSpec(mu=mu, sigma=sigma,
                          seed=derive_seed(cfg.seed, f"stage:synthesize:{tag}"))
         pseudo = synthesize(flow, latents, spec, SynthesisConfig(ratio=cfg.ratio))
         write_latents(workdir / f"pseudo_{tag}.csv", pseudo,
                       [Label.ANOMALY] * pseudo.shape[0])
-    with _Stage(f"train-classifier-{tag}"):
-        ckpt = train_classifier(latents, pseudo, clf_cfg, clf_seed)
-        ckpt.config_fingerprint = clf_fp  # fingerprint includes the noise tag
-        save_checkpoint(clf_path, ckpt)
-    return clf_path
+    return pseudo
 
 
 def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
@@ -299,37 +269,64 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
     workdir = Path(cfg.workdir)
     workdir.mkdir(parents=True, exist_ok=True)
     train_csv, test_csv = _prepare_datasets(cfg, workdir)
-    ext_path, flow_path, latents = _train_stages(cfg, workdir, train_csv)
+    with _stage("load-train"):
+        train_matrix = training_matrix(read_dataset(train_csv), VECTOR_LEN)
 
-    with _Stage("load-flow"):
-        flow = flow_from_checkpoint(load_checkpoint(flow_path, expect_stage=STAGE_FLOW))
-    with _Stage("load-test"):
+    ext_cfg, ext_seed = cfg.extractor_config(), derive_seed(cfg.seed, "stage:extractor")
+    ext_path = workdir / "extractor.ckpt"
+    with _stage("train-extractor"):
+        extractor = extractor_from_checkpoint(_cached_stage(
+            ext_path, STAGE_EXTRACTOR, ext_seed,
+            config_fingerprint({**ext_cfg.to_dict(), "upstream": _sha256(train_csv)}),
+            lambda: train_extractor(train_matrix, ext_cfg, ext_seed)))
+
+    with _stage("encode-latents"):
+        latents = extractor.encode(train_matrix)
+        write_latents(workdir / "train_latents.csv", latents,
+                      [Label.NORMAL] * latents.shape[0])
+
+    flow_cfg, flow_seed = cfg.flow_config(), derive_seed(cfg.seed, "stage:flow")
+    flow_path = workdir / "flow.ckpt"
+    with _stage("train-flow"):
+        flow = flow_from_checkpoint(_cached_stage(
+            flow_path, STAGE_FLOW, flow_seed,
+            config_fingerprint({**flow_cfg.to_dict(), "upstream": _sha256(ext_path)}),
+            lambda: train_flow(FlowModel.create(flow_cfg, flow_seed), latents,
+                               flow_cfg, flow_seed)))
+        flow_digest = _sha256(flow_path)
+
+    with _stage("load-test"):
         test_packets = read_dataset(test_csv)
+        # encoded once; every classifier scores these latents
+        test_latents = extractor.encode(values_matrix(test_packets))
 
-    result = PipelineResult(best=None, best_setting=None,  # type: ignore[arg-type]
-                            extractor_ckpt=ext_path, flow_ckpt=flow_path)
+    reports, clf_paths = {}, {}
+    clf_cfg = cfg.classifier_config()
     for mu, sigma in cfg.noise_grid:
         tag = _noise_tag(mu, sigma, cfg.ratio)
-        clf_path = _classifier_for_noise(cfg, workdir, flow, latents, mu, sigma)
-        with _Stage(f"infer-{tag}"):
-            scored = infer(ext_path, clf_path, test_packets)
+        clf_seed = derive_seed(cfg.seed, f"stage:classifier:{tag}")
+        clf_path = workdir / f"classifier_{tag}.ckpt"
+        with _stage(f"train-classifier-{tag}"):
+            classifier = classifier_from_checkpoint(_cached_stage(
+                clf_path, STAGE_CLASSIFIER, clf_seed,
+                config_fingerprint({**clf_cfg.to_dict(), "noise": tag,
+                                    "upstream": flow_digest}),
+                lambda: train_classifier(
+                    latents, _synthesize(cfg, workdir, flow, latents, mu, sigma),
+                    clf_cfg, clf_seed)))
+        with _stage(f"infer-{tag}"):
+            scored = _scored(classifier.score(test_latents), test_packets)
             write_scores(workdir / f"scores_{tag}.csv", scored)
-        with _Stage(f"evaluate-{tag}"):
+        with _stage(f"evaluate-{tag}"):
             report = evaluate(scored)
             write_report(workdir / f"report_{tag}.txt", report)
         log.info("noise (mu=%g, sigma=%g) ratio=%g -> AUROC %.4f",
                  mu, sigma, cfg.ratio, report.auroc)
-        result.reports[(mu, sigma)] = report
-        result.classifier_ckpts[(mu, sigma)] = clf_path
-        if result.best is None or report.auroc > result.best.auroc:
-            result.best = report
-            result.best_setting = (mu, sigma)
-
-    summary = noise_grid_table(result.reports, cfg.ratio)
-    (workdir / "summary.txt").write_text(summary)
-    log.info("best: mu=%g sigma=%g AUROC %.4f",
-             result.best_setting[0], result.best_setting[1], result.best.auroc)
-    return result
+        reports[(mu, sigma)], clf_paths[(mu, sigma)] = report, clf_path
+    best = max(reports, key=lambda k: reports[k].auroc)  # the first of equals
+    (workdir / "summary.txt").write_text(noise_grid_table(reports, cfg.ratio))
+    log.info("best: mu=%g sigma=%g AUROC %.4f", *best, reports[best].auroc)
+    return PipelineResult(reports[best], best, reports, ext_path, flow_path, clf_paths)
 
 
 def noise_grid_table(reports: dict[tuple[float, float], EvalReport],

@@ -5,6 +5,7 @@ bytes are independent of the code under test.
 """
 from __future__ import annotations
 
+import json
 import struct
 
 
@@ -75,3 +76,12 @@ def pcap_bytes(frames: list[bytes], magic: bytes = b"\xd4\xc3\xb2\xa1",
         out += struct.pack(order + "IIII", 1_700_000_000 + i, i, len(frame), orig)
         out += frame
     return bytes(out)
+
+
+def checkpoint_with_header(raw: bytes, edit) -> bytes:
+    """A checkpoint file's bytes with its JSON header replaced by `edit(header)`;
+    the header length field follows the new header, the payload is kept."""
+    (length,) = struct.unpack_from("<I", raw, 10)
+    header = json.loads(raw[14:14 + length])
+    blob = json.dumps(edit(header)).encode("utf-8")
+    return raw[:10] + struct.pack("<I", len(blob)) + blob + raw[14 + length:]

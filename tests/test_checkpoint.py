@@ -1,4 +1,5 @@
 import hashlib
+import re
 import struct
 
 import numpy as np
@@ -8,7 +9,8 @@ from flowgate.checkpoint import (
     Checkpoint, MAGIC, STAGE_CLASSIFIER, STAGE_EXTRACTOR, STAGE_FLOW,
     config_fingerprint, load_checkpoint, matches, save_checkpoint,
 )
-from flowgate.errors import CheckpointMismatch, IoFailure
+from flowgate.errors import CheckpointMismatch, FlowgateError, IoFailure
+from crafting import checkpoint_with_header
 
 
 def sample_checkpoint(stage=STAGE_FLOW, seed=3):
@@ -153,3 +155,83 @@ def test_non_finite_payload_raises_mismatch(tmp_path, bad):
     # only materialized tables are checked
     assert set(load_checkpoint(path, include=("flow.block0.s.",)).tensors) == {
         "flow.block0.s.0.W", "flow.block0.s.0.b"}
+
+
+def _without(key):
+    return lambda h: {k: v for k, v in h.items() if k != key}
+
+
+def _with(key, value):
+    return lambda h: {**h, key: value}
+
+
+def _first_entry(entry):
+    return lambda h: {**h, "tensors": [entry(h["tensors"][0])] + h["tensors"][1:]}
+
+
+MALFORMED_HEADERS = {
+    "not-an-object": lambda h: [1, 2],
+    "no-seed": _without("seed"),
+    "seed-string": _with("seed", "a"),
+    "seed-bool": _with("seed", True),
+    "no-fingerprint": _without("config_fingerprint"),
+    "fingerprint-number": _with("config_fingerprint", 5),
+    "no-meta": _without("meta"),
+    "meta-list": _with("meta", []),
+    "no-tensors": _without("tensors"),
+    "tensors-number": _with("tensors", 5),
+    "entry-three-elements": _first_entry(lambda e: e + ["x"]),
+    "entry-name-number": _first_entry(lambda e: [7, e[1]]),
+    "entry-shape-number": _first_entry(lambda e: [e[0], 12]),
+    "entry-shape-negative": _first_entry(lambda e: [e[0], [-e[1][0], e[1][1]]]),
+    "entry-shape-float": _first_entry(lambda e: [e[0], [float(e[1][0]), e[1][1]]]),
+    "entry-shape-huge-zero-size": _first_entry(lambda e: [e[0], [0, 2 ** 63]]),
+}
+
+
+@pytest.mark.parametrize("edit", MALFORMED_HEADERS.values(), ids=MALFORMED_HEADERS.keys())
+def test_malformed_header_raises_mismatch_naming_the_path(tmp_path, edit):
+    path = tmp_path / "x.ckpt"
+    save_checkpoint(path, sample_checkpoint())
+    path.write_bytes(checkpoint_with_header(path.read_bytes(), edit))
+    with pytest.raises(CheckpointMismatch, match=re.escape(str(path))):
+        load_checkpoint(path)
+
+
+HEADER_FUZZ_BYTES = np.frombuffer(b'{}[]",:-.0159aetx \\', dtype=np.uint8)
+
+
+def mutate_header(rng, raw: bytes) -> bytes:
+    """Replace, delete or repeat a few bytes of a checkpoint's JSON header; the
+    length field follows the header, except now and then."""
+    (length,) = struct.unpack_from("<I", raw, 10)
+    head = bytearray(raw[14:14 + length])
+    for _ in range(int(rng.integers(1, 4))):
+        pos = int(rng.integers(0, len(head)))
+        kind = int(rng.integers(0, 3))
+        if kind == 0:
+            head[pos] = int(rng.choice(HEADER_FUZZ_BYTES))
+        elif kind == 1:
+            del head[pos:pos + int(rng.integers(1, 8))]
+        else:
+            head[pos:pos] = head[pos:pos + int(rng.integers(1, 8))]
+    new_length = length if rng.random() < 0.1 else len(head)
+    return raw[:10] + struct.pack("<I", new_length) + bytes(head) + raw[14 + length:]
+
+
+def test_mutated_headers_raise_only_flowgate_errors(tmp_path):
+    original = tmp_path / "x.ckpt"
+    save_checkpoint(original, sample_checkpoint())
+    raw = original.read_bytes()
+    rng = np.random.default_rng(20261018)
+    path = tmp_path / "mutant.ckpt"
+    loaded = 0
+    for _ in range(500):
+        path.write_bytes(mutate_header(rng, raw))
+        try:
+            ckpt = load_checkpoint(path)
+        except FlowgateError:
+            continue
+        loaded += 1
+        assert all(np.isfinite(t).all() for t in ckpt.tensors.values())
+    assert loaded > 0

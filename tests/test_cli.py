@@ -7,7 +7,9 @@ import sys
 import numpy as np
 import pytest
 
+import flowgate.cli as cli
 from flowgate.cli import _PIPELINE_KEYS, build_parser, main
+from flowgate.errors import IoFailure
 from flowgate.nn import TrainConfig
 from flowgate.pipeline import PipelineConfig
 from flowgate.dataset import read_dataset, read_latents
@@ -120,6 +122,43 @@ def test_infer_refuses_a_nan_in_the_classifier(stage_artifacts, tmp_path, capsys
                    "--data", test_csv, "--scores-out", tmp_path / "s.csv") == 2
     assert "non-finite" in capsys.readouterr().err
     assert not (tmp_path / "s.csv").exists()
+
+
+@pytest.mark.parametrize("bad_args, named", [
+    (["--n-normal", -1], "--n-normal"),
+    (["--n-anomaly", -1], "--n-anomaly"),
+    (["--n-train", -5], "--n-train"),
+    (["--n-test-normal", -1], "--n-test-normal"),
+    (["--n-test-anomaly", -2], "--n-test-anomaly"),
+    (["--n-train", 35], "normal rows"),
+    (["--n-test-anomaly", 11], "anomaly rows"),
+], ids=["n-normal", "n-anomaly", "n-train", "n-test-normal", "n-test-anomaly",
+        "normal-split-too-large", "anomaly-split-too-large"])
+def test_make_corpus_rejects_bad_counts_before_writing(tmp_path, capsys, bad_args, named):
+    counts = {"--n-normal": 40, "--n-anomaly": 10, "--n-train": 30,
+              "--n-test-normal": 10, "--n-test-anomaly": 10}
+    counts.update(zip(bad_args[::2], bad_args[1::2]))
+    argv = [item for pair in counts.items() for item in pair]
+    assert run_cli("make-corpus", "--out-dir", tmp_path / "c", *argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and named in err
+    assert not (tmp_path / "c").exists()
+
+
+@pytest.mark.parametrize("grid_args", [["--noise-grid", "-9,5;0,1"],
+                                       ["--noise-grid=-9,5;0,1"],
+                                       ["--noise-grid", "-.5,1"]],
+                         ids=["two-tokens", "one-token", "leading-dot"])
+def test_pipeline_noise_grid_value_may_start_with_minus(tmp_path, monkeypatch, grid_args):
+    seen = []
+
+    def run_pipeline(cfg):
+        seen.append(cfg.noise_grid)
+        raise IoFailure("stopped before training")
+    monkeypatch.setattr(cli, "run_pipeline", run_pipeline)
+    assert run_cli("pipeline", "--workdir", tmp_path, *grid_args, "--seed", 5) == 2
+    expected = ((-9.0, 5.0), (0.0, 1.0)) if "-9" in grid_args[-1] else ((-0.5, 1.0),)
+    assert seen == [expected]
 
 
 def test_pipeline_command_with_config_file(tiny_corpus, tmp_path, capsys):

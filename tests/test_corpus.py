@@ -1,13 +1,21 @@
 import numpy as np
+import pytest
 
 from flowgate.corpus import make_synthetic_corpus
 from flowgate.dataset import values_matrix
+from flowgate.errors import BadConfig
 from flowgate.packets import Label
 
 
 def test_empty_corpus():
     normals, anomalies = make_synthetic_corpus(seed=0, n_normal=0, n_anomaly=0)
     assert normals == [] and anomalies == []
+
+
+@pytest.mark.parametrize("n_normal, n_anomaly", [(-1, 0), (0, -3)])
+def test_negative_count_is_a_config_error(n_normal, n_anomaly):
+    with pytest.raises(BadConfig, match="non-negative"):
+        make_synthetic_corpus(seed=0, n_normal=n_normal, n_anomaly=n_anomaly)
 
 
 def test_counts_and_labels():

@@ -1,7 +1,9 @@
+import collections
 import dataclasses
 import filecmp
 import shutil
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,8 +12,10 @@ from flowgate.checkpoint import load_checkpoint
 from flowgate.dataset import read_dataset, write_dataset
 from flowgate.errors import AnomalyInTrainingSet, CheckpointMismatch
 from flowgate.metrics import read_report, read_scores
+import flowgate.pipeline as pipeline
 from flowgate.pipeline import InferenceEngine, infer, ratio_ablation, run_pipeline
 from conftest import tiny_pipeline_config
+from crafting import checkpoint_with_header
 
 
 @pytest.fixture(scope="module")
@@ -66,6 +70,82 @@ def test_pipeline_retrains_a_nan_poisoned_checkpoint(pipeline_run, tmp_path):
     again = run_pipeline(dataclasses.replace(cfg, workdir=str(workdir)))
     assert again.flow_ckpt.read_bytes() == flow_before
     assert again.best.auroc == first.best.auroc
+
+
+def test_pipeline_retrains_a_checkpoint_with_a_malformed_header(pipeline_run, tmp_path):
+    cfg, first = pipeline_run
+    workdir = tmp_path / "work"
+    shutil.copytree(first.extractor_ckpt.parent, workdir)
+    flow_before = first.flow_ckpt.read_bytes()
+    (workdir / "flow.ckpt").write_bytes(checkpoint_with_header(
+        flow_before, lambda h: {k: v for k, v in h.items() if k != "seed"}))
+    again = run_pipeline(dataclasses.replace(cfg, workdir=str(workdir)))
+    assert again.flow_ckpt.read_bytes() == flow_before
+    assert again.best.auroc == first.best.auroc
+
+
+def _checkpoints_saved(monkeypatch, cfg) -> set[str]:
+    """Runs the pipeline; returns the names of the checkpoints it wrote."""
+    saved = set()
+    real_save = pipeline.save_checkpoint
+
+    def save(path, ckpt):
+        saved.add(Path(path).name)
+        real_save(path, ckpt)
+    monkeypatch.setattr(pipeline, "save_checkpoint", save)
+    run_pipeline(cfg)
+    return saved
+
+
+ALL_STAGES = {"extractor.ckpt", "flow.ckpt", "classifier_mu0_sigma1_ratio0.5.ckpt"}
+
+
+def test_new_extractor_config_retrains_the_stages_downstream(pipeline_run, tmp_path,
+                                                             monkeypatch):
+    cfg, first = pipeline_run
+    workdir = tmp_path / "work"
+    shutil.copytree(first.extractor_ckpt.parent, workdir)
+    changed = dataclasses.replace(cfg, workdir=str(workdir), w_rec=10.0)
+    assert _checkpoints_saved(monkeypatch, changed) == ALL_STAGES
+
+
+def test_changed_train_csv_retrains_every_stage(pipeline_run, tiny_corpus, tmp_path,
+                                                monkeypatch):
+    cfg, first = pipeline_run
+    workdir = tmp_path / "work"
+    shutil.copytree(first.extractor_ckpt.parent, workdir)
+    shorter = tmp_path / "train.csv"
+    write_dataset(read_dataset(tiny_corpus[0])[:-1], shorter)
+    changed = dataclasses.replace(cfg, workdir=str(workdir), train_csv=str(shorter))
+    assert _checkpoints_saved(monkeypatch, changed) == ALL_STAGES
+
+
+def test_rerun_loads_each_checkpoint_once_and_rewrites_none(pipeline_run, tmp_path,
+                                                            monkeypatch):
+    cfg, first = pipeline_run
+    workdir = tmp_path / "work"
+    shutil.copytree(first.extractor_ckpt.parent, workdir)
+    mtimes = {p.name: p.stat().st_mtime_ns for p in workdir.glob("*.ckpt")}
+    assert set(mtimes) == ALL_STAGES
+    loads = collections.Counter()
+    real_load = pipeline.load_checkpoint
+
+    def load(path, *args, **kwargs):
+        loads[Path(path).name] += 1
+        return real_load(path, *args, **kwargs)
+    engines = []
+    real_engine = InferenceEngine.from_checkpoint_files
+    monkeypatch.setattr(pipeline, "load_checkpoint", load)
+    monkeypatch.setattr(InferenceEngine, "from_checkpoint_files",
+                        lambda *paths: engines.append(paths) or real_engine(*paths))
+    run_pipeline(dataclasses.replace(cfg, workdir=str(workdir)))
+    assert {p.name: p.stat().st_mtime_ns for p in workdir.glob("*.ckpt")} == mtimes
+    assert loads == {name: 1 for name in ALL_STAGES}
+    assert engines == []
+    for name in ("scores_mu0_sigma1_ratio0.5.csv", "report_mu0_sigma1_ratio0.5.txt",
+                 "summary.txt", "train_latents.csv"):
+        assert filecmp.cmp(workdir / name, first.extractor_ckpt.parent / name,
+                           shallow=False), name
 
 
 def test_pipeline_deterministic_across_fresh_workdirs(tiny_corpus, tmp_path):
