@@ -15,11 +15,11 @@ import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .errors import CheckpointMismatch, IoFailure
+from .errors import CheckpointMismatch, IoFailure, ShapeMismatch
 
 MAGIC = b"FLOWGATE1"
 FORMAT_VERSION = 1
@@ -45,6 +45,7 @@ class Checkpoint:
     meta: dict = field(default_factory=dict)
     # names present in the file; equals tensors.keys() unless loading filtered
     available: tuple[str, ...] = ()
+    path: str = ""  # the file it was loaded from, named in errors
 
     def __post_init__(self):
         if self.stage not in STAGES:
@@ -66,6 +67,20 @@ def trained_checkpoint(stage: str, seed: int, config: dict, items, best_epoch: i
             history_key: [float(v) for v in history], **counts}
     return Checkpoint(stage=stage, seed=seed, config_fingerprint=config_fingerprint(config),
                       tensors={name: t.data.copy() for name, t in items}, meta=meta)
+
+
+def build_model(ckpt: Checkpoint, config_type: type, build: Callable):
+    """`build(config, tables)` from the stage config in the checkpoint's meta.
+    A missing or invalid config, or a table missing or misshapen for it, is a
+    CheckpointMismatch naming the file, so the stage cache retrains it."""
+    config = ckpt.meta.get("config")
+    # a value out of range raises BadConfig (a ValueError); a mistyped or unknown key, TypeError
+    try:
+        if not isinstance(config, dict):
+            raise TypeError("meta holds no config object")
+        return build(config_type.from_dict(config), ckpt.tensors)
+    except (ShapeMismatch, TypeError, ValueError, LookupError) as err:
+        raise CheckpointMismatch(f"{ckpt.path or ckpt.stage}: {err}") from err
 
 
 def save_checkpoint(path: str | Path, ckpt: Checkpoint) -> None:
@@ -171,7 +186,7 @@ def load_checkpoint(path: str | Path, expect_stage: Optional[str] = None,
     return Checkpoint(stage=stage, seed=seed,
                       config_fingerprint=header["config_fingerprint"],
                       tensors=tensors, meta=meta,
-                      available=tuple(name for name, _ in table))
+                      available=tuple(name for name, _ in table), path=str(path))
 
 
 def _is_table_entry(entry) -> bool:

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
-from .checkpoint import Checkpoint, STAGE_CLASSIFIER, trained_checkpoint
+from .checkpoint import Checkpoint, STAGE_CLASSIFIER, build_model, trained_checkpoint
 from .errors import BadConfig, BadThreshold, EmptyClass, ShapeMismatch
 from .nn import Activation, GradTape, MLP, Tensor
 from .packets import Label
@@ -22,6 +22,11 @@ class ClassifierConfig(nn.TrainConfig):
             raise BadConfig("classifier widths must end in a scalar output")
 
 
+def _network(cfg: ClassifierConfig) -> tuple:
+    """The network as `MLP.from_tables` takes it."""
+    return ("classifier.", cfg.widths, Activation.RELU, Activation.SIGMOID)
+
+
 class ClassifierModel:
     def __init__(self, net: MLP, config: ClassifierConfig) -> None:
         self.net = net
@@ -29,9 +34,12 @@ class ClassifierModel:
 
     @classmethod
     def create(cls, cfg: ClassifierConfig, seed: int) -> "ClassifierModel":
-        rng = rng_for(seed, "classifier-init")
-        net = MLP.create(rng, cfg.widths, Activation.RELU, Activation.SIGMOID)
-        return cls(net, cfg)
+        return cls.from_tables(cfg, nn.init_tables(rng_for(seed, "classifier-init"),
+                                                   [_network(cfg)]))
+
+    @classmethod
+    def from_tables(cls, cfg: ClassifierConfig, tables) -> "ClassifierModel":
+        return cls(MLP.from_tables(tables, *_network(cfg)), cfg)
 
     @property
     def input_dim(self) -> int:
@@ -42,17 +50,11 @@ class ClassifierModel:
         return self.net.params
 
     def param_items(self) -> list[tuple[str, Tensor]]:
-        return self.net.param_items("classifier.")
+        return self.net.param_items()
 
     def score(self, z: np.ndarray) -> np.ndarray | float:
         """Anomaly score in (0, 1); higher means more anomalous."""
-        arr = np.asarray(z, dtype=np.float64)
-        single = arr.ndim == 1
-        if single:
-            arr = arr[None, :]
-        if arr.ndim != 2 or arr.shape[1] != self.input_dim:
-            raise ShapeMismatch(
-                f"expected latents of dim {self.input_dim}, got {arr.shape}")
+        arr, single = nn.as_rows(z, self.input_dim)
         out = self.net.eval_np(arr)[:, 0]
         return float(out[0]) if single else out
 
@@ -101,7 +103,4 @@ def train_classifier(normals: np.ndarray, pseudo: np.ndarray,
 
 
 def classifier_from_checkpoint(ckpt: Checkpoint) -> ClassifierModel:
-    model = ClassifierModel.create(ClassifierConfig.from_dict(ckpt.meta["config"]),
-                                   ckpt.seed)
-    nn.load_params(model.param_items(), ckpt.tensors)
-    return model
+    return build_model(ckpt, ClassifierConfig, ClassifierModel.from_tables)

@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from . import nn
-from .checkpoint import Checkpoint, STAGE_EXTRACTOR, trained_checkpoint
+from .checkpoint import Checkpoint, STAGE_EXTRACTOR, build_model, trained_checkpoint
 from .dataset import values_matrix
 from .errors import AnomalyInTrainingSet, BadConfig, EmptyDataset, ShapeMismatch
 from .nn import Activation, GradTape, MLP, Tensor
@@ -59,6 +59,14 @@ def discriminator_objective(d_real: Tensor, d_fake: Tensor) -> Tensor:
     return nn.mean(1.0 - d_real) + nn.mean(d_fake)
 
 
+def _networks(cfg: ExtractorConfig) -> tuple[tuple, tuple, tuple]:
+    """The encoder, decoder and discriminator as `MLP.from_tables` takes them,
+    in the order their tables are drawn."""
+    return (("encoder.", cfg.encoder_widths, Activation.RELU, Activation.LINEAR),
+            ("decoder.", cfg.decoder_widths, Activation.RELU, Activation.SIGMOID),
+            ("discriminator.", cfg.disc_widths, Activation.LEAKY_RELU, Activation.SIGMOID))
+
+
 class FeatureExtractor:
     def __init__(self, encoder: MLP, decoder: MLP, discriminator: MLP,
                  config: ExtractorConfig) -> None:
@@ -69,43 +77,34 @@ class FeatureExtractor:
 
     @classmethod
     def create(cls, cfg: ExtractorConfig, seed: int) -> "FeatureExtractor":
-        rng = rng_for(seed, "extractor-init")
-        encoder = MLP.create(rng, cfg.encoder_widths, Activation.RELU, Activation.LINEAR)
-        decoder = MLP.create(rng, cfg.decoder_widths, Activation.RELU, Activation.SIGMOID)
-        disc = MLP.create(rng, cfg.disc_widths, Activation.LEAKY_RELU, Activation.SIGMOID)
-        return cls(encoder, decoder, disc, cfg)
+        return cls.from_tables(cfg, nn.init_tables(rng_for(seed, "extractor-init"),
+                                                   _networks(cfg)))
+
+    @classmethod
+    def from_tables(cls, cfg: ExtractorConfig, tables) -> "FeatureExtractor":
+        return cls(*(MLP.from_tables(tables, *net) for net in _networks(cfg)), cfg)
 
     # --- inference paths (frozen model, plain numpy) ---
 
-    def _check(self, x: np.ndarray) -> tuple[np.ndarray, bool]:
-        arr = np.asarray(x, dtype=np.float64)
-        single = arr.ndim == 1
-        if single:
-            arr = arr[None, :]
-        if arr.ndim != 2 or arr.shape[1] != self.config.input_dim:
-            raise ShapeMismatch(
-                f"expected vectors of length {self.config.input_dim}, got {arr.shape}")
-        return arr, single
-
     def encode(self, x: np.ndarray) -> np.ndarray:
         """Latent representation; the only piece retained for inference."""
-        arr, single = self._check(x)
+        arr, single = nn.as_rows(x, self.config.input_dim)
         z = self.encoder.eval_np(arr)
         return z[0] if single else z
 
     def reconstruct(self, x: np.ndarray) -> np.ndarray:
-        arr, single = self._check(x)
+        arr, single = nn.as_rows(x, self.config.input_dim)
         out = self.decoder.eval_np(self.encoder.eval_np(arr))
         return out[0] if single else out
 
     # --- objectives ---
 
     def generator_loss(self, x: np.ndarray) -> float:
-        arr, _ = self._check(x)
+        arr, _ = nn.as_rows(x, self.config.input_dim)
         return self._generator_loss_t(Tensor(arr)).item()
 
     def discriminator_loss(self, x: np.ndarray) -> float:
-        arr, _ = self._check(x)
+        arr, _ = nn.as_rows(x, self.config.input_dim)
         x_hat = self.decoder.eval_np(self.encoder.eval_np(arr))
         d_real = Tensor(self.discriminator.eval_np(arr))
         d_fake = Tensor(self.discriminator.eval_np(x_hat))
@@ -130,9 +129,8 @@ class FeatureExtractor:
         return self.discriminator.params
 
     def param_items(self) -> list[tuple[str, Tensor]]:
-        return (self.encoder.param_items("encoder.")
-                + self.decoder.param_items("decoder.")
-                + self.discriminator.param_items("discriminator."))
+        return (self.encoder.param_items() + self.decoder.param_items()
+                + self.discriminator.param_items())
 
 
 def training_matrix(dataset: Sequence[EncodedPacket] | np.ndarray,
@@ -184,17 +182,11 @@ def train_extractor(dataset: Sequence[EncodedPacket] | np.ndarray,
 
 
 def extractor_from_checkpoint(ckpt: Checkpoint) -> FeatureExtractor:
-    model = FeatureExtractor.create(ExtractorConfig.from_dict(ckpt.meta["config"]),
-                                    ckpt.seed)
-    nn.load_params(model.param_items(), ckpt.tensors)
-    return model
+    return build_model(ckpt, ExtractorConfig, FeatureExtractor.from_tables)
 
 
 def encoder_from_checkpoint(ckpt: Checkpoint) -> MLP:
-    """Rebuild just the encoder; usable with a checkpoint loaded with
+    """Just the encoder; usable with a checkpoint loaded with
     include=("encoder.",) so no other parameter table is ever materialized."""
-    cfg = ExtractorConfig.from_dict(ckpt.meta["config"])
-    rng = rng_for(ckpt.seed, "extractor-init")
-    encoder = MLP.create(rng, cfg.encoder_widths, Activation.RELU, Activation.LINEAR)
-    nn.load_params(encoder.param_items("encoder."), ckpt.tensors)
-    return encoder
+    return build_model(ckpt, ExtractorConfig,
+                       lambda cfg, tables: MLP.from_tables(tables, *_networks(cfg)[0]))

@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
 from . import nn
-from .checkpoint import Checkpoint, STAGE_FLOW, trained_checkpoint
+from .checkpoint import Checkpoint, STAGE_FLOW, build_model, trained_checkpoint
 from .errors import (
     BadConfig, EmptyDataset, NonFiniteInput, NonFiniteIntermediate, ShapeMismatch,
 )
@@ -63,22 +63,6 @@ class CouplingBlock:
         self.s_clamp = float(s_clamp)
         self.dim = mask.size
 
-    @classmethod
-    def create(cls, rng: np.random.Generator, mask: np.ndarray,
-               hidden: int = 128, s_clamp: float = 2.0) -> "CouplingBlock":
-        n_keep = int(np.sum(mask == 1))
-        n_change = int(mask.size - n_keep)
-        widths = [n_keep, hidden, hidden, n_change]
-        s_net = MLP.create(rng, widths, Activation.RELU, Activation.LINEAR,
-                           zero_init_final=True)
-        t_net = MLP.create(rng, widths, Activation.RELU, Activation.LINEAR,
-                           zero_init_final=True)
-        return cls(mask, s_net, t_net, s_clamp)
-
-    @property
-    def params(self) -> list[Tensor]:
-        return self.s_net.params + self.t_net.params
-
     def _scale_t(self, a: Tensor) -> Tensor:
         return self.s_clamp * nn.tanh(self.s_net(a))
 
@@ -112,6 +96,19 @@ class CouplingBlock:
         return out
 
 
+def _couplings(cfg: FlowConfig) -> Iterator[tuple[slice, tuple, tuple]]:
+    """Each block's pass-through coordinates and its scale and shift subnets as
+    `MLP.from_tables` takes them: even blocks pass the first half (rounded up)
+    through, odd blocks the rest. Lazy: a loader stops at the first misfit table."""
+    first = cfg.dim - cfg.dim // 2
+    for k in range(cfg.blocks):
+        keep = slice(0, first) if k % 2 == 0 else slice(first, cfg.dim)
+        n_keep = keep.stop - keep.start
+        widths = (n_keep, cfg.hidden, cfg.hidden, cfg.dim - n_keep)
+        yield keep, *((f"flow.block{k}.{part}.", widths, Activation.RELU, Activation.LINEAR)
+                      for part in "st")
+
+
 class FlowModel:
     """Ordered coupling blocks with alternating complementary masks."""
 
@@ -121,36 +118,30 @@ class FlowModel:
 
     @classmethod
     def create(cls, cfg: FlowConfig, seed: int) -> "FlowModel":
-        rng = rng_for(seed, "flow-init")
-        base = np.zeros(cfg.dim, dtype=np.int64)
-        base[:cfg.dim - cfg.dim // 2] = 1  # first half (rounded up) passes through
+        nets = (net for _, s, t in _couplings(cfg) for net in (s, t))
+        return cls.from_tables(cfg, nn.init_tables(rng_for(seed, "flow-init"), nets,
+                                                   zero_final=True))
+
+    @classmethod
+    def from_tables(cls, cfg: FlowConfig, tables) -> "FlowModel":
         blocks = []
-        for k in range(cfg.blocks):
-            mask = base if k % 2 == 0 else 1 - base
-            blocks.append(CouplingBlock.create(rng, mask, cfg.hidden, cfg.s_clamp))
+        for keep, s, t in _couplings(cfg):
+            s_net, t_net = MLP.from_tables(tables, *s), MLP.from_tables(tables, *t)
+            mask = np.zeros(cfg.dim, dtype=np.int64)
+            mask[keep] = 1
+            blocks.append(CouplingBlock(mask, s_net, t_net, cfg.s_clamp))
         return cls(blocks, cfg.dim)
 
     @property
     def params(self) -> list[Tensor]:
-        out: list[Tensor] = []
-        for block in self.blocks:
-            out.extend(block.params)
-        return out
+        return [tensor for _, tensor in self.param_items()]
 
     def param_items(self) -> list[tuple[str, Tensor]]:
-        items = []
-        for i, block in enumerate(self.blocks):
-            items.extend(block.s_net.param_items(f"flow.block{i}.s."))
-            items.extend(block.t_net.param_items(f"flow.block{i}.t."))
-        return items
+        return [item for block in self.blocks
+                for item in block.s_net.param_items() + block.t_net.param_items()]
 
     def _check_input(self, z: np.ndarray) -> tuple[np.ndarray, bool]:
-        arr = np.asarray(z, dtype=np.float64)
-        single = arr.ndim == 1
-        if single:
-            arr = arr[None, :]
-        if arr.ndim != 2 or arr.shape[1] != self.dim:
-            raise ShapeMismatch(f"expected vectors of dim {self.dim}, got {arr.shape}")
+        arr, single = nn.as_rows(z, self.dim)
         if arr.size and not np.isfinite(arr).all():
             raise NonFiniteInput("input contains NaN or infinity")
         return arr, single
@@ -230,6 +221,4 @@ def train_flow(model: FlowModel, latents: np.ndarray, cfg: FlowConfig,
 
 
 def flow_from_checkpoint(ckpt: Checkpoint) -> FlowModel:
-    model = FlowModel.create(FlowConfig.from_dict(ckpt.meta["config"]), ckpt.seed)
-    nn.load_params(model.param_items(), ckpt.tensors)
-    return model
+    return build_model(ckpt, FlowConfig, FlowModel.from_tables)

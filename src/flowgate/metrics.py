@@ -9,7 +9,7 @@ parses back exactly.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
@@ -69,7 +69,6 @@ class EvalReport:
     bins: int = HISTOGRAM_BINS
     hist_normal: tuple[int, ...] = ()
     hist_anomaly: tuple[int, ...] = ()
-    scores: Optional[list[ScoredSample]] = field(default=None, compare=False)
 
 
 def _histogram(scores: np.ndarray, bins: int) -> tuple[int, ...]:
@@ -77,7 +76,7 @@ def _histogram(scores: np.ndarray, bins: int) -> tuple[int, ...]:
     return tuple(int(c) for c in counts)
 
 
-def evaluate(scored: Sequence[ScoredSample], keep_scores: bool = False) -> EvalReport:
+def evaluate(scored: Sequence[ScoredSample]) -> EvalReport:
     """Report over fully labeled scored samples."""
     if any(s.label is None for s in scored):
         raise OneClassOnly("every sample must carry a ground-truth label")
@@ -91,7 +90,6 @@ def evaluate(scored: Sequence[ScoredSample], keep_scores: bool = False) -> EvalR
         bins=HISTOGRAM_BINS,
         hist_normal=_histogram(values[labels == 0], HISTOGRAM_BINS),
         hist_anomaly=_histogram(values[labels == 1], HISTOGRAM_BINS),
-        scores=list(scored) if keep_scores else None,
     )
 
 

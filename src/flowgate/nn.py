@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 from enum import Enum
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -346,32 +346,22 @@ def linear(x: Tensor, weights: Tensor, bias: Tensor) -> Tensor:
     return _record(out, (x, weights, bias), bw)
 
 
+# each activation on tape tensors, and on plain arrays for the eval paths
+_ACTIVATIONS = {
+    Activation.LINEAR: (lambda x: x, lambda x: x),
+    Activation.RELU: (relu, lambda x: np.where(x > 0, x, 0.0)),
+    Activation.LEAKY_RELU: (leaky_relu, lambda x: np.where(x > 0, x, LEAKY_RELU_SLOPE * x)),
+    Activation.TANH: (tanh, np.tanh),
+    Activation.SIGMOID: (sigmoid, _sigmoid_np),
+}
+
+
 def activate(x: Tensor, activation: Activation) -> Tensor:
-    if activation is Activation.LINEAR:
-        return x
-    if activation is Activation.RELU:
-        return relu(x)
-    if activation is Activation.LEAKY_RELU:
-        return leaky_relu(x)
-    if activation is Activation.TANH:
-        return tanh(x)
-    if activation is Activation.SIGMOID:
-        return sigmoid(x)
-    raise ValueError(f"unknown activation {activation!r}")
+    return _ACTIVATIONS[activation][0](x)
 
 
 def _activate_np(x: Array, activation: Activation) -> Array:
-    if activation is Activation.LINEAR:
-        return x
-    if activation is Activation.RELU:
-        return np.where(x > 0, x, 0.0)
-    if activation is Activation.LEAKY_RELU:
-        return np.where(x > 0, x, LEAKY_RELU_SLOPE * x)
-    if activation is Activation.TANH:
-        return np.tanh(x)
-    if activation is Activation.SIGMOID:
-        return _sigmoid_np(x)
-    raise ValueError(f"unknown activation {activation!r}")
+    return _ACTIVATIONS[activation][1](x)
 
 
 # --- losses ---
@@ -395,30 +385,26 @@ def bce(pred: Tensor, target: Tensor) -> Tensor:
 
 # --- layers ---
 
+def as_rows(x, width: int) -> tuple[Array, bool]:
+    """`x`, a 1-D row or a 2-D batch of `width` columns, as a float64 batch,
+    and whether it was a single row."""
+    arr = np.asarray(x, dtype=np.float64)
+    single = arr.ndim == 1
+    if single:
+        arr = arr[None, :]
+    if arr.ndim != 2 or arr.shape[1] != width:
+        raise ShapeMismatch(f"expected rows of width {width}, got shape {arr.shape}")
+    return arr, single
+
+
 class DenseLayer:
     """One fully-connected layer: activation(W x + b) with W shaped [out, in]."""
 
     def __init__(self, weights: Tensor, bias: Tensor,
                  activation: Activation = Activation.LINEAR) -> None:
-        wd, bd = weights.data, bias.data
-        if wd.ndim != 2:
-            raise ShapeMismatch(f"weights must be 2-D, got {wd.shape}")
-        if bd.shape != (wd.shape[0],):
-            raise ShapeMismatch(f"bias shape {bd.shape} does not match weights {wd.shape}")
         self.weights = weights
         self.bias = bias
         self.activation = activation
-
-    @classmethod
-    def create(cls, rng: np.random.Generator, n_in: int, n_out: int,
-               activation: Activation = Activation.LINEAR,
-               zero_init: bool = False) -> "DenseLayer":
-        if zero_init:
-            w = np.zeros((n_out, n_in))
-        else:
-            limit = math.sqrt(6.0 / (n_in + n_out))
-            w = rng.uniform(-limit, limit, size=(n_out, n_in))
-        return cls(Tensor(w), Tensor(np.zeros(n_out)), activation)
 
     @property
     def n_in(self) -> int:
@@ -443,26 +429,55 @@ def forward(layer: DenseLayer, x: Tensor) -> Tensor:
     return activate(linear(x, layer.weights, layer.bias), layer.activation)
 
 
-class MLP:
-    """A stack of dense layers."""
+def init_tables(rng: np.random.Generator, nets: Iterable[tuple],
+                zero_final: bool = False) -> dict[str, Array]:
+    """Initial tables for `nets`, each a (prefix, widths, ...) as `MLP.from_tables`
+    takes it, drawn net by net and layer by layer: uniform Glorot weights, zeros
+    for each net's last layer if `zero_final`, and zero biases."""
+    tables: dict[str, Array] = {}
+    for prefix, widths, *_ in nets:
+        for i, (n_in, n_out) in enumerate(zip(widths[:-1], widths[1:])):
+            limit = math.sqrt(6.0 / (n_in + n_out))
+            tables[f"{prefix}{i}.W"] = (
+                np.zeros((n_out, n_in)) if zero_final and i == len(widths) - 2
+                else rng.uniform(-limit, limit, size=(n_out, n_in)))
+            tables[f"{prefix}{i}.b"] = np.zeros(n_out)
+    return tables
 
-    def __init__(self, layers: Sequence[DenseLayer]) -> None:
+
+class MLP:
+    """A stack of dense layers whose tables are named `{prefix}{i}.W` and `.b`."""
+
+    def __init__(self, layers: Sequence[DenseLayer], prefix: str = "") -> None:
         self.layers = list(layers)
+        self.prefix = prefix
 
     @classmethod
     def create(cls, rng: np.random.Generator, widths: Sequence[int],
                hidden_activation: Activation, final_activation: Activation,
                zero_init_final: bool = False) -> "MLP":
+        tables = init_tables(rng, [("", widths)], zero_init_final)
+        return cls.from_tables(tables, "", widths, hidden_activation, final_activation)
+
+    @classmethod
+    def from_tables(cls, tables: Mapping[str, Array], prefix: str, widths: Sequence[int],
+                    hidden: Activation, final: Activation) -> "MLP":
+        """The network over `tables[f"{prefix}{i}.W"]` and `.b`, held as they are;
+        each must be present with the shape `widths` gives it."""
         if len(widths) < 2:
             raise ShapeMismatch("an MLP needs at least two widths")
         layers = []
-        for i in range(len(widths) - 1):
-            last = i == len(widths) - 2
-            layers.append(DenseLayer.create(
-                rng, widths[i], widths[i + 1],
-                final_activation if last else hidden_activation,
-                zero_init=zero_init_final and last))
-        return cls(layers)
+        for i, (n_in, n_out) in enumerate(zip(widths[:-1], widths[1:])):
+            for name, shape in ((f"{prefix}{i}.W", (n_out, n_in)), (f"{prefix}{i}.b", (n_out,))):
+                if name not in tables:
+                    raise ShapeMismatch(f"missing tensor {name}")
+                if tables[name].shape != shape:
+                    raise ShapeMismatch(f"tensor {name} has shape {tables[name].shape}, "
+                                        f"expected {shape}")
+            layers.append(DenseLayer(Tensor(tables[f"{prefix}{i}.W"]),
+                                     Tensor(tables[f"{prefix}{i}.b"]),
+                                     final if i == len(widths) - 2 else hidden))
+        return cls(layers, prefix)
 
     @property
     def widths(self) -> list[int]:
@@ -470,17 +485,11 @@ class MLP:
 
     @property
     def params(self) -> list[Tensor]:
-        out: list[Tensor] = []
-        for layer in self.layers:
-            out.extend(layer.params)
-        return out
+        return [p for layer in self.layers for p in layer.params]
 
-    def param_items(self, prefix: str) -> list[tuple[str, Tensor]]:
-        items = []
-        for i, layer in enumerate(self.layers):
-            items.append((f"{prefix}{i}.W", layer.weights))
-            items.append((f"{prefix}{i}.b", layer.bias))
-        return items
+    def param_items(self) -> list[tuple[str, Tensor]]:
+        return [(f"{self.prefix}{i}.{k}", p) for i, layer in enumerate(self.layers)
+                for k, p in zip("Wb", layer.params)]
 
     def __call__(self, x: Tensor) -> Tensor:
         for layer in self.layers:
@@ -665,15 +674,3 @@ def fit(params: Sequence[Tensor], arrays: Sequence[Array],
     restore(params, best)
     return history, stopper.best_epoch, n - n_hold
 
-
-def load_params(items: Sequence[tuple[str, Tensor]],
-                tensors: Mapping[str, Array]) -> None:
-    """Copy saved tables into named parameters, each present and of its shape."""
-    for name, tensor in items:
-        if name not in tensors:
-            raise ShapeMismatch(f"checkpoint is missing tensor {name}")
-        saved = tensors[name]
-        if saved.shape != tensor.data.shape:
-            raise ShapeMismatch(f"tensor {name} has shape {saved.shape}, "
-                                f"expected {tensor.data.shape}")
-        tensor.data = saved.copy()

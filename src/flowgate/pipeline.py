@@ -5,8 +5,9 @@ classifier, followed by inference and evaluation on the labeled test set.
 Each stage checkpoint is cached in the work directory under its seed and a
 key: its config plus the sha256 of its direct upstream (`train.csv`,
 `extractor.ckpt`, or `flow.ckpt` and the noise tag). It is reused only when
-both match, so a pipeline resumes stage by stage, and a changed `train.csv`
-retrains all three stages.
+both match and the model builds from it, so a pipeline resumes stage by stage,
+a changed `train.csv` retrains all three stages, and a checkpoint whose config
+or tables do not fit its stage is retrained.
 
 Inference deliberately loads only the encoder and classifier parameter
 tables; the loader records what it materialized so tests can verify nothing
@@ -123,17 +124,21 @@ def _stage(name: str):
 
 
 def _cached_checkpoint(path: Path, stage: str, fingerprint: str, seed: int,
-                       ) -> Optional[Checkpoint]:
+                       build: Callable):
+    """`build`'s model of the checkpoint at `path` if that was saved under
+    `fingerprint` and `seed`; None if it is absent, saved under another key,
+    unreadable, or holds a config or tables `build` cannot use."""
     if not path.exists():
         return None
     try:
         ckpt = load_checkpoint(path, expect_stage=stage)
+        if not matches(ckpt, stage, fingerprint, seed):
+            return None
+        model = build(ckpt)
     except (CheckpointMismatch, IoFailure):
         return None
-    if matches(ckpt, stage, fingerprint, seed):
-        log.info("reusing %s", path.name)
-        return ckpt
-    return None
+    log.info("reusing %s", path.name)
+    return model
 
 
 def _sha256(path: Path) -> str:
@@ -149,18 +154,19 @@ def _sha256(path: Path) -> str:
 
 
 def _cached_stage(path: Path, stage: str, seed: int, key: str,
-                  train: Callable[[], Checkpoint]) -> Checkpoint:
-    """The checkpoint at `path` when it was saved under `key` and `seed`, else
-    `train()`'s, saved there under `key`: the fingerprint of the stage's config
-    and the sha256 of its direct upstream, so it covers everything upstream."""
-    ckpt = _cached_checkpoint(path, stage, key, seed)
-    if ckpt is None:
+                  train: Callable[[], Checkpoint], build: Callable):
+    """`build`'s model of the cached checkpoint at `path`, else of `train()`'s,
+    saved there under `key`: the fingerprint of the stage's config and the
+    sha256 of its direct upstream, so it covers everything upstream."""
+    model = _cached_checkpoint(path, stage, key, seed, build)
+    if model is None:
         ckpt = train()
         ckpt.config_fingerprint = key
         save_checkpoint(path, ckpt)
         log.info("%s: best epoch %s of %s", path.name,
                  ckpt.meta["best_epoch"], ckpt.meta["epochs_run"])
-    return ckpt
+        model = build(ckpt)
+    return model
 
 
 class InferenceEngine:
@@ -275,10 +281,11 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
     ext_cfg, ext_seed = cfg.extractor_config(), derive_seed(cfg.seed, "stage:extractor")
     ext_path = workdir / "extractor.ckpt"
     with _stage("train-extractor"):
-        extractor = extractor_from_checkpoint(_cached_stage(
+        extractor = _cached_stage(
             ext_path, STAGE_EXTRACTOR, ext_seed,
             config_fingerprint({**ext_cfg.to_dict(), "upstream": _sha256(train_csv)}),
-            lambda: train_extractor(train_matrix, ext_cfg, ext_seed)))
+            lambda: train_extractor(train_matrix, ext_cfg, ext_seed),
+            extractor_from_checkpoint)
 
     with _stage("encode-latents"):
         latents = extractor.encode(train_matrix)
@@ -288,11 +295,12 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
     flow_cfg, flow_seed = cfg.flow_config(), derive_seed(cfg.seed, "stage:flow")
     flow_path = workdir / "flow.ckpt"
     with _stage("train-flow"):
-        flow = flow_from_checkpoint(_cached_stage(
+        flow = _cached_stage(
             flow_path, STAGE_FLOW, flow_seed,
             config_fingerprint({**flow_cfg.to_dict(), "upstream": _sha256(ext_path)}),
             lambda: train_flow(FlowModel.create(flow_cfg, flow_seed), latents,
-                               flow_cfg, flow_seed)))
+                               flow_cfg, flow_seed),
+            flow_from_checkpoint)
         flow_digest = _sha256(flow_path)
 
     with _stage("load-test"):
@@ -307,13 +315,14 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
         clf_seed = derive_seed(cfg.seed, f"stage:classifier:{tag}")
         clf_path = workdir / f"classifier_{tag}.ckpt"
         with _stage(f"train-classifier-{tag}"):
-            classifier = classifier_from_checkpoint(_cached_stage(
+            classifier = _cached_stage(
                 clf_path, STAGE_CLASSIFIER, clf_seed,
                 config_fingerprint({**clf_cfg.to_dict(), "noise": tag,
                                     "upstream": flow_digest}),
                 lambda: train_classifier(
                     latents, _synthesize(cfg, workdir, flow, latents, mu, sigma),
-                    clf_cfg, clf_seed)))
+                    clf_cfg, clf_seed),
+                classifier_from_checkpoint)
         with _stage(f"infer-{tag}"):
             scored = _scored(classifier.score(test_latents), test_packets)
             write_scores(workdir / f"scores_{tag}.csv", scored)

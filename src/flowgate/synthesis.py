@@ -40,7 +40,7 @@ class SynthesisConfig:
 def sample_noise(spec: NoiseSpec, n: int, dim: int = 70) -> np.ndarray:
     """n noise vectors mu + sigma * eps with eps ~ N(0, I), seeded."""
     if n < 0:
-        raise ValueError("n must be non-negative")
+        raise BadConfig(f"n must be non-negative, got {n}")
     rng = rng_for(spec.seed, "noise")
     eps = rng.standard_normal((n, dim))
     return spec.mu + spec.sigma * eps

@@ -6,6 +6,7 @@ bytes are independent of the code under test.
 from __future__ import annotations
 
 import json
+import math
 import struct
 
 
@@ -85,3 +86,21 @@ def checkpoint_with_header(raw: bytes, edit) -> bytes:
     header = json.loads(raw[14:14 + length])
     blob = json.dumps(edit(header)).encode("utf-8")
     return raw[:10] + struct.pack("<I", len(blob)) + blob + raw[14 + length:]
+
+
+def checkpoint_without_table(raw: bytes, name: str) -> bytes:
+    """A checkpoint file's bytes with table `name` dropped from both the header's
+    table and the payload, so the file stays self-consistent."""
+    (length,) = struct.unpack_from("<I", raw, 10)
+    header = json.loads(raw[14:14 + length])
+    assert name in [entry[0] for entry in header["tensors"]], name
+    payload, start = raw[14 + length:], 0
+    for entry_name, shape in header["tensors"]:
+        size = 8 * math.prod(shape)
+        if entry_name == name:
+            break
+        start += size
+    header["tensors"] = [e for e in header["tensors"] if e[0] != name]
+    blob = json.dumps(header).encode("utf-8")
+    return (raw[:10] + struct.pack("<I", len(blob)) + blob
+            + payload[:start] + payload[start + size:])

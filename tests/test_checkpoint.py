@@ -9,7 +9,14 @@ from flowgate.checkpoint import (
     Checkpoint, MAGIC, STAGE_CLASSIFIER, STAGE_EXTRACTOR, STAGE_FLOW,
     config_fingerprint, load_checkpoint, matches, save_checkpoint,
 )
+from flowgate.classifier import (
+    ClassifierConfig, classifier_from_checkpoint, train_classifier,
+)
 from flowgate.errors import CheckpointMismatch, FlowgateError, IoFailure
+from flowgate.extractor import (
+    ExtractorConfig, encoder_from_checkpoint, extractor_from_checkpoint, train_extractor,
+)
+from flowgate.flow import FlowConfig, FlowModel, flow_from_checkpoint, train_flow
 from crafting import checkpoint_with_header
 
 
@@ -235,3 +242,45 @@ def test_mutated_headers_raise_only_flowgate_errors(tmp_path):
         loaded += 1
         assert all(np.isfinite(t).all() for t in ckpt.tensors.values())
     assert loaded > 0
+
+
+def _tiny_trained_checkpoints() -> dict:
+    """Real checkpoints of all three stages at tiny widths, with their loaders."""
+    rng = np.random.default_rng(5)
+    ext_cfg = ExtractorConfig(latent_dim=4, encoder_widths=(1600, 8, 4),
+                              disc_widths=(1600, 4, 1), epochs=1)
+    flow_cfg = FlowConfig(dim=4, blocks=2, hidden=4, epochs=1)
+    clf_cfg = ClassifierConfig(widths=(4, 3, 1), epochs=1)
+    latents = rng.standard_normal((12, 4))
+    return {
+        "extractor": (train_extractor(rng.integers(0, 256, (12, 1600)) / 255.0, ext_cfg, 1),
+                      (extractor_from_checkpoint, encoder_from_checkpoint)),
+        "flow": (train_flow(FlowModel.create(flow_cfg, 2), latents, flow_cfg, 2),
+                 (flow_from_checkpoint,)),
+        "classifier": (train_classifier(latents, latents + 3.0, clf_cfg, 3),
+                       (classifier_from_checkpoint,)),
+    }
+
+
+def test_mutated_headers_of_real_checkpoints_load_and_build_or_raise_flowgate_errors(
+        tmp_path):
+    rng = np.random.default_rng(20261019)
+    path = tmp_path / "mutant.ckpt"
+    for stage, (ckpt, loaders) in _tiny_trained_checkpoints().items():
+        save_checkpoint(tmp_path / "x.ckpt", ckpt)
+        raw = (tmp_path / "x.ckpt").read_bytes()
+        built = refused = 0
+        for _ in range(300):
+            path.write_bytes(mutate_header(rng, raw))
+            try:
+                mutant = load_checkpoint(path)
+            except FlowgateError:
+                continue
+            for load in loaders:
+                try:
+                    load(mutant)
+                    built += 1
+                except FlowgateError:
+                    refused += 1
+        # the fuzz reaches the loaders, and they both build and refuse
+        assert built > 0 and refused > 0, stage

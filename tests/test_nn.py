@@ -5,12 +5,12 @@ import pytest
 
 from flowgate import nn
 from flowgate.checkpoint import (
-    Checkpoint, STAGE_CLASSIFIER, STAGE_EXTRACTOR, STAGE_FLOW,
+    Checkpoint, STAGE_CLASSIFIER, STAGE_EXTRACTOR, STAGE_FLOW, trained_checkpoint,
 )
 from flowgate.classifier import (
     ClassifierConfig, ClassifierModel, classifier_from_checkpoint,
 )
-from flowgate.errors import DetachedLoss, ShapeMismatch
+from flowgate.errors import CheckpointMismatch, DetachedLoss, ShapeMismatch
 from flowgate.extractor import (
     ExtractorConfig, FeatureExtractor, encoder_from_checkpoint,
     extractor_from_checkpoint,
@@ -52,7 +52,7 @@ def test_forward_shape_mismatch():
 
 def test_forward_batched_matches_single():
     rng = np.random.default_rng(0)
-    layer = DenseLayer.create(rng, 5, 3, Activation.TANH)
+    layer = MLP.create(rng, [5, 3], Activation.TANH, Activation.TANH).layers[0]
     x = rng.standard_normal((4, 5))
     batched = forward(layer, Tensor(x)).data
     for i in range(4):
@@ -120,7 +120,7 @@ def test_unrecorded_params_get_zero_gradient():
 @pytest.mark.parametrize("activation", list(Activation))
 def test_gradient_check_every_layer_type(activation):
     rng = np.random.default_rng(hash(activation.value) % 2**32)
-    layer = DenseLayer.create(rng, 5, 4, activation)
+    layer = MLP.create(rng, [5, 4], activation, activation).layers[0]
     x = Tensor(rng.standard_normal((3, 5)))
     target = rng.standard_normal((3, 4)) * 0.1 + 0.4
 
@@ -245,10 +245,11 @@ def test_forward_deterministic():
 
 def test_dense_create_weight_range():
     rng = np.random.default_rng(5)
-    layer = DenseLayer.create(rng, 30, 20, Activation.RELU)
+    tables = nn.init_tables(rng, [("dense.", (30, 20))])
     limit = math.sqrt(6.0 / 50.0)
-    assert np.abs(layer.weights.data).max() <= limit
-    np.testing.assert_array_equal(layer.bias.data, np.zeros(20))
+    assert tables["dense.0.W"].shape == (20, 30)
+    assert np.abs(tables["dense.0.W"]).max() <= limit
+    np.testing.assert_array_equal(tables["dense.0.b"], np.zeros(20))
 
 
 # --- the shared training loop and parameter loader ---
@@ -317,18 +318,22 @@ def test_fit_splits_every_array_alike():
         np.testing.assert_array_equal(yb, -xb)
 
 
-def _untrained_checkpoint(stage: str) -> Checkpoint:
-    """A small model's parameters and config, saved as `stage` would save them."""
+def _untrained_model(stage: str):
+    """A small model of `stage` and its config."""
     if stage == STAGE_EXTRACTOR:
         cfg = ExtractorConfig(latent_dim=4, encoder_widths=(1600, 8, 4),
                               disc_widths=(1600, 4, 1))
-        model = FeatureExtractor.create(cfg, 0)
-    elif stage == STAGE_FLOW:
+        return FeatureExtractor.create(cfg, 0), cfg
+    if stage == STAGE_FLOW:
         cfg = FlowConfig(dim=4, blocks=2, hidden=4)
-        model = FlowModel.create(cfg, 0)
-    else:
-        cfg = ClassifierConfig(widths=(4, 3, 1))
-        model = ClassifierModel.create(cfg, 0)
+        return FlowModel.create(cfg, 0), cfg
+    cfg = ClassifierConfig(widths=(4, 3, 1))
+    return ClassifierModel.create(cfg, 0), cfg
+
+
+def _untrained_checkpoint(stage: str) -> Checkpoint:
+    """A small model's parameters and config, saved as `stage` would save them."""
+    model, cfg = _untrained_model(stage)
     tensors = {name: t.data.copy() for name, t in model.param_items()}
     return Checkpoint(stage=stage, seed=0, config_fingerprint="",
                       tensors=tensors, meta={"config": cfg.to_dict()})
@@ -347,7 +352,7 @@ def test_loaders_reject_a_missing_table(load, stage, table):
     ckpt = _untrained_checkpoint(stage)
     load(ckpt)  # the intact checkpoint loads
     del ckpt.tensors[table]
-    with pytest.raises(ShapeMismatch, match=f"missing tensor {table}"):
+    with pytest.raises(CheckpointMismatch, match=f"missing tensor {table}"):
         load(ckpt)
 
 
@@ -355,14 +360,33 @@ def test_loaders_reject_a_missing_table(load, stage, table):
 def test_loaders_reject_a_misshapen_table(load, stage, table):
     ckpt = _untrained_checkpoint(stage)
     ckpt.tensors[table] = np.zeros(ckpt.tensors[table].shape + (1,))
-    with pytest.raises(ShapeMismatch, match=f"tensor {table} has shape"):
+    with pytest.raises(CheckpointMismatch, match=f"tensor {table} has shape"):
         load(ckpt)
 
 
-def test_load_params_copies_the_saved_values():
-    p = Tensor(np.zeros((2, 3)))
-    saved = {"w": np.arange(6.0).reshape(2, 3)}
-    nn.load_params([("w", p)], saved)
-    np.testing.assert_array_equal(p.data, saved["w"])
-    saved["w"][0, 0] = 99.0
-    assert p.data[0, 0] == 0.0
+@LOADERS
+def test_loaders_draw_nothing_and_hold_the_saved_tables(load, stage, table, monkeypatch):
+    ckpt = _untrained_checkpoint(stage)
+
+    def no_draws(*args):
+        raise AssertionError("a loader drew random numbers")
+    for module in ("extractor", "flow", "classifier", "nn"):
+        monkeypatch.setattr(f"flowgate.{module}.rng_for", no_draws)
+    items = load(ckpt).param_items()
+    assert table in dict(items)
+    for name, tensor in items:
+        assert tensor.data is ckpt.tensors[name], name  # no second copy
+
+
+@pytest.mark.parametrize("stage, load", [
+    (STAGE_EXTRACTOR, extractor_from_checkpoint),
+    (STAGE_FLOW, flow_from_checkpoint),
+    (STAGE_CLASSIFIER, classifier_from_checkpoint),
+], ids=["extractor", "flow", "classifier"])
+def test_a_built_model_shares_no_array_with_the_trained_one(stage, load):
+    trained, cfg = _untrained_model(stage)
+    built = load(trained_checkpoint(stage, 0, cfg.to_dict(), trained.param_items(),
+                                    0, "holdout", [0.0]))
+    for (name, saved), (_, kept) in zip(trained.param_items(), built.param_items()):
+        np.testing.assert_array_equal(kept.data, saved.data)
+        assert not np.shares_memory(kept.data, saved.data), name

@@ -9,13 +9,14 @@ import numpy as np
 import pytest
 
 from flowgate.checkpoint import load_checkpoint
+from flowgate.cli import main as cli_main
 from flowgate.dataset import read_dataset, write_dataset
 from flowgate.errors import AnomalyInTrainingSet, CheckpointMismatch
 from flowgate.metrics import read_report, read_scores
 import flowgate.pipeline as pipeline
 from flowgate.pipeline import InferenceEngine, infer, ratio_ablation, run_pipeline
 from conftest import tiny_pipeline_config
-from crafting import checkpoint_with_header
+from crafting import checkpoint_with_header, checkpoint_without_table
 
 
 @pytest.fixture(scope="module")
@@ -82,6 +83,54 @@ def test_pipeline_retrains_a_checkpoint_with_a_malformed_header(pipeline_run, tm
     again = run_pipeline(dataclasses.replace(cfg, workdir=str(workdir)))
     assert again.flow_ckpt.read_bytes() == flow_before
     assert again.best.auroc == first.best.auroc
+
+
+def _without_config(header):
+    return {**header, "meta": {k: v for k, v in header["meta"].items() if k != "config"}}
+
+
+def _with_unknown_config_key(header):
+    meta = header["meta"]
+    return {**header, "meta": {**meta, "config": {**meta["config"], "colour": "red"}}}
+
+
+@pytest.mark.parametrize("edit", [_without_config, _with_unknown_config_key],
+                         ids=["no-config", "unknown-config-key"])
+def test_pipeline_retrains_a_flow_whose_config_cannot_be_built(pipeline_run, tmp_path, edit):
+    cfg, first = pipeline_run
+    workdir = tmp_path / "work"
+    shutil.copytree(first.extractor_ckpt.parent, workdir)
+    flow_before = first.flow_ckpt.read_bytes()
+    (workdir / "flow.ckpt").write_bytes(checkpoint_with_header(flow_before, edit))
+    again = run_pipeline(dataclasses.replace(cfg, workdir=str(workdir)))
+    assert again.flow_ckpt.read_bytes() == flow_before
+    assert again.best.auroc == first.best.auroc
+
+
+def test_pipeline_retrains_a_classifier_missing_a_table(pipeline_run, tmp_path):
+    cfg, first = pipeline_run
+    workdir = tmp_path / "work"
+    shutil.copytree(first.extractor_ckpt.parent, workdir)
+    clf_path = workdir / first.classifier_ckpts[(0.0, 1.0)].name
+    clf_before = clf_path.read_bytes()
+    clf_path.write_bytes(checkpoint_without_table(clf_before, "classifier.1.W"))
+    assert load_checkpoint(clf_path).available  # still a well-formed file
+    again = run_pipeline(dataclasses.replace(cfg, workdir=str(workdir)))
+    assert again.classifier_ckpts[(0.0, 1.0)].read_bytes() == clf_before
+    assert again.best.auroc == first.best.auroc
+
+
+def test_infer_names_a_classifier_without_a_config(pipeline_run, tiny_corpus, tmp_path,
+                                                   capsys):
+    cfg, first = pipeline_run
+    bad = tmp_path / "classifier.ckpt"
+    bad.write_bytes(checkpoint_with_header(
+        first.classifier_ckpts[(0.0, 1.0)].read_bytes(), _without_config))
+    assert cli_main(["infer", "--extractor", str(first.extractor_ckpt),
+                     "--classifier", str(bad), "--data", str(tiny_corpus[1]),
+                     "--scores-out", str(tmp_path / "s.csv")]) == 2
+    assert f"error: {bad}: meta holds no config object" in capsys.readouterr().err
+    assert not (tmp_path / "s.csv").exists()
 
 
 def _checkpoints_saved(monkeypatch, cfg) -> set[str]:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from flowgate.errors import EmptyInput, NegativeSigma
+from flowgate.errors import BadConfig, EmptyInput, NegativeSigma
 from flowgate.flow import FlowConfig, FlowModel
 from flowgate.synthesis import NoiseSpec, SynthesisConfig, sample_noise, synthesize
 
@@ -31,6 +31,11 @@ def test_noise_deterministic_per_seed_and_n():
 def test_negative_sigma_rejected():
     with pytest.raises(NegativeSigma):
         NoiseSpec(mu=0.0, sigma=-1.0, seed=0)
+
+
+def test_negative_noise_count_is_a_bad_config():
+    with pytest.raises(BadConfig, match="n must be non-negative, got -1"):
+        sample_noise(NoiseSpec(mu=0.0, sigma=1.0, seed=0), n=-1)
 
 
 def test_table_grid_specs_construct():
