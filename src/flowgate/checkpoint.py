@@ -13,6 +13,7 @@ import json
 import math
 import os
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Mapping, Optional, Sequence
@@ -69,18 +70,27 @@ def trained_checkpoint(stage: str, seed: int, config: dict, items, best_epoch: i
                       tensors={name: t.data.copy() for name, t in items}, meta=meta)
 
 
-def build_model(ckpt: Checkpoint, config_type: type, build: Callable):
+def build_model(ckpt: Checkpoint, config_type: type, build: Callable, prefix: str = ""):
     """`build(config, tables)` from the stage config in the checkpoint's meta.
-    A missing or invalid config, or a table missing or misshapen for it, is a
-    CheckpointMismatch naming the file, so the stage cache retrains it."""
+    A missing or invalid config, a table missing or misshapen for it, or a loaded
+    table under `prefix` that the built model does not use is a CheckpointMismatch
+    naming the file, so the stage cache retrains it."""
+    where = ckpt.path or ckpt.stage
     config = ckpt.meta.get("config")
     # a value out of range raises BadConfig (a ValueError); a mistyped or unknown key, TypeError
     try:
         if not isinstance(config, dict):
             raise TypeError("meta holds no config object")
-        return build(config_type.from_dict(config), ckpt.tensors)
+        model = build(config_type.from_dict(config), ckpt.tensors)
     except (ShapeMismatch, TypeError, ValueError, LookupError) as err:
-        raise CheckpointMismatch(f"{ckpt.path or ckpt.stage}: {err}") from err
+        raise CheckpointMismatch(f"{where}: {err}") from err
+    used = {name for name, _ in model.param_items()}
+    unused = sorted(name for name in ckpt.tensors
+                    if name.startswith(prefix) and name not in used)
+    if unused:
+        raise CheckpointMismatch(
+            f"{where}: {len(unused)} tables unused by its config: {', '.join(unused)}")
+    return model
 
 
 def save_checkpoint(path: str | Path, ckpt: Checkpoint) -> None:
@@ -94,20 +104,27 @@ def save_checkpoint(path: str | Path, ckpt: Checkpoint) -> None:
         "tensors": [[name, list(ckpt.tensors[name].shape)] for name in names],
     }
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    # written beside the target and renamed over it, so a run killed mid-save
-    # leaves the old file or none, never a truncated one
+    with replacing(path, "checkpoint") as fh:
+        fh.write(MAGIC)
+        fh.write(struct.pack("<B", FORMAT_VERSION))
+        fh.write(struct.pack("<I", len(blob)))
+        fh.write(blob)
+        for name in names:
+            fh.write(np.ascontiguousarray(ckpt.tensors[name], dtype=np.float64).tobytes())
+
+
+@contextmanager
+def replacing(path: str | Path, what: str):
+    """A binary file to write `path`'s new content to. It is written beside the
+    target and renamed over it, so a run killed mid-write leaves the old file or
+    none, never a truncated one. An OSError is an IoFailure naming `what`."""
     tmp = Path(path).with_name(Path(path).name + ".tmp")
     try:
         with open(tmp, "wb") as fh:
-            fh.write(MAGIC)
-            fh.write(struct.pack("<B", FORMAT_VERSION))
-            fh.write(struct.pack("<I", len(blob)))
-            fh.write(blob)
-            for name in names:
-                fh.write(np.ascontiguousarray(ckpt.tensors[name], dtype=np.float64).tobytes())
+            yield fh
         os.replace(tmp, path)
     except OSError as err:
-        raise IoFailure(f"cannot write checkpoint {path}: {err}") from err
+        raise IoFailure(f"cannot write {what} {path}: {err}") from err
     finally:
         tmp.unlink(missing_ok=True)
 

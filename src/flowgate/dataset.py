@@ -61,8 +61,8 @@ def write_dataset(packets: Iterable[EncodedPacket], out: str | Path) -> int:
     return count
 
 
-def _lookup_row(line: str) -> Optional[tuple[np.ndarray, Optional[Label]]]:
-    """Values and label of a line in write_dataset's spelling, else None."""
+def _lookup_row(line: str) -> Optional[tuple[bytes, Optional[Label]]]:
+    """Byte codes and label of a line in write_dataset's spelling, else None."""
     # a file in another spelling usually differs in its first field already;
     # skip splitting the line that the float parser will split again
     if line[:line.find(",")] not in _BYTE_OF:
@@ -73,11 +73,9 @@ def _lookup_row(line: str) -> Optional[tuple[np.ndarray, Optional[Label]]]:
         return None
     label = _LABEL_OF[fields.pop()]
     try:
-        codes = bytes(map(_BYTE_OF.__getitem__, fields))
+        return bytes(map(_BYTE_OF.__getitem__, fields)), label
     except KeyError:
         return None
-    # uint8 / 255.0 is the same correctly rounded quotient repr(b / 255.0) spells
-    return np.frombuffer(codes, dtype=np.uint8) / 255.0, label
 
 
 def _parse_row(row: list[str], where: str) -> tuple[np.ndarray, Optional[Label]]:
@@ -112,12 +110,15 @@ def read_dataset(path: str | Path) -> list[EncodedPacket]:
                 raise MalformedRow(f"{path}: missing or wrong header row")
             for lineno, line in enumerate(lines):
                 where = f"{path}:{lineno + 2}"
-                parsed = _lookup_row(line)
-                if parsed is None:
-                    # csv.reader pulls further lines when a quoted field spans them
-                    record = next(csv.reader(itertools.chain([line], lines)))
-                    parsed = _parse_row(record, where)
-                values, label = parsed
+                looked_up = _lookup_row(line)
+                if looked_up is not None:
+                    # b / 255.0 is the same correctly rounded quotient repr(b / 255.0) spells
+                    codes, label = looked_up
+                    packets.append(EncodedPacket.of_bytes(codes, label, (fid, lineno)))
+                    continue
+                # csv.reader pulls further lines when a quoted field spans them
+                record = next(csv.reader(itertools.chain([line], lines)))
+                values, label = _parse_row(record, where)
                 try:
                     packets.append(EncodedPacket(values=values, label=label,
                                                  source_id=(fid, lineno)))
@@ -147,9 +148,9 @@ def write_latents(path: str | Path, latents: np.ndarray,
     try:
         with open(path, "w", newline="") as fh:
             fh.write(",".join(f"z{i}" for i in range(arr.shape[1])) + ",label\n")
-            for i, row in enumerate(arr):
+            for i, row in enumerate(arr.tolist()):  # Python floats: repr spells each exactly
                 label = labels[i] if labels is not None else None
-                fh.write(",".join(repr(float(v)) for v in row))
+                fh.write(",".join(map(repr, row)))
                 fh.write("," + _label_str(label) + "\n")
     except OSError as err:
         raise IoFailure(f"cannot write {path}: {err}") from err

@@ -189,4 +189,5 @@ def encoder_from_checkpoint(ckpt: Checkpoint) -> MLP:
     """Just the encoder; usable with a checkpoint loaded with
     include=("encoder.",) so no other parameter table is ever materialized."""
     return build_model(ckpt, ExtractorConfig,
-                       lambda cfg, tables: MLP.from_tables(tables, *_networks(cfg)[0]))
+                       lambda cfg, tables: MLP.from_tables(tables, *_networks(cfg)[0]),
+                       prefix="encoder.")

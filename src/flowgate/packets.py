@@ -96,6 +96,18 @@ class EncodedPacket:
         if np.abs(scaled - np.rint(scaled)).max() > 1e-9:
             raise ValueError("values must be integral multiples of 1/255")
 
+    @classmethod
+    def of_bytes(cls, codes: bytes | bytearray, label: Optional[Label] = None,
+                 source_id: Optional[tuple[str, int]] = None) -> "EncodedPacket":
+        """The packet whose values are `codes`' bytes divided by 255. Those lie in
+        [0, 1] on the 1/255 grid by construction, so only the length is checked."""
+        if len(codes) != VECTOR_LEN:
+            raise ValueError(f"expected {VECTOR_LEN} values, got {len(codes)}")
+        packet = object.__new__(cls)
+        packet.values = np.frombuffer(codes, dtype=np.uint8) / 255.0
+        packet.label, packet.source_id = label, source_id
+        return packet
+
 
 def strip_link_layer(p: RawPacket) -> bytes | FilterVerdict:
     """Bytes after the Ethernet II header (single VLAN tag skipped), or an ARP drop."""
@@ -201,8 +213,7 @@ def canonicalize(p: ParsedPacket, label: Optional[Label] = None,
     buf[IP_HEADER_SLOT:IP_HEADER_SLOT + len(th)] = th
     payload = p.payload[:MAX_PAYLOAD]
     buf[PAYLOAD_OFFSET:PAYLOAD_OFFSET + len(payload)] = payload
-    values = np.frombuffer(bytes(buf), dtype=np.uint8).astype(np.float64) / 255.0
-    return EncodedPacket(values=values, label=label, source_id=source_id)
+    return EncodedPacket.of_bytes(buf, label=label, source_id=source_id)
 
 
 @dataclass

@@ -9,14 +9,25 @@ both match and the model builds from it, so a pipeline resumes stage by stage,
 a changed `train.csv` retrains all three stages, and a checkpoint whose config
 or tables do not fit its stage is retrained.
 
+Every run ends by writing `run.json`: the sha256 of `extractor.ckpt` and of
+the `train_latents.csv` encoded by it, and for each stage checkpoint whether
+it was reused or trained, why it was trained, and the seconds it took. A rerun
+whose extractor is reused parses no `train.csv` and encodes nothing: it takes
+the training latents from `train_latents.csv` when `run.json` records both
+files as they are on disk, and reads them only if the flow or a classifier is
+trained. Otherwise the latents are encoded again and the file rewritten.
+
 Inference deliberately loads only the encoder and classifier parameter
 tables; the loader records what it materialized so tests can verify nothing
 else was touched.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
+import json
 import logging
+import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -26,13 +37,15 @@ import numpy as np
 
 from .checkpoint import (
     Checkpoint, STAGE_CLASSIFIER, STAGE_EXTRACTOR, STAGE_FLOW,
-    config_fingerprint, load_checkpoint, matches, save_checkpoint,
+    config_fingerprint, load_checkpoint, matches, replacing, save_checkpoint,
 )
 from .classifier import (
     ClassifierConfig, ClassifierModel, classifier_from_checkpoint,
     train_classifier,
 )
-from .dataset import read_dataset, values_matrix, write_dataset, write_latents
+from .dataset import (
+    read_dataset, read_latents, values_matrix, write_dataset, write_latents,
+)
 from .errors import CheckpointMismatch, FlowgateError, IoFailure
 from .extractor import (
     ExtractorConfig, encoder_from_checkpoint, extractor_from_checkpoint,
@@ -123,22 +136,30 @@ def _stage(name: str):
         raise
 
 
+# why a lookup missed: `_cached_checkpoint` returns only the model, as
+# perfbench's wrapper of it expects, and `_cached_stage` takes the reason out
+# right after the call, so no entry outlives its lookup
+_MISSES: dict[Path, str] = {}
+
+
 def _cached_checkpoint(path: Path, stage: str, fingerprint: str, seed: int,
                        build: Callable):
     """`build`'s model of the checkpoint at `path` if that was saved under
-    `fingerprint` and `seed`; None if it is absent, saved under another key,
-    unreadable, or holds a config or tables `build` cannot use."""
+    `fingerprint` and `seed`; else None, with the reason in `_MISSES[path]`: the
+    file is missing, saved under another key or seed, or refused because it is
+    unreadable or holds a config or tables `build` cannot use."""
     if not path.exists():
+        _MISSES[path] = "missing"
         return None
     try:
         ckpt = load_checkpoint(path, expect_stage=stage)
-        if not matches(ckpt, stage, fingerprint, seed):
-            return None
-        model = build(ckpt)
-    except (CheckpointMismatch, IoFailure):
-        return None
-    log.info("reusing %s", path.name)
-    return model
+        if matches(ckpt, stage, fingerprint, seed):
+            return build(ckpt)
+        _MISSES[path] = ("saved under another seed" if ckpt.config_fingerprint == fingerprint
+                         else "saved under another key")
+    except (CheckpointMismatch, IoFailure) as err:
+        _MISSES[path] = f"refused: {err}"
+    return None
 
 
 def _sha256(path: Path) -> str:
@@ -154,19 +175,58 @@ def _sha256(path: Path) -> str:
 
 
 def _cached_stage(path: Path, stage: str, seed: int, key: str,
-                  train: Callable[[], Checkpoint], build: Callable):
+                  train: Callable[[], Checkpoint], build: Callable, outcomes: dict):
     """`build`'s model of the cached checkpoint at `path`, else of `train()`'s,
     saved there under `key`: the fingerprint of the stage's config and the
-    sha256 of its direct upstream, so it covers everything upstream."""
+    sha256 of its direct upstream, so it covers everything upstream. Logs and
+    sets `outcomes[path.name]`: reused or trained, why, and the seconds taken."""
+    start = time.perf_counter()
     model = _cached_checkpoint(path, stage, key, seed, build)
     if model is None:
+        outcome = {"outcome": "trained", "reason": _MISSES.pop(path)}
         ckpt = train()
         ckpt.config_fingerprint = key
         save_checkpoint(path, ckpt)
         log.info("%s: best epoch %s of %s", path.name,
                  ckpt.meta["best_epoch"], ckpt.meta["epochs_run"])
         model = build(ckpt)
+    else:
+        outcome = {"outcome": "reused"}
+    outcome["seconds"] = round(time.perf_counter() - start, 3)
+    outcomes[path.name] = outcome
+    log.info("%s %s%s in %.3f s", path.name, outcome["outcome"],
+             f" ({outcome['reason']})" if "reason" in outcome else "", outcome["seconds"])
     return model
+
+
+RUN_RECORD = "run.json"
+TRAIN_LATENTS = "train_latents.csv"
+
+
+def _recorded_latents(workdir: Path, ext_digest: str) -> Optional[str]:
+    """The sha256 of `train_latents.csv` if `run.json` records that file as it
+    is on disk and as encoded by the extractor whose sha256 is `ext_digest`;
+    else None, logging why the latents are encoded again."""
+    latents = workdir / TRAIN_LATENTS
+    try:
+        record = json.loads((workdir / RUN_RECORD).read_bytes())
+    except FileNotFoundError:
+        why = f"no {RUN_RECORD}"
+    except (OSError, ValueError, RecursionError) as err:  # bad UTF-8 or JSON, or too deep
+        why = f"{RUN_RECORD} is unreadable: {err}"
+    else:
+        if not isinstance(record, dict):
+            why = f"{RUN_RECORD} is not a JSON object"
+        elif record.get("extractor_sha256") != ext_digest:
+            why = f"{RUN_RECORD} names another extractor"
+        elif not latents.is_file():
+            why = f"no {latents.name}"
+        elif (digest := _sha256(latents)) != record.get("train_latents_sha256"):
+            why = f"{latents.name} is not the file {RUN_RECORD} records"
+        else:
+            return digest
+    log.info("encoding %s again: %s", latents.name, why)
+    return None
 
 
 class InferenceEngine:
@@ -275,8 +335,12 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
     workdir = Path(cfg.workdir)
     workdir.mkdir(parents=True, exist_ok=True)
     train_csv, test_csv = _prepare_datasets(cfg, workdir)
-    with _stage("load-train"):
-        train_matrix = training_matrix(read_dataset(train_csv), VECTOR_LEN)
+    outcomes: dict[str, dict] = {}
+
+    @functools.cache
+    def train_matrix() -> np.ndarray:
+        with _stage("load-train"):
+            return training_matrix(read_dataset(train_csv), VECTOR_LEN)
 
     ext_cfg, ext_seed = cfg.extractor_config(), derive_seed(cfg.seed, "stage:extractor")
     ext_path = workdir / "extractor.ckpt"
@@ -284,23 +348,35 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
         extractor = _cached_stage(
             ext_path, STAGE_EXTRACTOR, ext_seed,
             config_fingerprint({**ext_cfg.to_dict(), "upstream": _sha256(train_csv)}),
-            lambda: train_extractor(train_matrix, ext_cfg, ext_seed),
-            extractor_from_checkpoint)
+            lambda: train_extractor(train_matrix(), ext_cfg, ext_seed),
+            extractor_from_checkpoint, outcomes)
+        ext_digest = _sha256(ext_path)
 
-    with _stage("encode-latents"):
-        latents = extractor.encode(train_matrix)
-        write_latents(workdir / "train_latents.csv", latents,
-                      [Label.NORMAL] * latents.shape[0])
+    latents_path = workdir / TRAIN_LATENTS
+    latents_digest = _recorded_latents(workdir, ext_digest)
+    encoded = None
+    if latents_digest is None:
+        with _stage("encode-latents"):
+            encoded = extractor.encode(train_matrix())
+            write_latents(latents_path, encoded, [Label.NORMAL] * encoded.shape[0])
+            latents_digest = _sha256(latents_path)
+
+    @functools.cache
+    def latents() -> np.ndarray:
+        if encoded is not None:
+            return encoded
+        with _stage("load-latents"):
+            return read_latents(latents_path)[0]
 
     flow_cfg, flow_seed = cfg.flow_config(), derive_seed(cfg.seed, "stage:flow")
     flow_path = workdir / "flow.ckpt"
     with _stage("train-flow"):
         flow = _cached_stage(
             flow_path, STAGE_FLOW, flow_seed,
-            config_fingerprint({**flow_cfg.to_dict(), "upstream": _sha256(ext_path)}),
-            lambda: train_flow(FlowModel.create(flow_cfg, flow_seed), latents,
+            config_fingerprint({**flow_cfg.to_dict(), "upstream": ext_digest}),
+            lambda: train_flow(FlowModel.create(flow_cfg, flow_seed), latents(),
                                flow_cfg, flow_seed),
-            flow_from_checkpoint)
+            flow_from_checkpoint, outcomes)
         flow_digest = _sha256(flow_path)
 
     with _stage("load-test"):
@@ -320,9 +396,9 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
                 config_fingerprint({**clf_cfg.to_dict(), "noise": tag,
                                     "upstream": flow_digest}),
                 lambda: train_classifier(
-                    latents, _synthesize(cfg, workdir, flow, latents, mu, sigma),
+                    latents(), _synthesize(cfg, workdir, flow, latents(), mu, sigma),
                     clf_cfg, clf_seed),
-                classifier_from_checkpoint)
+                classifier_from_checkpoint, outcomes)
         with _stage(f"infer-{tag}"):
             scored = _scored(classifier.score(test_latents), test_packets)
             write_scores(workdir / f"scores_{tag}.csv", scored)
@@ -335,6 +411,10 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
     best = max(reports, key=lambda k: reports[k].auroc)  # the first of equals
     (workdir / "summary.txt").write_text(noise_grid_table(reports, cfg.ratio))
     log.info("best: mu=%g sigma=%g AUROC %.4f", *best, reports[best].auroc)
+    record = {"extractor_sha256": ext_digest, "train_latents_sha256": latents_digest,
+              "stages": outcomes}
+    with replacing(workdir / RUN_RECORD, "run record") as fh:
+        fh.write(json.dumps(record, indent=1).encode("utf-8") + b"\n")
     return PipelineResult(reports[best], best, reports, ext_path, flow_path, clf_paths)
 
 

@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 
 from flowgate import nn
+from flowgate.checkpoint import load_checkpoint, save_checkpoint
 from flowgate.errors import (
-    EmptyDataset, NonFiniteInput, ShapeMismatch,
+    CheckpointMismatch, EmptyDataset, NonFiniteInput, ShapeMismatch,
 )
 from flowgate.flow import (
     FlowConfig, FlowModel, flow_from_checkpoint, nll_t, train_flow,
 )
 from flowgate.nn import GradTape, Tensor
+from crafting import checkpoint_with_header
 from gradcheck import max_rel_error, numeric_grad
 
 
@@ -211,3 +213,21 @@ def test_flow_checkpoint_round_trip():
     rebuilt = flow_from_checkpoint(ckpt)
     z = rng.standard_normal((10, 4))
     np.testing.assert_array_equal(rebuilt.normalize(z)[0], model.normalize(z)[0])
+
+
+def test_flow_checkpoint_with_tables_for_more_blocks_than_its_config_is_refused(tmp_path):
+    cfg = FlowConfig(dim=4, blocks=4, hidden=8, epochs=1)
+    path = tmp_path / "flow.ckpt"
+    save_checkpoint(path, train_flow(FlowModel.create(cfg, seed=3),
+                                     shifted_correlated(np.random.default_rng(8), 50, 4),
+                                     cfg, seed=3))
+
+    def one_block(header):
+        meta = header["meta"]
+        return {**header, "meta": {**meta, "config": {**meta["config"], "blocks": 1}}}
+    path.write_bytes(checkpoint_with_header(path.read_bytes(), one_block))
+    unused = len(make_flow(dim=4, blocks=4, hidden=8).params) \
+        - len(make_flow(dim=4, blocks=1, hidden=8).params)
+    with pytest.raises(CheckpointMismatch,
+                       match=rf"flow.ckpt: {unused} tables unused by its config: flow.block1"):
+        flow_from_checkpoint(load_checkpoint(path))

@@ -390,3 +390,20 @@ def test_a_built_model_shares_no_array_with_the_trained_one(stage, load):
     for (name, saved), (_, kept) in zip(trained.param_items(), built.param_items()):
         np.testing.assert_array_equal(kept.data, saved.data)
         assert not np.shares_memory(kept.data, saved.data), name
+
+
+@LOADERS
+def test_loaders_refuse_a_table_their_config_does_not_use(load, stage, table):
+    ckpt = _untrained_checkpoint(stage)
+    extra = table.split(".")[0] + ".9.W"
+    ckpt.tensors[extra] = np.zeros((2, 2))
+    with pytest.raises(CheckpointMismatch, match=f"1 tables unused by its config: {extra}"):
+        load(ckpt)
+
+
+def test_the_encoder_loader_checks_only_the_encoder_tables():
+    ckpt = _untrained_checkpoint(STAGE_EXTRACTOR)
+    ckpt.tensors["decoder.9.W"] = np.zeros((2, 2))
+    encoder_from_checkpoint(ckpt)  # the other networks' tables are not its concern
+    with pytest.raises(CheckpointMismatch, match="unused"):
+        extractor_from_checkpoint(ckpt)

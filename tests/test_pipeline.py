@@ -1,6 +1,7 @@
 import collections
 import dataclasses
 import filecmp
+import json
 import shutil
 import struct
 from pathlib import Path
@@ -94,8 +95,14 @@ def _with_unknown_config_key(header):
     return {**header, "meta": {**meta, "config": {**meta["config"], "colour": "red"}}}
 
 
-@pytest.mark.parametrize("edit", [_without_config, _with_unknown_config_key],
-                         ids=["no-config", "unknown-config-key"])
+def _with_one_block(header):
+    meta = header["meta"]
+    assert meta["config"]["blocks"] == 4
+    return {**header, "meta": {**meta, "config": {**meta["config"], "blocks": 1}}}
+
+
+@pytest.mark.parametrize("edit", [_without_config, _with_unknown_config_key, _with_one_block],
+                         ids=["no-config", "unknown-config-key", "unused-tables"])
 def test_pipeline_retrains_a_flow_whose_config_cannot_be_built(pipeline_run, tmp_path, edit):
     cfg, first = pipeline_run
     workdir = tmp_path / "work"
@@ -187,14 +194,119 @@ def test_rerun_loads_each_checkpoint_once_and_rewrites_none(pipeline_run, tmp_pa
     monkeypatch.setattr(pipeline, "load_checkpoint", load)
     monkeypatch.setattr(InferenceEngine, "from_checkpoint_files",
                         lambda *paths: engines.append(paths) or real_engine(*paths))
+    mtimes["train_latents.csv"] = (workdir / "train_latents.csv").stat().st_mtime_ns
+    reads = _count_reads(monkeypatch)
     run_pipeline(dataclasses.replace(cfg, workdir=str(workdir)))
-    assert {p.name: p.stat().st_mtime_ns for p in workdir.glob("*.ckpt")} == mtimes
+    assert {name: (workdir / name).stat().st_mtime_ns for name in mtimes} == mtimes
     assert loads == {name: 1 for name in ALL_STAGES}
     assert engines == []
+    assert reads == {"test.csv": 1}
     for name in ("scores_mu0_sigma1_ratio0.5.csv", "report_mu0_sigma1_ratio0.5.txt",
                  "summary.txt", "train_latents.csv"):
         assert filecmp.cmp(workdir / name, first.extractor_ckpt.parent / name,
                            shallow=False), name
+
+
+def _count_reads(monkeypatch) -> collections.Counter:
+    """Counts, by file name, the CSVs the pipeline parses from now on."""
+    reads = collections.Counter()
+    for name in ("read_dataset", "read_latents"):
+        real = getattr(pipeline, name)
+        monkeypatch.setattr(pipeline, name,
+                            lambda path, real=real: reads.update([Path(path).name]) or real(path))
+    return reads
+
+
+def _same_outputs(workdir: Path, reference: Path) -> None:
+    """Every file but run.json is in both directories with the same bytes."""
+    names = sorted(p.name for p in reference.iterdir() if p.name != "run.json")
+    assert sorted(p.name for p in workdir.iterdir() if p.name != "run.json") == names
+    for name in names:
+        assert filecmp.cmp(workdir / name, reference / name, shallow=False), name
+
+
+NEW_GRID = ((0.0, 1.0), (-9.0, 5.0))
+
+
+def test_new_noise_setting_reads_only_test_csv(pipeline_run, tmp_path, monkeypatch):
+    cfg, first = pipeline_run
+    workdir = tmp_path / "work"
+    shutil.copytree(first.extractor_ckpt.parent, workdir)
+    latents_mtime = (workdir / "train_latents.csv").stat().st_mtime_ns
+    reads = _count_reads(monkeypatch)
+    run_pipeline(dataclasses.replace(cfg, workdir=str(workdir), noise_grid=NEW_GRID))
+    # the new classifier trains on latents read back from train_latents.csv
+    assert reads == {"test.csv": 1, "train_latents.csv": 1}
+    assert (workdir / "train_latents.csv").stat().st_mtime_ns == latents_mtime
+    monkeypatch.undo()
+    run_pipeline(dataclasses.replace(cfg, workdir=str(tmp_path / "fresh"), noise_grid=NEW_GRID))
+    _same_outputs(workdir, tmp_path / "fresh")
+
+
+def _alter_one_latent(workdir: Path) -> None:
+    path = workdir / "train_latents.csv"
+    header, row, *rest = path.read_text().splitlines(keepends=True)
+    first, tail = row.split(",", 1)
+    path.write_text("".join([header, repr(float(first) + 1.0) + "," + tail, *rest]))
+
+
+def _run_record_naming_another_extractor(workdir: Path) -> None:
+    path = workdir / "run.json"
+    record = json.loads(path.read_text())
+    record["extractor_sha256"] = "0" * 64
+    path.write_text(json.dumps(record))
+
+
+UNTRUSTED_LATENTS = {
+    "latent-altered": _alter_one_latent,
+    "latents-deleted": lambda w: (w / "train_latents.csv").unlink(),
+    "run-json-missing": lambda w: (w / "run.json").unlink(),
+    "run-json-invalid": lambda w: (w / "run.json").write_text("{not json"),
+    "run-json-list": lambda w: (w / "run.json").write_text("[]"),
+    "run-json-too-deep": lambda w: (w / "run.json").write_text("[" * 100_000),
+    "run-json-other-extractor": _run_record_naming_another_extractor,
+}
+
+
+@pytest.mark.parametrize("spoil", UNTRUSTED_LATENTS.values(), ids=UNTRUSTED_LATENTS.keys())
+def test_untrusted_latents_are_encoded_again(pipeline_run, tmp_path, monkeypatch, spoil):
+    cfg, first = pipeline_run
+    reference = first.extractor_ckpt.parent
+    workdir = tmp_path / "work"
+    shutil.copytree(reference, workdir)
+    spoil(workdir)
+    reads = _count_reads(monkeypatch)
+    run_pipeline(dataclasses.replace(cfg, workdir=str(workdir)))
+    assert reads == {"train.csv": 1, "test.csv": 1}
+    _same_outputs(workdir, reference)
+    record = json.loads((workdir / "run.json").read_text())
+    assert record["train_latents_sha256"] == pipeline._sha256(workdir / "train_latents.csv")
+
+
+def test_run_json_records_each_stage_outcome(pipeline_run, tmp_path):
+    cfg, first = pipeline_run
+    workdir = tmp_path / "work"
+    shutil.copytree(first.extractor_ckpt.parent, workdir)
+    (workdir / "flow.ckpt").write_bytes(first.flow_ckpt.read_bytes()[:12])
+    run_pipeline(dataclasses.replace(cfg, workdir=str(workdir), noise_grid=NEW_GRID))
+    record = json.loads((workdir / "run.json").read_text())
+    assert record["extractor_sha256"] == pipeline._sha256(workdir / "extractor.ckpt")
+    stages = record["stages"]
+    assert {name: {k: v for k, v in o.items() if k != "seconds"}
+            for name, o in stages.items()} == {
+        "extractor.ckpt": {"outcome": "reused"},
+        "flow.ckpt": {"outcome": "trained",
+                      "reason": f"refused: {workdir / 'flow.ckpt'}: truncated header"},
+        # the flow is retrained to the same bytes, so its classifier's key still holds
+        "classifier_mu0_sigma1_ratio0.5.ckpt": {"outcome": "reused"},
+        "classifier_mu-9_sigma5_ratio0.5.ckpt": {"outcome": "trained", "reason": "missing"},
+    }
+    assert all(o["seconds"] >= 0 for o in stages.values())
+    run_pipeline(dataclasses.replace(cfg, workdir=str(workdir), seed=4))
+    reasons = {name: o.get("reason")
+               for name, o in json.loads((workdir / "run.json").read_text())["stages"].items()}
+    assert reasons["extractor.ckpt"] == "saved under another seed"
+    assert reasons["flow.ckpt"] == "saved under another key"  # its upstream changed
 
 
 def test_pipeline_deterministic_across_fresh_workdirs(tiny_corpus, tmp_path):
