@@ -10,12 +10,11 @@ a changed `train.csv` retrains all three stages, and a checkpoint whose config
 or tables do not fit its stage is retrained.
 
 Every run ends by writing `run.json`: the sha256 of `extractor.ckpt` and of
-the `train_latents.csv` encoded by it, and for each stage checkpoint whether
-it was reused or trained, why it was trained, and the seconds it took. A rerun
-whose extractor is reused parses no `train.csv` and encodes nothing: it takes
-the training latents from `train_latents.csv` when `run.json` records both
-files as they are on disk, and reads them only if the flow or a classifier is
-trained. Otherwise the latents are encoded again and the file rewritten.
+the `train_latents.csv` encoded by it. A rerun whose extractor is reused
+parses no `train.csv` and encodes nothing: it takes the training latents from
+`train_latents.csv` when `run.json` records both files as they are on disk,
+and reads them only if the flow or a classifier is trained. Otherwise the
+latents are encoded again and the file rewritten.
 
 Inference deliberately loads only the encoder and classifier parameter
 tables; the loader records what it materialized so tests can verify nothing
@@ -27,7 +26,6 @@ import functools
 import hashlib
 import json
 import logging
-import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -136,30 +134,22 @@ def _stage(name: str):
         raise
 
 
-# why a lookup missed: `_cached_checkpoint` returns only the model, as
-# perfbench's wrapper of it expects, and `_cached_stage` takes the reason out
-# right after the call, so no entry outlives its lookup
-_MISSES: dict[Path, str] = {}
-
-
 def _cached_checkpoint(path: Path, stage: str, fingerprint: str, seed: int,
                        build: Callable):
     """`build`'s model of the checkpoint at `path` if that was saved under
-    `fingerprint` and `seed`; else None, with the reason in `_MISSES[path]`: the
-    file is missing, saved under another key or seed, or refused because it is
-    unreadable or holds a config or tables `build` cannot use."""
+    `fingerprint` and `seed`; None if it is absent, saved under another key,
+    unreadable, or holds a config or tables `build` cannot use."""
     if not path.exists():
-        _MISSES[path] = "missing"
         return None
     try:
         ckpt = load_checkpoint(path, expect_stage=stage)
-        if matches(ckpt, stage, fingerprint, seed):
-            return build(ckpt)
-        _MISSES[path] = ("saved under another seed" if ckpt.config_fingerprint == fingerprint
-                         else "saved under another key")
-    except (CheckpointMismatch, IoFailure) as err:
-        _MISSES[path] = f"refused: {err}"
-    return None
+        if not matches(ckpt, stage, fingerprint, seed):
+            return None
+        model = build(ckpt)
+    except (CheckpointMismatch, IoFailure):
+        return None
+    log.info("reusing %s", path.name)
+    return model
 
 
 def _sha256(path: Path) -> str:
@@ -175,27 +165,18 @@ def _sha256(path: Path) -> str:
 
 
 def _cached_stage(path: Path, stage: str, seed: int, key: str,
-                  train: Callable[[], Checkpoint], build: Callable, outcomes: dict):
+                  train: Callable[[], Checkpoint], build: Callable):
     """`build`'s model of the cached checkpoint at `path`, else of `train()`'s,
     saved there under `key`: the fingerprint of the stage's config and the
-    sha256 of its direct upstream, so it covers everything upstream. Logs and
-    sets `outcomes[path.name]`: reused or trained, why, and the seconds taken."""
-    start = time.perf_counter()
+    sha256 of its direct upstream, so it covers everything upstream."""
     model = _cached_checkpoint(path, stage, key, seed, build)
     if model is None:
-        outcome = {"outcome": "trained", "reason": _MISSES.pop(path)}
         ckpt = train()
         ckpt.config_fingerprint = key
         save_checkpoint(path, ckpt)
         log.info("%s: best epoch %s of %s", path.name,
                  ckpt.meta["best_epoch"], ckpt.meta["epochs_run"])
         model = build(ckpt)
-    else:
-        outcome = {"outcome": "reused"}
-    outcome["seconds"] = round(time.perf_counter() - start, 3)
-    outcomes[path.name] = outcome
-    log.info("%s %s%s in %.3f s", path.name, outcome["outcome"],
-             f" ({outcome['reason']})" if "reason" in outcome else "", outcome["seconds"])
     return model
 
 
@@ -335,7 +316,6 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
     workdir = Path(cfg.workdir)
     workdir.mkdir(parents=True, exist_ok=True)
     train_csv, test_csv = _prepare_datasets(cfg, workdir)
-    outcomes: dict[str, dict] = {}
 
     @functools.cache
     def train_matrix() -> np.ndarray:
@@ -349,7 +329,7 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
             ext_path, STAGE_EXTRACTOR, ext_seed,
             config_fingerprint({**ext_cfg.to_dict(), "upstream": _sha256(train_csv)}),
             lambda: train_extractor(train_matrix(), ext_cfg, ext_seed),
-            extractor_from_checkpoint, outcomes)
+            extractor_from_checkpoint)
         ext_digest = _sha256(ext_path)
 
     latents_path = workdir / TRAIN_LATENTS
@@ -376,7 +356,7 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
             config_fingerprint({**flow_cfg.to_dict(), "upstream": ext_digest}),
             lambda: train_flow(FlowModel.create(flow_cfg, flow_seed), latents(),
                                flow_cfg, flow_seed),
-            flow_from_checkpoint, outcomes)
+            flow_from_checkpoint)
         flow_digest = _sha256(flow_path)
 
     with _stage("load-test"):
@@ -398,7 +378,7 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
                 lambda: train_classifier(
                     latents(), _synthesize(cfg, workdir, flow, latents(), mu, sigma),
                     clf_cfg, clf_seed),
-                classifier_from_checkpoint, outcomes)
+                classifier_from_checkpoint)
         with _stage(f"infer-{tag}"):
             scored = _scored(classifier.score(test_latents), test_packets)
             write_scores(workdir / f"scores_{tag}.csv", scored)
@@ -411,8 +391,7 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
     best = max(reports, key=lambda k: reports[k].auroc)  # the first of equals
     (workdir / "summary.txt").write_text(noise_grid_table(reports, cfg.ratio))
     log.info("best: mu=%g sigma=%g AUROC %.4f", *best, reports[best].auroc)
-    record = {"extractor_sha256": ext_digest, "train_latents_sha256": latents_digest,
-              "stages": outcomes}
+    record = {"extractor_sha256": ext_digest, "train_latents_sha256": latents_digest}
     with replacing(workdir / RUN_RECORD, "run record") as fh:
         fh.write(json.dumps(record, indent=1).encode("utf-8") + b"\n")
     return PipelineResult(reports[best], best, reports, ext_path, flow_path, clf_paths)

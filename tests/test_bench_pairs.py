@@ -9,8 +9,8 @@ bench_pairs = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(bench_pairs)
 
 
-def _run(side, seed, wall, rate, workload="resweep", correct=True, failed=0, exit_code=0):
-    return {"side": side, "workload": workload, "seed": seed, "exit_code": exit_code,
+def _run(side, seed, wall, rate, workload="resweep", correct=True, failed=0):
+    return {"side": side, "workload": workload, "seed": seed,
             "correct": correct, "failed": failed,
             "metrics": {"wall_s": wall, "csv_rows_per_s": rate, "spans": 7}}
 
@@ -36,8 +36,7 @@ def test_summary_of_pairs_gives_medians_quartiles_and_better_counts():
 
 
 def test_summary_counts_failures_and_skips_unpaired_runs():
-    runs = [_run("parent", 1, 10, 100), _run("change", 1, 8, 100, failed=2, correct=False,
-                                              exit_code=1),
+    runs = [_run("parent", 1, 10, 100), _run("change", 1, 8, 100, failed=2, correct=False),
             _run("parent", 2, 30, 100), _run("parent", 3, 10, 100, workload="score"),
             _run("change", 3, 9, 100, workload="score")]
     summary = bench_pairs.summarize(runs, BETTER)
@@ -46,3 +45,31 @@ def test_summary_counts_failures_and_skips_unpaired_runs():
     assert summary["resweep"]["failed_operations"] == 2
     assert summary["resweep"]["metrics"]["wall_s"]["parent"]["median"] == 10
     assert summary["score"]["all_correct"] and summary["score"]["pairs"] == 1
+
+
+class _Steady:
+    """Stands in for a checkout's perfbench/steady.py."""
+
+    def __init__(self, outcome):
+        self.outcome = outcome
+
+    def run_once(self, workload, seed, seconds, trace):
+        if isinstance(self.outcome, Exception):
+            raise self.outcome
+        return self.outcome
+
+
+def test_run_once_keeps_a_failed_run_as_failed():
+    ok = bench_pairs.run_once(_Steady({
+        "correct": True, "attempted": 3, "failed": 0, "aurocs": {},
+        "metrics": {"wall_s": {"value": 9.5, "unit": "s"}}, "raw": {"slowness": 0.6}}),
+        "resweep", 5, 20, 0)
+    assert {k: v for k, v in ok.items() if k != "elapsed_s"} == {
+        "workload": "resweep", "seed": 5, "trace": 0, "correct": True, "attempted": 3,
+        "failed": 0, "metrics": {"wall_s": 9.5}, "slowness": 0.6}
+    bad = bench_pairs.run_once(_Steady(RuntimeError("resweep seed 5: exit code 1")),
+                               "resweep", 5, 20, 0)
+    assert not bad["correct"] and bad["metrics"] == {}
+    assert bad["error"] == "resweep seed 5: exit code 1"
+    assert bench_pairs.summarize([{"side": "change", **bad}], BETTER)["resweep"] == {
+        "pairs": 0, "all_correct": False, "failed_operations": 0, "metrics": {}}

@@ -6,19 +6,21 @@
 Pair i runs `perfbench/run.py --workload W --seed <first-seed + i>` once in
 each checkout, the parent first in even pairs and the change first in odd
 ones, so a drift of the machine's speed falls on both sides alike. Each run
-starts from its checkout's root and builds what it measures from that
-checkout's `src/`. The output file holds every run (side, seed, exit code,
-whether its checks passed, operations attempted and failed, metrics, BLAS
-threads and slowness) and, for each workload and metric, both sides' median
-and quartiles, the change in the medians and the number of pairs in which the
-change was better, with the machine it ran on: cores, BLAS threads, Python and
-numpy versions. It is rewritten after every run, so an interrupted set keeps
-the pairs done. Standard library only.
+is made by the checkout's own `perfbench/steady.py` `run_once`, so it starts
+from that checkout's root and builds what it measures from its `src/`. The
+output file holds every run (side, seed, whether it exited cleanly with its
+checks passed and if not why, operations attempted and failed, metrics and
+slowness) and, for each workload and metric, both sides' median and
+quartiles, the change in the medians and the number of pairs in which the
+change was better, with the machine it ran on: cores, BLAS threads, Python
+and numpy versions. It is rewritten after every run, so an interrupted set
+keeps the pairs done. Standard library only.
 """
 from __future__ import annotations
 
 import argparse
 import importlib.metadata
+import importlib.util
 import json
 import os
 import platform
@@ -31,30 +33,35 @@ from pathlib import Path
 SIDES = ("parent", "change")
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
-    """One perfbench run in `checkout`: its result line and its pass/fail record."""
+def perfbench_module(checkout: Path, name: str, side: str):
+    """`perfbench/<name>.py` of `checkout`, loaded under a name of its own."""
+    spec = importlib.util.spec_from_file_location(
+        f"{side}_{name}", checkout / "perfbench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def run_once(steady, workload: str, seed: int, seconds: float, trace: int) -> dict:
+    """One run by `steady.run_once`, as a pass/fail record: a run that exits
+    non-zero (failed checks included) or leaves no record is kept as failed."""
     start = time.monotonic()
-    proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", str(trace)],
-        cwd=checkout, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True,
-        timeout=600)
-    lines = proc.stdout.strip().splitlines()
-    result = json.loads(lines[-1]) if lines else {}
-    run = {"workload": workload, "seed": seed, "trace": trace, "exit_code": proc.returncode,
-           "correct": bool(result.get("correct")), "attempted": result.get("attempted", 0),
-           "failed": result.get("failed"), "elapsed_s": round(time.monotonic() - start, 1),
-           "metrics": {name: m["value"] for name, m in result.get("metrics", {}).items()}}
-    record = checkout / ".perfbench" / "out" / f"{workload}-seed{seed}-trace{trace}.json"
-    if proc.returncode in (0, 1) and record.is_file():
-        saved = json.loads(record.read_text())
-        run["blas_threads"] = saved.get("blas_threads")
-        run["slowness"] = (saved.get("raw") or {}).get("slowness")
-    return run
+    run = {"workload": workload, "seed": seed, "trace": trace}
+    try:
+        result = steady.run_once(workload, seed, seconds, trace)
+    except (RuntimeError, OSError, ValueError, subprocess.SubprocessError) as err:
+        return {**run, "correct": False, "error": str(err), "metrics": {},
+                "elapsed_s": round(time.monotonic() - start, 1)}
+    return {**run, "correct": result["correct"], "attempted": result["attempted"],
+            "failed": result["failed"], "elapsed_s": round(time.monotonic() - start, 1),
+            "metrics": {name: m["value"] for name, m in result["metrics"].items()},
+            "slowness": result["raw"]["slowness"]}
 
 
 def quartiles(values: list[float]) -> dict:
-    """Median and quartiles, as perfbench/steady.py takes them."""
+    """Median and quartiles as perfbench/steady.py's `summarize` takes them
+    (`statistics.quantiles(n=4)`); unlike it, this also takes one value, and
+    a median of zero, as a per-layer count can be."""
     if len(values) == 1:
         return {"median": values[0], "q1": values[0], "q3": values[0]}
     q1, _, q3 = statistics.quantiles(values, n=4)
@@ -94,20 +101,20 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
             metrics[name] = entry
         summary[workload] = {
             "pairs": len(pairs),
-            "all_correct": all(r["correct"] and r["exit_code"] == 0 for r in mine),
-            "failed_operations": sum(r["failed"] or 0 for r in mine),
+            "all_correct": all(r["correct"] for r in mine),
+            "failed_operations": sum(r.get("failed", 0) for r in mine),
             "metrics": metrics}
     return summary
 
 
-def machine(runs: list[dict]) -> dict:
+def machine(blas_threads: int) -> dict:
     """Cores, the BLAS threads the runs used, and the Python and numpy versions."""
     try:
         numpy = importlib.metadata.version("numpy")
     except importlib.metadata.PackageNotFoundError:
         numpy = None
     return {"cores": os.cpu_count(),
-            "blas_threads": sorted({r["blas_threads"] for r in runs if r.get("blas_threads")}),
+            "blas_threads": blas_threads,
             "python": platform.python_version(), "numpy": numpy}
 
 
@@ -125,22 +132,25 @@ def main() -> int:
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     bench = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in bench["end_to_end"] + bench["per_layer"]}
+    steady = {side: perfbench_module(root, "steady", side) for side, root in checkouts.items()}
+    blas_threads = perfbench_module(checkouts["change"], "spec", "change").BLAS_THREADS
     runs: list[dict] = []
     for workload in args.workload:
         for i in range(args.pairs):
             seed = args.first_seed + i
             for side in SIDES if i % 2 == 0 else SIDES[::-1]:
-                run = {"side": side, **run_once(checkouts[side], workload, seed,
+                run = {"side": side, **run_once(steady[side], workload, seed,
                                                 args.seconds, args.trace)}
                 runs.append(run)
-                print(f"{workload} seed {seed} {side}: exit {run['exit_code']} "
-                      f"{json.dumps(run['metrics'])}", file=sys.stderr, flush=True)
+                print(f"{workload} seed {seed} {side}: correct {run['correct']} "
+                      f"{run.get('error', json.dumps(run['metrics']))}",
+                      file=sys.stderr, flush=True)
                 summary = summarize(runs, better)
                 args.out.write_text(json.dumps(
                     {"workloads": args.workload, "pairs": args.pairs,
                      "first_seed": args.first_seed, "seconds": args.seconds,
-                     "trace": args.trace, "machine": machine(runs), "summary": summary,
-                     "runs": runs}, indent=1) + "\n")
+                     "trace": args.trace, "machine": machine(blas_threads),
+                     "summary": summary, "runs": runs}, indent=1) + "\n")
     return 0 if all(s["all_correct"] for s in summary.values()) else 1
 
 
