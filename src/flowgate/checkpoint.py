@@ -160,7 +160,8 @@ def load_checkpoint(path: str | Path, expect_stage: Optional[str] = None,
         raise CheckpointMismatch(f"{path}: truncated header")
     try:
         header = json.loads(raw[offset:offset + header_len].decode("utf-8"))
-    except ValueError as err:  # bad UTF-8 or JSON, or an integer too long to parse
+    # bad UTF-8 or JSON, an integer too long to parse, or nesting too deep
+    except (ValueError, RecursionError) as err:
         raise CheckpointMismatch(f"{path}: corrupt header") from err
     offset += header_len
     if not isinstance(header, dict):

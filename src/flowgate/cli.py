@@ -27,13 +27,11 @@ from .extractor import (
 from .flow import FlowConfig, FlowModel, flow_from_checkpoint, train_flow
 from .metrics import evaluate, format_report, read_scores, write_report, write_scores
 from .nn import TrainConfig
-from .packets import Label, capture_files, process_capture
+from .packets import Label, preprocess_captures
 from .pipeline import (
     NoiseGrid, PipelineConfig, infer, ratio_ablation, repeat_pipeline, run_pipeline,
 )
 from .synthesis import NoiseSpec, SynthesisConfig, synthesize
-
-log = logging.getLogger("flowgate")
 
 
 def _parse_label(text: str) -> Label | None:
@@ -65,12 +63,7 @@ def _parse_list(text: str, convert, flag: str) -> list:
 
 
 def cmd_preprocess(args) -> int:
-    label = _parse_label(args.label)
-    packets = []
-    for f in capture_files(args.input):
-        kept, stats = process_capture(f, label=label)
-        log.info("%s: %s", f.name, stats.summary())
-        packets.extend(kept)
+    packets = preprocess_captures(args.input, _parse_label(args.label))
     count = write_dataset(packets, args.out)
     print(f"wrote {count} rows to {args.out}")
     return 0

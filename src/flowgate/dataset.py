@@ -1,17 +1,19 @@
 """CSV storage for encoded packets and latent vectors.
 
 Packet rows are 1600 values plus a label column ("0" normal, "1" anomaly,
-empty when unlabeled). Every packet value is b/255 for a byte b, and
-write_dataset spells it as the shortest exact decimal of that double, one
-of 256 strings, so a round trip reproduces it bit for bit.
+empty when unlabeled). A packet is held as its 1600 bytes until the model
+reads it; each value is b/255 for a byte b, and write_dataset spells it as
+the shortest exact decimal of that double, one of 256 strings, so a round
+trip reproduces the bytes and their values bit for bit.
 
 read_dataset decodes a row whose values are all in that spelling by table
 lookup. A row with any other field (quoted, padded, in exponent form, `0`
 for 0.0, hand-written) is tokenized by csv.reader and parsed as floats,
 which is slower but accepts any decimal whose product with 255 is within
-1e-9 of a whole number. NaN, infinities, values outside [0, 1] or off that
-grid, a wrong column count and a label other than empty, "0" or "1" are
-rejected with MalformedRow naming the line.
+1e-9 of a whole number b, and reads it as the byte b: a near-grid decimal
+such as 0.003921568627 becomes exactly 1/255. NaN, infinities, values
+outside [0, 1] or off that grid, a wrong column count and a label other than
+empty, "0" or "1" are rejected with MalformedRow naming the line.
 """
 from __future__ import annotations
 
@@ -29,7 +31,8 @@ DATASET_HEADER = [f"f{i}" for i in range(VECTOR_LEN)] + ["label"]
 
 # all 256 representable byte values, pre-formatted
 _BYTE_STR = [repr(b / 255.0) for b in range(256)]
-# write_dataset's spelling of a value -> its byte
+# write_dataset's spelling of a value -> its byte; b / 255.0 is the same
+# correctly rounded quotient that repr(b / 255.0) spells
 _BYTE_OF = {text: b for b, text in enumerate(_BYTE_STR)}
 _LABEL_OF = {"": None, "0": Label.NORMAL, "1": Label.ANOMALY}
 
@@ -52,8 +55,7 @@ def write_dataset(packets: Iterable[EncodedPacket], out: str | Path) -> int:
         with open(out, "w", newline="") as fh:
             fh.write(",".join(DATASET_HEADER) + "\n")
             for packet in packets:
-                idx = np.rint(packet.values * 255.0).astype(np.int64)
-                fh.write(",".join(_BYTE_STR[i] for i in idx))
+                fh.write(",".join(map(_BYTE_STR.__getitem__, packet.codes)))
                 fh.write("," + _label_str(packet.label) + "\n")
                 count += 1
     except OSError as err:
@@ -78,8 +80,9 @@ def _lookup_row(line: str) -> Optional[tuple[bytes, Optional[Label]]]:
         return None
 
 
-def _parse_row(row: list[str], where: str) -> tuple[np.ndarray, Optional[Label]]:
-    """Values and label of a csv.reader record holding decimals of any spelling."""
+def _parse_row(row: list[str], where: str) -> tuple[bytes, Optional[Label]]:
+    """Byte codes and label of a csv.reader record holding decimals of any
+    spelling; each value within 1e-9/255 of some b/255 reads as the byte b."""
     if len(row) != VECTOR_LEN + 1:
         raise MalformedRow(f"{where}: expected {VECTOR_LEN + 1} columns, got {len(row)}")
     try:
@@ -89,9 +92,12 @@ def _parse_row(row: list[str], where: str) -> tuple[np.ndarray, Optional[Label]]
     # written so that NaN, which fails every comparison, fails the check
     if not (values.min() >= 0.0 and values.max() <= 1.0):
         raise MalformedRow(f"{where}: value outside [0, 1]")
+    scaled = values * 255.0
+    if np.abs(scaled - np.rint(scaled)).max() > 1e-9:
+        raise MalformedRow(f"{where}: values must be integral multiples of 1/255")
     if row[-1] not in _LABEL_OF:
         raise MalformedRow(f"{where}: bad label field {row[-1]!r}")
-    return values, _LABEL_OF[row[-1]]
+    return np.rint(scaled).astype(np.uint8).tobytes(), _LABEL_OF[row[-1]]
 
 
 def read_dataset(path: str | Path) -> list[EncodedPacket]:
@@ -111,19 +117,12 @@ def read_dataset(path: str | Path) -> list[EncodedPacket]:
             for lineno, line in enumerate(lines):
                 where = f"{path}:{lineno + 2}"
                 looked_up = _lookup_row(line)
-                if looked_up is not None:
-                    # b / 255.0 is the same correctly rounded quotient repr(b / 255.0) spells
-                    codes, label = looked_up
-                    packets.append(EncodedPacket.of_bytes(codes, label, (fid, lineno)))
-                    continue
-                # csv.reader pulls further lines when a quoted field spans them
-                record = next(csv.reader(itertools.chain([line], lines)))
-                values, label = _parse_row(record, where)
-                try:
-                    packets.append(EncodedPacket(values=values, label=label,
-                                                 source_id=(fid, lineno)))
-                except ValueError as err:
-                    raise MalformedRow(f"{where}: {err}") from err
+                if looked_up is None:
+                    # csv.reader pulls further lines when a quoted field spans them
+                    record = next(csv.reader(itertools.chain([line], lines)))
+                    looked_up = _parse_row(record, where)
+                codes, label = looked_up
+                packets.append(EncodedPacket(codes, label, (fid, lineno)))
         except csv.Error as err:
             raise MalformedRow(f"{where}: {err}") from err
         except UnicodeDecodeError as err:
@@ -132,10 +131,9 @@ def read_dataset(path: str | Path) -> list[EncodedPacket]:
 
 
 def values_matrix(packets: Sequence[EncodedPacket]) -> np.ndarray:
-    """Stack packet values into an [n, 1600] float64 matrix."""
-    if not packets:
-        return np.zeros((0, VECTOR_LEN))
-    return np.stack([p.values for p in packets])
+    """The packets' values as an [n, 1600] float64 matrix, each byte/255."""
+    codes = np.frombuffer(b"".join(p.codes for p in packets), dtype=np.uint8)
+    return codes.reshape(-1, VECTOR_LEN) / 255.0
 
 
 # --- latent-vector CSV (70 columns + label) ---

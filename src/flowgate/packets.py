@@ -4,11 +4,14 @@ Raw frames are stripped of the link layer, parsed as IPv4 + TCP/UDP, filtered
 (DNS, ARP, payload-less TCP control segments, anything unparseable), address-
 anonymized, and flattened into the fixed 1600-value vector the models consume:
 IP header zero-padded to 60 bytes, transport header zero-padded to 60 bytes,
-then the payload, truncated or zero-padded to 1600 total, each byte mapped to
-[0, 1] by dividing by 255.
+then the payload, truncated or zero-padded to 1600 total. A packet holds
+those 1600 bytes; they become float64 values in [0, 1], each byte divided by
+255, only when the model reads them (`EncodedPacket.values`, or
+`dataset.values_matrix` for many packets at once).
 """
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -16,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import BadIHL, HeaderTruncated, NotIPv4, TooShort
+from .errors import BadIHL, HeaderTruncated, NotIPv4, ShapeMismatch, TooShort
 from .pcap import RawPacket, parse_capture
 
 VECTOR_LEN = 1600
@@ -30,6 +33,8 @@ ETHERTYPE_ARP = 0x0806
 ETHERTYPE_VLAN = 0x8100
 
 DNS_PORT = 53
+
+log = logging.getLogger("flowgate")
 
 
 class Label(Enum):
@@ -79,34 +84,22 @@ class ParsedPacket:
 
 @dataclass(eq=False)
 class EncodedPacket:
-    """The canonical 1600-element model input; every value is byte/255."""
+    """The canonical model input: 1600 bytes, each read by the model as byte/255."""
 
-    values: np.ndarray
+    codes: bytes
     label: Optional[Label] = None
     source_id: Optional[tuple[str, int]] = None
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.shape != (VECTOR_LEN,):
-            raise ValueError(f"expected {VECTOR_LEN} values, got {self.values.shape}")
-        # written so that NaN, which fails every comparison, fails the check
-        if not (self.values.min() >= 0.0 and self.values.max() <= 1.0):
-            raise ValueError("values must lie in [0, 1]")
-        scaled = self.values * 255.0
-        if np.abs(scaled - np.rint(scaled)).max() > 1e-9:
-            raise ValueError("values must be integral multiples of 1/255")
+        if not isinstance(self.codes, bytes):
+            raise TypeError(f"codes must be bytes, got {type(self.codes).__name__}")
+        if len(self.codes) != VECTOR_LEN:
+            raise ShapeMismatch(f"expected {VECTOR_LEN} bytes, got {len(self.codes)}")
 
-    @classmethod
-    def of_bytes(cls, codes: bytes | bytearray, label: Optional[Label] = None,
-                 source_id: Optional[tuple[str, int]] = None) -> "EncodedPacket":
-        """The packet whose values are `codes`' bytes divided by 255. Those lie in
-        [0, 1] on the 1/255 grid by construction, so only the length is checked."""
-        if len(codes) != VECTOR_LEN:
-            raise ValueError(f"expected {VECTOR_LEN} values, got {len(codes)}")
-        packet = object.__new__(cls)
-        packet.values = np.frombuffer(codes, dtype=np.uint8) / 255.0
-        packet.label, packet.source_id = label, source_id
-        return packet
+    @property
+    def values(self) -> np.ndarray:
+        """The 1600 float64 values, each byte/255: in [0, 1] on the 1/255 grid."""
+        return np.frombuffer(self.codes, dtype=np.uint8) / 255.0
 
 
 def strip_link_layer(p: RawPacket) -> bytes | FilterVerdict:
@@ -213,7 +206,7 @@ def canonicalize(p: ParsedPacket, label: Optional[Label] = None,
     buf[IP_HEADER_SLOT:IP_HEADER_SLOT + len(th)] = th
     payload = p.payload[:MAX_PAYLOAD]
     buf[PAYLOAD_OFFSET:PAYLOAD_OFFSET + len(payload)] = payload
-    return EncodedPacket.of_bytes(buf, label=label, source_id=source_id)
+    return EncodedPacket(bytes(buf), label, source_id)
 
 
 @dataclass
@@ -272,10 +265,16 @@ def process_capture(file_path: str | Path, label: Optional[Label] = None,
     return kept, stats
 
 
-def capture_files(path: str | Path) -> list[Path]:
-    """The capture file itself, or every *.pcap/*.cap under a directory, name-sorted."""
+def preprocess_captures(path: str | Path, label: Optional[Label] = None,
+                        ) -> list[EncodedPacket]:
+    """The kept packets of a capture file, or of every *.pcap/*.cap under a
+    directory in name order, logging each file's drop counts."""
     p = Path(path)
-    if p.is_dir():
-        return sorted(q for q in p.iterdir()
-                      if q.suffix.lower() in (".pcap", ".cap"))
-    return [p]
+    files = (sorted(q for q in p.iterdir() if q.suffix.lower() in (".pcap", ".cap"))
+             if p.is_dir() else [p])
+    packets: list[EncodedPacket] = []
+    for f in files:
+        kept, stats = process_capture(f, label=label)
+        log.info("%s: %s", f.name, stats.summary())
+        packets.extend(kept)
+    return packets

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
 
-from .errors import OversizedRecord, TruncatedRecord, UnrecognizedMagic
+from .errors import IoFailure, OversizedRecord, TruncatedRecord, UnrecognizedMagic
 
 GLOBAL_HEADER_LEN = 24
 RECORD_HEADER_LEN = 16
@@ -41,34 +41,38 @@ def parse_capture(file_path: str | Path) -> Iterator[RawPacket]:
     """Yield RawPackets in file order, indices 0, 1, 2, ...
 
     Raises UnrecognizedMagic for an unknown container, OversizedRecord when a
-    record header claims more than MAX_CAPLEN bytes, and TruncatedRecord when
-    it claims more bytes than the file holds.
+    record header claims more than MAX_CAPLEN bytes, TruncatedRecord when it
+    claims more bytes than the file holds, and IoFailure naming the path when
+    the file cannot be opened or read.
     """
     path = Path(file_path)
-    with open(path, "rb") as fh:
-        head = fh.read(GLOBAL_HEADER_LEN)
-        if len(head) < 4 or head[:4] not in _MAGICS:
-            raise UnrecognizedMagic(f"{path}: not a recognized capture file")
-        if len(head) < GLOBAL_HEADER_LEN:
-            raise TruncatedRecord(f"{path}: global header cut short")
-        record = struct.Struct(_MAGICS[head[:4]] + "IIII")
-        index = 0
-        while True:
-            raw = fh.read(RECORD_HEADER_LEN)
-            if not raw:
-                return
-            if len(raw) < RECORD_HEADER_LEN:
-                raise TruncatedRecord(f"{path}: record {index} header cut short")
-            _ts_sec, _ts_frac, caplen, origlen = record.unpack(raw)
-            if caplen > MAX_CAPLEN:
-                raise OversizedRecord(
-                    f"{path}: record {index} claims {caplen} bytes, "
-                    f"above the {MAX_CAPLEN}-byte maximum")
-            data = fh.read(caplen)
-            if len(data) < caplen:
-                raise TruncatedRecord(
-                    f"{path}: record {index} claims {caplen} bytes, "
-                    f"only {len(data)} remain")
-            yield RawPacket(capture_index=index, link_bytes=data,
-                            caplen=caplen, origlen=origlen)
-            index += 1
+    try:
+        with open(path, "rb") as fh:
+            head = fh.read(GLOBAL_HEADER_LEN)
+            if len(head) < 4 or head[:4] not in _MAGICS:
+                raise UnrecognizedMagic(f"{path}: not a recognized capture file")
+            if len(head) < GLOBAL_HEADER_LEN:
+                raise TruncatedRecord(f"{path}: global header cut short")
+            record = struct.Struct(_MAGICS[head[:4]] + "IIII")
+            index = 0
+            while True:
+                raw = fh.read(RECORD_HEADER_LEN)
+                if not raw:
+                    return
+                if len(raw) < RECORD_HEADER_LEN:
+                    raise TruncatedRecord(f"{path}: record {index} header cut short")
+                _ts_sec, _ts_frac, caplen, origlen = record.unpack(raw)
+                if caplen > MAX_CAPLEN:
+                    raise OversizedRecord(
+                        f"{path}: record {index} claims {caplen} bytes, "
+                        f"above the {MAX_CAPLEN}-byte maximum")
+                data = fh.read(caplen)
+                if len(data) < caplen:
+                    raise TruncatedRecord(
+                        f"{path}: record {index} claims {caplen} bytes, "
+                        f"only {len(data)} remain")
+                yield RawPacket(capture_index=index, link_bytes=data,
+                                caplen=caplen, origlen=origlen)
+                index += 1
+    except OSError as err:
+        raise IoFailure(f"cannot read capture {path}: {err}") from err

@@ -52,7 +52,7 @@ from .extractor import (
 from .flow import FlowConfig, FlowModel, flow_from_checkpoint, train_flow
 from .metrics import EvalReport, ScoredSample, evaluate, write_report, write_scores
 from .nn import MLP, TrainConfig
-from .packets import EncodedPacket, Label, VECTOR_LEN, process_capture, capture_files
+from .packets import EncodedPacket, Label, VECTOR_LEN, preprocess_captures
 from .seeding import derive_seed
 from .synthesis import NoiseSpec, SynthesisConfig, synthesize
 
@@ -286,12 +286,8 @@ def _prepare_datasets(cfg: PipelineConfig, workdir: Path) -> tuple[Path, Path]:
         if not any(src for src, _ in sources):
             continue
         with _stage(f"preprocess-{split}"):
-            packets = []
-            for src, label in sources:
-                for f in capture_files(src) if src else ():
-                    kept, stats = process_capture(f, label=label)
-                    log.info("%s: %s", f.name, stats.summary())
-                    packets.extend(kept)
+            packets = [p for src, label in sources if src
+                       for p in preprocess_captures(src, label)]
             csvs[split] = workdir / f"{split}.csv"
             write_dataset(packets, csvs[split])
     if not (csvs["train"] and csvs["test"]):

@@ -88,6 +88,14 @@ def checkpoint_with_header(raw: bytes, edit) -> bytes:
     return raw[:10] + struct.pack("<I", len(blob)) + blob + raw[14 + length:]
 
 
+def checkpoint_with_nested_header(raw: bytes, depth: int = 200_000) -> bytes:
+    """A checkpoint file's bytes with its JSON header replaced by `depth` list
+    openings, nested deeper than the JSON parser can recurse; the payload is kept."""
+    (length,) = struct.unpack_from("<I", raw, 10)
+    blob = b"[" * depth
+    return raw[:10] + struct.pack("<I", len(blob)) + blob + raw[14 + length:]
+
+
 def checkpoint_without_table(raw: bytes, name: str) -> bytes:
     """A checkpoint file's bytes with table `name` dropped from both the header's
     table and the payload, so the file stays self-consistent."""

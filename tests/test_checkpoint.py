@@ -17,7 +17,7 @@ from flowgate.extractor import (
     ExtractorConfig, encoder_from_checkpoint, extractor_from_checkpoint, train_extractor,
 )
 from flowgate.flow import FlowConfig, FlowModel, flow_from_checkpoint, train_flow
-from crafting import checkpoint_with_header
+from crafting import checkpoint_with_header, checkpoint_with_nested_header
 
 
 def sample_checkpoint(stage=STAGE_FLOW, seed=3):
@@ -202,6 +202,14 @@ def test_malformed_header_raises_mismatch_naming_the_path(tmp_path, edit):
     save_checkpoint(path, sample_checkpoint())
     path.write_bytes(checkpoint_with_header(path.read_bytes(), edit))
     with pytest.raises(CheckpointMismatch, match=re.escape(str(path))):
+        load_checkpoint(path)
+
+
+def test_a_header_nested_too_deep_raises_mismatch_naming_the_path(tmp_path):
+    path = tmp_path / "x.ckpt"
+    save_checkpoint(path, sample_checkpoint())
+    path.write_bytes(checkpoint_with_nested_header(path.read_bytes()))
+    with pytest.raises(CheckpointMismatch, match=re.escape(f"{path}: corrupt header")):
         load_checkpoint(path)
 
 

@@ -50,6 +50,14 @@ def test_preprocess_directory(tmp_path):
     assert rows[1].values[120] == ord("B") / 255.0
 
 
+def test_preprocess_missing_capture_exits_2_naming_it(tmp_path, capsys):
+    missing = tmp_path / "nonexistent.pcap"
+    assert run_cli("preprocess", "--in", missing, "--out", tmp_path / "out.csv") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(missing) in err
+    assert not (tmp_path / "out.csv").exists()
+
+
 def test_make_corpus_with_splits(tmp_path):
     assert run_cli("make-corpus", "--out-dir", tmp_path / "c", "--seed", 1,
                    "--n-normal", 40, "--n-anomaly", 10,
@@ -194,6 +202,26 @@ classifier_widths = 16,8,1
     assert config_meta["w_rec"] == 10.0
     (clf_ckpt,) = (tmp_path / "work").glob("classifier_*.ckpt")
     assert load_checkpoint(clf_ckpt).meta["config"]["widths"] == [16, 8, 1]
+
+
+def test_pipeline_seeds_write_a_workdir_per_seed_and_their_summary(tiny_corpus, tmp_path,
+                                                                   capsys):
+    train_csv, test_csv = tiny_corpus
+    work = tmp_path / "work"
+    assert run_cli("pipeline", "--workdir", work, "--train-csv", train_csv,
+                   "--test-csv", test_csv, "--seeds", "4,9", "--epochs", 1,
+                   "--noise-grid", "0,1;-9,5", "--latent-dim", 16, "--flow-blocks", 2,
+                   "--flow-hidden", 16, "--encoder-widths", "1600,32,16",
+                   "--disc-widths", "1600,16,1", "--classifier-widths", "16,8,1") == 0
+    best = []
+    for seed in (4, 9):
+        reports = [read_report(p) for p in (work / f"seed{seed}").glob("report_*.txt")]
+        assert len(reports) == 2
+        best.append(max(r.auroc for r in reports))
+    summary = (f"seeds: 4, 9\nbest-auroc mean: {np.mean(best):.4f}\n"
+               f"best-auroc stddev: {np.std(best, ddof=1):.4f}\n")
+    assert (work / "seed_summary.txt").read_text() == summary
+    assert capsys.readouterr().out == summary
 
 
 def test_pipeline_command_rejects_unknown_config_key(tmp_path, capsys):

@@ -9,8 +9,8 @@ from flowgate.packets import EncodedPacket, Label
 
 
 def make_packet(rng, label=None, idx=0):
-    values = rng.integers(0, 256, size=1600) / 255.0
-    return EncodedPacket(values=values, label=label, source_id=("mem", idx))
+    codes = rng.integers(0, 256, size=1600).astype(np.uint8).tobytes()
+    return EncodedPacket(codes, label=label, source_id=("mem", idx))
 
 
 def test_empty_write_and_read(tmp_path):
@@ -114,9 +114,9 @@ def canonical_csv(path):
     rng = np.random.default_rng(6)
     packets = []
     for i, label in enumerate([Label.NORMAL, Label.ANOMALY, None]):
-        values = rng.integers(0, 256, size=1600) / 255.0
-        values[:2] = (0.0, 1.0)
-        packets.append(EncodedPacket(values=values, label=label, source_id=("mem", i)))
+        codes = rng.integers(0, 256, size=1600).astype(np.uint8)
+        codes[:2] = (0, 255)
+        packets.append(EncodedPacket(codes.tobytes(), label=label, source_id=("mem", i)))
     write_dataset(packets, path)
     return packets
 
@@ -142,7 +142,7 @@ def rewrite_field(path, line, col, text):
 def test_all_256_byte_values_round_trip_bit_exact(tmp_path):
     codes = np.arange(1600) % 256
     path = tmp_path / "d.csv"
-    write_dataset([EncodedPacket(values=codes / 255.0)], path)
+    write_dataset([EncodedPacket(codes.astype(np.uint8).tobytes())], path)
     (back,) = read_dataset(path)
     expected = np.array([float(repr(b / 255.0)) for b in codes.tolist()])
     assert back.values.dtype == np.float64
@@ -193,6 +193,16 @@ def test_rejections_name_their_line(tmp_path, line, col, text):
     rewrite_field(path, line, col, text)
     with pytest.raises(MalformedRow, match=rf"d\.csv:{line}: "):
         read_dataset(path)
+
+
+def test_a_near_grid_decimal_reads_as_its_byte(tmp_path):
+    path = tmp_path / "d.csv"
+    packets = canonical_csv(path)
+    rewrite_field(path, 2, 9, "0.003921568627")  # 255 times it is 1 - 1.1e-10
+    got = read_dataset(path)
+    assert got[0].values[9] == 1 / 255.0
+    assert got[0].codes == packets[0].codes[:9] + b"\x01" + packets[0].codes[10:]
+    assert [p.codes for p in got[1:]] == [p.codes for p in packets[1:]]
 
 
 @pytest.mark.parametrize("n_values", [1599, 1601])

@@ -176,9 +176,8 @@ def test_train_extractor_deterministic():
 
 
 def test_train_extractor_rejects_labeled_anomaly():
-    values = np.zeros(1600)
-    packets = [EncodedPacket(values=values, label=Label.NORMAL, source_id=("m", 0)),
-               EncodedPacket(values=values, label=Label.ANOMALY, source_id=("m", 1))]
+    packets = [EncodedPacket(bytes(1600), label=Label.NORMAL, source_id=("m", 0)),
+               EncodedPacket(bytes(1600), label=Label.ANOMALY, source_id=("m", 1))]
     with pytest.raises(AnomalyInTrainingSet):
         train_extractor(packets, ExtractorConfig(epochs=1), seed=0)
 

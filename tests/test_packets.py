@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from flowgate.errors import BadIHL, HeaderTruncated, NotIPv4, TooShort
+from flowgate.errors import BadIHL, HeaderTruncated, NotIPv4, ShapeMismatch, TooShort
 from flowgate.packets import (
     DropReason, EncodedPacket, FilterVerdict, Label, Transport, anonymize,
     canonicalize, encode_frame, filter_packet, parse_network_transport,
@@ -234,24 +234,21 @@ def test_canonicalize_deterministic():
 
 
 def test_encoded_packet_validation():
-    with pytest.raises(ValueError):
-        EncodedPacket(values=np.zeros(10))
-    bad = np.zeros(1600)
-    bad[0] = 1.5
-    with pytest.raises(ValueError):
-        EncodedPacket(values=bad)
-    frac = np.zeros(1600)
-    frac[0] = 0.5  # not a multiple of 1/255
-    with pytest.raises(ValueError):
-        EncodedPacket(values=frac)
+    for length in (10, 1599, 1601):
+        with pytest.raises(ShapeMismatch, match=f"expected 1600 bytes, got {length}"):
+            EncodedPacket(bytes(length))
+    with pytest.raises(TypeError, match="codes must be bytes"):
+        EncodedPacket(bytearray(1600))
 
 
-@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-def test_encoded_packet_rejects_non_finite(value):
-    values = np.zeros(1600)
-    values[7] = value
-    with pytest.raises(ValueError, match=r"\[0, 1\]"):
-        EncodedPacket(values=values)
+def test_encoded_packet_values_are_its_bytes_over_255():
+    codes = bytes(range(256)) * 6 + bytes(64)
+    packet = EncodedPacket(codes, Label.ANOMALY, ("f", 2))
+    expected = np.array([b / 255.0 for b in codes])
+    assert packet.values.dtype == np.float64
+    np.testing.assert_array_equal(packet.values.view(np.uint64), expected.view(np.uint64))
+    with pytest.raises(AttributeError):
+        packet.values = expected
 
 
 def test_encode_frame_end_to_end():

@@ -1,3 +1,4 @@
+import re
 import struct
 import subprocess
 import sys
@@ -5,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from flowgate.errors import FlowgateError, TruncatedRecord, UnrecognizedMagic
+from flowgate.errors import FlowgateError, IoFailure, TruncatedRecord, UnrecognizedMagic
 from flowgate.packets import process_capture
 from flowgate.pcap import parse_capture
 from crafting import pcap_bytes, tcp_frame, udp_frame
@@ -132,3 +133,9 @@ def test_mutated_captures_raise_only_flowgate_errors(tmp_path):
         assert stats.kept == len(packets) <= stats.seen
         kept += len(packets)
     assert kept > 0
+
+
+def test_a_capture_that_cannot_be_opened_is_an_io_failure_naming_it(tmp_path):
+    for path in (tmp_path / "missing.pcap", tmp_path):
+        with pytest.raises(IoFailure, match=f"cannot read capture {re.escape(str(path))}: "):
+            list(parse_capture(path))

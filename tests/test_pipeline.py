@@ -11,13 +11,17 @@ import pytest
 
 from flowgate.checkpoint import load_checkpoint
 from flowgate.cli import main as cli_main
+from flowgate.corpus import synthetic_frame
 from flowgate.dataset import read_dataset, write_dataset
 from flowgate.errors import AnomalyInTrainingSet, CheckpointMismatch
 from flowgate.metrics import read_report, read_scores
 import flowgate.pipeline as pipeline
 from flowgate.pipeline import InferenceEngine, infer, ratio_ablation, run_pipeline
 from conftest import tiny_pipeline_config
-from crafting import checkpoint_with_header, checkpoint_without_table
+from crafting import (
+    checkpoint_with_header, checkpoint_with_nested_header, checkpoint_without_table,
+    pcap_bytes, tcp_frame, udp_frame,
+)
 
 
 @pytest.fixture(scope="module")
@@ -81,6 +85,17 @@ def test_pipeline_retrains_a_checkpoint_with_a_malformed_header(pipeline_run, tm
     flow_before = first.flow_ckpt.read_bytes()
     (workdir / "flow.ckpt").write_bytes(checkpoint_with_header(
         flow_before, lambda h: {k: v for k, v in h.items() if k != "seed"}))
+    again = run_pipeline(dataclasses.replace(cfg, workdir=str(workdir)))
+    assert again.flow_ckpt.read_bytes() == flow_before
+    assert again.best.auroc == first.best.auroc
+
+
+def test_pipeline_retrains_a_checkpoint_whose_header_nests_too_deep(pipeline_run, tmp_path):
+    cfg, first = pipeline_run
+    workdir = tmp_path / "work"
+    shutil.copytree(first.extractor_ckpt.parent, workdir)
+    flow_before = first.flow_ckpt.read_bytes()
+    (workdir / "flow.ckpt").write_bytes(checkpoint_with_nested_header(flow_before))
     again = run_pipeline(dataclasses.replace(cfg, workdir=str(workdir)))
     assert again.flow_ckpt.read_bytes() == flow_before
     assert again.best.auroc == first.best.auroc
@@ -379,9 +394,33 @@ def test_unlabeled_inference_report_absent(pipeline_run, tiny_corpus, tmp_path):
     cfg, result = pipeline_run
     _, test_csv = tiny_corpus
     packets = read_dataset(test_csv)
-    stripped = [type(p)(values=p.values, label=None, source_id=p.source_id)
-                for p in packets[:10]]
+    stripped = [dataclasses.replace(p, label=None) for p in packets[:10]]
     clf_path = next(iter(result.classifier_ckpts.values()))
     scored = infer(result.extractor_ckpt, clf_path, stripped)
     assert len(scored) == 10
     assert all(s.label is None for s in scored)
+
+
+def test_pipeline_from_captures_writes_the_csvs_preprocess_writes(tmp_path):
+    rng = np.random.default_rng(12)
+    dropped = [udp_frame(payload=b"q", dport=53), tcp_frame(payload=b"")]
+    captures = {"train/a.pcap": [synthetic_frame(rng, False) for _ in range(40)] + dropped,
+                "train/b.pcap": [synthetic_frame(rng, False) for _ in range(40)],
+                "normal.pcap": [synthetic_frame(rng, False) for _ in range(20)] + dropped,
+                "anomaly.pcap": [synthetic_frame(rng, True) for _ in range(20)]}
+    (tmp_path / "train").mkdir()
+    for name, frames in captures.items():
+        (tmp_path / name).write_bytes(pcap_bytes(frames))
+    workdir = tmp_path / "work"
+    run_pipeline(tiny_pipeline_config(
+        workdir, None, None, train_pcap=str(tmp_path / "train"),
+        test_normal_pcap=str(tmp_path / "normal.pcap"),
+        test_anomaly_pcap=str(tmp_path / "anomaly.pcap"), epochs=1))
+    for source, label in (("train", "0"), ("normal.pcap", "0"), ("anomaly.pcap", "1")):
+        assert cli_main(["preprocess", "--in", str(tmp_path / source),
+                         "--out", str(tmp_path / f"{source}.csv"), "--label", label]) == 0
+    assert (workdir / "train.csv").read_bytes() == (tmp_path / "train.csv").read_bytes()
+    _, anomaly_rows = (tmp_path / "anomaly.pcap.csv").read_bytes().split(b"\n", 1)
+    assert (workdir / "test.csv").read_bytes() == (
+        (tmp_path / "normal.pcap.csv").read_bytes() + anomaly_rows)
+    assert len(read_dataset(workdir / "test.csv")) == 40
