@@ -9,6 +9,7 @@ files.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -47,6 +48,7 @@ class Checkpoint:
     # names present in the file; equals tensors.keys() unless loading filtered
     available: tuple[str, ...] = ()
     path: str = ""  # the file it was loaded from, named in errors
+    sha256: str = ""  # of the file's bytes, when loaded from one
 
     def __post_init__(self):
         if self.stage not in STAGES:
@@ -93,7 +95,8 @@ def build_model(ckpt: Checkpoint, config_type: type, build: Callable, prefix: st
     return model
 
 
-def save_checkpoint(path: str | Path, ckpt: Checkpoint) -> None:
+def save_checkpoint(path: str | Path, ckpt: Checkpoint) -> str:
+    """Writes `ckpt` to `path`; returns the sha256 of the bytes written."""
     names = sorted(ckpt.tensors)
     header = {
         "format": FORMAT_VERSION,
@@ -104,13 +107,16 @@ def save_checkpoint(path: str | Path, ckpt: Checkpoint) -> None:
         "tensors": [[name, list(ckpt.tensors[name].shape)] for name in names],
     }
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    chunks = itertools.chain(
+        [MAGIC, struct.pack("<BI", FORMAT_VERSION, len(blob)), blob],
+        (np.ascontiguousarray(ckpt.tensors[name], dtype=np.float64).tobytes()
+         for name in names))
+    digest = hashlib.sha256()
     with replacing(path, "checkpoint") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<B", FORMAT_VERSION))
-        fh.write(struct.pack("<I", len(blob)))
-        fh.write(blob)
-        for name in names:
-            fh.write(np.ascontiguousarray(ckpt.tensors[name], dtype=np.float64).tobytes())
+        for chunk in chunks:
+            fh.write(chunk)
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
 @contextmanager
@@ -136,7 +142,8 @@ def load_checkpoint(path: str | Path, expect_stage: Optional[str] = None,
     `include` restricts which parameter tables are materialized: only tensors
     whose name starts with one of the given prefixes are read, everything else
     is skipped over. The returned Checkpoint's `tensors` holds exactly what was
-    materialized; `available` lists every table in the file. A malformed header,
+    materialized; `available` lists every table in the file, and `sha256` is
+    the digest of the file's bytes as read. A malformed header,
     or a NaN or infinity in a materialized tensor, raises CheckpointMismatch
     naming the path.
     """
@@ -204,7 +211,8 @@ def load_checkpoint(path: str | Path, expect_stage: Optional[str] = None,
     return Checkpoint(stage=stage, seed=seed,
                       config_fingerprint=header["config_fingerprint"],
                       tensors=tensors, meta=meta,
-                      available=tuple(name for name, _ in table), path=str(path))
+                      available=tuple(name for name, _ in table), path=str(path),
+                      sha256=hashlib.sha256(raw).hexdigest())
 
 
 def _is_table_entry(entry) -> bool:

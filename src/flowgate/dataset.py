@@ -20,7 +20,7 @@ from __future__ import annotations
 import csv
 import itertools
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -39,13 +39,6 @@ _LABEL_OF = {"": None, "0": Label.NORMAL, "1": Label.ANOMALY}
 
 def _label_str(label: Optional[Label]) -> str:
     return "" if label is None else str(label.value)
-
-
-def _parse_label(text: str) -> Optional[Label]:
-    try:
-        return _LABEL_OF[text]
-    except KeyError:
-        raise MalformedRow(f"bad label field {text!r}") from None
 
 
 def write_dataset(packets: Iterable[EncodedPacket], out: str | Path) -> int:
@@ -100,33 +93,44 @@ def _parse_row(row: list[str], where: str) -> tuple[bytes, Optional[Label]]:
     return np.rint(scaled).astype(np.uint8).tobytes(), _LABEL_OF[row[-1]]
 
 
+def text_lines(path: str | Path, what: str) -> Iterator[str]:
+    """The lines of the file at `path` as UTF-8 text, line ends kept, read as
+    they are used. A file that cannot be read is an IoFailure naming `what`; a
+    line that is not UTF-8, a MalformedRow naming it."""
+    try:
+        fh = open(path, encoding="utf-8", errors="surrogateescape", newline="")
+    except OSError as err:
+        raise IoFailure(f"cannot read {what} {path}: {err}") from err
+    with fh:
+        for lineno, line in enumerate(fh, 1):
+            # an undecodable byte reads as a lone surrogate, which UTF-8 cannot encode
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError:
+                raise MalformedRow(f"{path}:{lineno}: undecodable text") from None
+            yield line
+
+
 def read_dataset(path: str | Path) -> list[EncodedPacket]:
     """Read a packet CSV, validating every row (see the module docstring)."""
     fid = Path(path).name
     packets: list[EncodedPacket] = []
-    try:
-        fh = open(path, "r", newline="")
-    except OSError as err:
-        raise IoFailure(f"cannot read {path}: {err}") from err
+    lines = text_lines(path, "dataset")
     where = f"{path}:1"
-    with fh:
-        try:
-            lines = iter(fh)
-            if next(csv.reader(lines), None) != DATASET_HEADER:
-                raise MalformedRow(f"{path}: missing or wrong header row")
-            for lineno, line in enumerate(lines):
-                where = f"{path}:{lineno + 2}"
-                looked_up = _lookup_row(line)
-                if looked_up is None:
-                    # csv.reader pulls further lines when a quoted field spans them
-                    record = next(csv.reader(itertools.chain([line], lines)))
-                    looked_up = _parse_row(record, where)
-                codes, label = looked_up
-                packets.append(EncodedPacket(codes, label, (fid, lineno)))
-        except csv.Error as err:
-            raise MalformedRow(f"{where}: {err}") from err
-        except UnicodeDecodeError as err:
-            raise MalformedRow(f"{path}: undecodable text: {err.reason}") from err
+    try:
+        if next(csv.reader(lines), None) != DATASET_HEADER:
+            raise MalformedRow(f"{path}: missing or wrong header row")
+        for lineno, line in enumerate(lines):
+            where = f"{path}:{lineno + 2}"
+            looked_up = _lookup_row(line)
+            if looked_up is None:
+                # csv.reader pulls further lines when a quoted field spans them
+                record = next(csv.reader(itertools.chain([line], lines)))
+                looked_up = _parse_row(record, where)
+            codes, label = looked_up
+            packets.append(EncodedPacket(codes, label, (fid, lineno)))
+    except csv.Error as err:
+        raise MalformedRow(f"{where}: {err}") from err
     return packets
 
 
@@ -155,27 +159,35 @@ def write_latents(path: str | Path, latents: np.ndarray,
     return arr.shape[0]
 
 
-def read_latents(path: str | Path) -> tuple[np.ndarray, list[Optional[Label]]]:
+def csv_records(path: str | Path, what: str) -> Iterator[tuple[str, list[str]]]:
+    """`(path:line, record)` for each csv.reader record of `text_lines(path, what)`,
+    at the record's last line; a record csv.reader refuses (a field over its size
+    limit, say) is a MalformedRow naming its line."""
+    reader = csv.reader(text_lines(path, what))
     try:
-        fh = open(path, "r", newline="")
-    except OSError as err:
-        raise IoFailure(f"cannot read {path}: {err}") from err
-    with fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if not header or header[-1] != "label":
-            raise MalformedRow(f"{path}: missing latent header row")
-        dim = len(header) - 1
-        rows, labels = [], []
-        for lineno, row in enumerate(reader):
-            if len(row) != dim + 1:
-                raise MalformedRow(
-                    f"{path}:{lineno + 2}: expected {dim + 1} columns, got {len(row)}")
-            try:
-                rows.append(np.array(row[:-1], dtype=np.float64))
-            except ValueError as err:
-                raise MalformedRow(f"{path}:{lineno + 2}: non-numeric value") from err
-            labels.append(_parse_label(row[-1]))
+        for record in reader:
+            yield f"{path}:{reader.line_num}", record
+    except csv.Error as err:
+        raise MalformedRow(f"{path}:{reader.line_num}: {err}") from err
+
+
+def read_latents(path: str | Path) -> tuple[np.ndarray, list[Optional[Label]]]:
+    records = csv_records(path, "latents")
+    _, header = next(records, (None, None))
+    if not header or header[-1] != "label":
+        raise MalformedRow(f"{path}: missing latent header row")
+    dim = len(header) - 1
+    rows, labels = [], []
+    for where, row in records:
+        if len(row) != dim + 1:
+            raise MalformedRow(f"{where}: expected {dim + 1} columns, got {len(row)}")
+        try:
+            rows.append(np.array(row[:-1], dtype=np.float64))
+        except ValueError as err:
+            raise MalformedRow(f"{where}: non-numeric value") from err
+        if row[-1] not in _LABEL_OF:
+            raise MalformedRow(f"{where}: bad label field {row[-1]!r}")
+        labels.append(_LABEL_OF[row[-1]])
     matrix = np.stack(rows) if rows else np.zeros((0, dim))
     if matrix.size and not np.isfinite(matrix).all():
         raise MalformedRow(f"{path}: non-finite latent value")

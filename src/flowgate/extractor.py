@@ -114,7 +114,8 @@ class FeatureExtractor:
         z = self.encoder(x)
         x_hat = self.decoder(z)
         _, feat_fake = self.discriminator.forward_hidden(x_hat)
-        feat_real = Tensor(self.discriminator.hidden_np(x.data))
+        with nn.off_tape():  # a constant of the generator step
+            _, feat_real = self.discriminator.forward_hidden(x)
         return generator_objective(feat_real, feat_fake, x, x_hat,
                                    self.config.w_adv, self.config.w_rec)
 

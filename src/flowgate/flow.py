@@ -63,28 +63,16 @@ class CouplingBlock:
         self.s_clamp = float(s_clamp)
         self.dim = mask.size
 
-    def _scale_t(self, a: Tensor) -> Tensor:
-        return self.s_clamp * nn.tanh(self.s_net(a))
-
     def forward_t(self, h: Tensor) -> tuple[Tensor, Tensor]:
         """Normalization step on tape tensors; returns (h_next, per-row log-det)."""
         a = nn.take_cols(h, self.keep_idx)
         b = nn.take_cols(h, self.change_idx)
-        s = self._scale_t(a)
+        s = self.s_clamp * nn.tanh(self.s_net(a))
         t = self.t_net(a)
         b_next = b * nn.exp(s) + t
         h_next = nn.put_cols(a, self.keep_idx, self.dim) + \
             nn.put_cols(b_next, self.change_idx, self.dim)
         return h_next, nn.reduce_sum(s, axis=-1)
-
-    def forward_np(self, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        a = h[:, self.keep_idx]
-        s = self.s_clamp * np.tanh(self.s_net.eval_np(a))
-        t = self.t_net.eval_np(a)
-        out = np.empty_like(h)
-        out[:, self.keep_idx] = a
-        out[:, self.change_idx] = h[:, self.change_idx] * np.exp(s) + t
-        return out, s.sum(axis=-1)
 
     def inverse_np(self, h: np.ndarray) -> np.ndarray:
         a = h[:, self.keep_idx]
@@ -147,7 +135,7 @@ class FlowModel:
         return arr, single
 
     def normalize_t(self, h: Tensor) -> tuple[Tensor, Tensor]:
-        """Tape version used in training; input must be [n, dim]."""
+        """Normalize on tensors, recorded on an active tape; input must be [n, dim]."""
         log_det: Optional[Tensor] = None
         for block in self.blocks:
             h, ld = block.forward_t(h)
@@ -158,16 +146,12 @@ class FlowModel:
 
     def normalize(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray | float]:
         """Map latents toward the base distribution; returns (c, log_det)."""
-        h, single = self._check_input(z)
-        total = np.zeros(h.shape[0])
-        for block in self.blocks:
-            h, ld = block.forward_np(h)
-            if h.size and not np.isfinite(h).all():
-                raise NonFiniteIntermediate("coupling block overflowed")
-            total += ld
+        arr, single = self._check_input(z)
+        with nn.off_tape():
+            h, log_det = self.normalize_t(Tensor(arr))
         if single:
-            return h[0], float(total[0])
-        return h, total
+            return h.data[0], float(log_det.data[0])
+        return h.data, log_det.data
 
     def generate(self, c: np.ndarray) -> np.ndarray:
         """Exact inverse of normalize, blocks applied in reverse order."""

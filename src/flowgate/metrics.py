@@ -15,6 +15,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
+from .dataset import csv_records, text_lines
 from .errors import IoFailure, MalformedRow, OneClassOnly
 from .packets import Label
 
@@ -133,10 +134,7 @@ def write_report(path: str | Path, report: EvalReport) -> None:
 
 
 def read_report(path: str | Path) -> EvalReport:
-    try:
-        return parse_report(Path(path).read_text())
-    except OSError as err:
-        raise IoFailure(f"cannot read report {path}: {err}") from err
+    return parse_report("".join(text_lines(path, "report")))
 
 
 # --- per-sample score CSV ---
@@ -159,25 +157,19 @@ def write_scores(path: str | Path, scored: Sequence[ScoredSample]) -> int:
 
 
 def read_scores(path: str | Path) -> list[ScoredSample]:
-    try:
-        fh = open(path, "r", newline="")
-    except OSError as err:
-        raise IoFailure(f"cannot read scores {path}: {err}") from err
+    records = csv_records(path, "scores")
+    if next(records, (None, None))[1] != SCORES_HEADER:
+        raise MalformedRow(f"{path}: missing scores header")
     out = []
-    with fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != SCORES_HEADER:
-            raise MalformedRow(f"{path}: missing scores header")
-        for lineno, row in enumerate(reader):
-            if len(row) != 4:
-                raise MalformedRow(f"{path}:{lineno + 2}: expected 4 columns")
-            fid, idx, score, label = row
-            try:
-                out.append(ScoredSample(
-                    score=float(score),
-                    label=None if label == "" else Label(int(label)),
-                    source_id=(fid, int(idx)) if fid else None))
-            except ValueError as err:
-                raise MalformedRow(f"{path}:{lineno + 2}: {err}") from err
+    for where, row in records:
+        if len(row) != 4:
+            raise MalformedRow(f"{where}: expected 4 columns")
+        fid, idx, score, label = row
+        try:
+            out.append(ScoredSample(
+                score=float(score),
+                label=None if label == "" else Label(int(label)),
+                source_id=(fid, int(idx)) if fid else None))
+        except ValueError as err:
+            raise MalformedRow(f"{where}: {err}") from err
     return out

@@ -3,12 +3,15 @@
 Everything runs eagerly on float64 numpy arrays. While a GradTape is active,
 operations also record backward closures; `backward` replays them in reverse
 to produce exact gradients for every tensor the tape touched. Double precision
-keeps the finite-difference checks in the test suite tight; frozen models can
-be evaluated through the cheaper `eval_np` paths.
+keeps the finite-difference checks in the test suite tight. Each computation
+is defined once: a frozen network runs the same operations inside `off_tape()`,
+which records nothing even under an active tape, so its outputs are constants
+to any surrounding gradient.
 """
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from enum import Enum
 from typing import Callable, Iterable, Mapping, Sequence
@@ -33,13 +36,12 @@ LEAKY_RELU_SLOPE = 0.2
 
 
 class Tensor:
-    """A float64 array plus the gradient slot filled in by backward()."""
+    """A float64 array; `backward` returns gradients keyed by tensor."""
 
-    __slots__ = ("data", "grad")
+    __slots__ = ("data",)
 
     def __init__(self, data) -> None:
         self.data = np.asarray(data, dtype=np.float64)
-        self.grad: Array | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -79,7 +81,8 @@ def _wrap(x) -> Tensor:
 
 BackwardFn = Callable[[Array], tuple[Array | None, ...]]
 
-_TAPE_STACK: list["GradTape"] = []
+# the innermost entry records; None (pushed by off_tape) records nothing
+_TAPE_STACK: list[GradTape | None] = []
 
 
 class GradTape:
@@ -104,9 +107,20 @@ class GradTape:
         return len(self._records)
 
 
+@contextmanager
+def off_tape():
+    """Operations inside record nothing, even under an active GradTape; their
+    results are constants to it."""
+    _TAPE_STACK.append(None)
+    try:
+        yield
+    finally:
+        _TAPE_STACK.pop()
+
+
 def _record(out: Tensor, inputs: tuple[Tensor, ...], backward_fn: BackwardFn) -> Tensor:
-    if _TAPE_STACK:
-        tape = _TAPE_STACK[-1]
+    tape = _TAPE_STACK[-1] if _TAPE_STACK else None
+    if tape is not None:
         tape._records.append((out, inputs, backward_fn))
         tape._outputs.add(id(out))
     return out
@@ -137,10 +151,7 @@ def backward(tape: GradTape, loss: Tensor) -> dict[Tensor, Array]:
             else:
                 grads[key] = g
                 by_id[key] = tensor
-    result = {by_id[k]: g for k, g in grads.items()}
-    for tensor, g in result.items():
-        tensor.grad = g
-    return result
+    return {by_id[k]: g for k, g in grads.items()}
 
 
 def grads_for(grads: dict[Tensor, Array], params: Sequence[Tensor]) -> list[Array]:
@@ -229,18 +240,14 @@ def tanh(a: Tensor) -> Tensor:
     return _record(out, (a,), bw)
 
 
-def _sigmoid_np(x: Array) -> Array:
-    # overflow-safe in both tails
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
 def sigmoid(a: Tensor) -> Tensor:
-    s = _sigmoid_np(a.data)
+    # overflow-safe in both tails
+    x = a.data
+    s = np.empty_like(x)
+    pos = x >= 0
+    s[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    s[~pos] = ex / (1.0 + ex)
     out = Tensor(s)
 
     def bw(g: Array):
@@ -346,22 +353,17 @@ def linear(x: Tensor, weights: Tensor, bias: Tensor) -> Tensor:
     return _record(out, (x, weights, bias), bw)
 
 
-# each activation on tape tensors, and on plain arrays for the eval paths
 _ACTIVATIONS = {
-    Activation.LINEAR: (lambda x: x, lambda x: x),
-    Activation.RELU: (relu, lambda x: np.where(x > 0, x, 0.0)),
-    Activation.LEAKY_RELU: (leaky_relu, lambda x: np.where(x > 0, x, LEAKY_RELU_SLOPE * x)),
-    Activation.TANH: (tanh, np.tanh),
-    Activation.SIGMOID: (sigmoid, _sigmoid_np),
+    Activation.LINEAR: lambda x: x,
+    Activation.RELU: relu,
+    Activation.LEAKY_RELU: leaky_relu,
+    Activation.TANH: tanh,
+    Activation.SIGMOID: sigmoid,
 }
 
 
 def activate(x: Tensor, activation: Activation) -> Tensor:
-    return _ACTIVATIONS[activation][0](x)
-
-
-def _activate_np(x: Array, activation: Activation) -> Array:
-    return _ACTIVATIONS[activation][1](x)
+    return _ACTIVATIONS[activation](x)
 
 
 # --- losses ---
@@ -420,9 +422,6 @@ class DenseLayer:
 
     def __call__(self, x: Tensor) -> Tensor:
         return forward(self, x)
-
-    def eval_np(self, x: Array) -> Array:
-        return _activate_np(x @ self.weights.data.T + self.bias.data, self.activation)
 
 
 def forward(layer: DenseLayer, x: Tensor) -> Tensor:
@@ -492,26 +491,18 @@ class MLP:
                 for k, p in zip("Wb", layer.params)]
 
     def __call__(self, x: Tensor) -> Tensor:
-        for layer in self.layers:
-            x = layer(x)
-        return x
+        return self.forward_hidden(x)[0]
 
     def forward_hidden(self, x: Tensor) -> tuple[Tensor, Tensor]:
         """Output plus the activation feeding the final layer (the feature tap)."""
-        h = x
         for layer in self.layers[:-1]:
-            h = layer(h)
-        return self.layers[-1](h), h
+            x = layer(x)
+        return self.layers[-1](x), x
 
     def eval_np(self, x: Array) -> Array:
-        for layer in self.layers:
-            x = layer.eval_np(x)
-        return x
-
-    def hidden_np(self, x: Array) -> Array:
-        for layer in self.layers[:-1]:
-            x = layer.eval_np(x)
-        return x
+        """The output for a plain array, computed off the tape."""
+        with off_tape():
+            return self(Tensor(x)).data
 
 
 # --- optimizer ---

@@ -44,7 +44,7 @@ from .classifier import (
 from .dataset import (
     read_dataset, read_latents, values_matrix, write_dataset, write_latents,
 )
-from .errors import CheckpointMismatch, FlowgateError, IoFailure
+from .errors import BadConfig, CheckpointMismatch, FlowgateError, IoFailure
 from .extractor import (
     ExtractorConfig, encoder_from_checkpoint, extractor_from_checkpoint,
     train_extractor, training_matrix,
@@ -96,8 +96,15 @@ class PipelineConfig:
         self.flow_config()
         self.classifier_config()
         SynthesisConfig(ratio=self.ratio)
+        # a tag names a setting's files and keys its classifier
+        tagged: dict[str, tuple[float, float]] = {}
         for mu, sigma in self.noise_grid:
             NoiseSpec(mu=mu, sigma=sigma, seed=self.seed)
+            tag = _noise_tag(mu, sigma, self.ratio)
+            if tag in tagged:
+                raise BadConfig(f"noise settings {tagged[tag]} and {(mu, sigma)} "
+                                f"share the tag {tag}")
+            tagged[tag] = (mu, sigma)
 
     def _training(self) -> dict:
         return dict(epochs=self.epochs, batch_size=self.batch_size, lr=self.lr,
@@ -136,11 +143,9 @@ def _stage(name: str):
 
 def _cached_checkpoint(path: Path, stage: str, fingerprint: str, seed: int,
                        build: Callable):
-    """`build`'s model of the checkpoint at `path` if that was saved under
-    `fingerprint` and `seed`; None if it is absent, saved under another key,
-    unreadable, or holds a config or tables `build` cannot use."""
-    if not path.exists():
-        return None
+    """`build`'s model of the checkpoint at `path` and the file's sha256, if it
+    was saved under `fingerprint` and `seed`; None if it is absent, saved under
+    another key, unreadable, or holds a config or tables `build` cannot use."""
     try:
         ckpt = load_checkpoint(path, expect_stage=stage)
         if not matches(ckpt, stage, fingerprint, seed):
@@ -149,7 +154,7 @@ def _cached_checkpoint(path: Path, stage: str, fingerprint: str, seed: int,
     except (CheckpointMismatch, IoFailure):
         return None
     log.info("reusing %s", path.name)
-    return model
+    return model, ckpt.sha256
 
 
 def _sha256(path: Path) -> str:
@@ -168,16 +173,17 @@ def _cached_stage(path: Path, stage: str, seed: int, key: str,
                   train: Callable[[], Checkpoint], build: Callable):
     """`build`'s model of the cached checkpoint at `path`, else of `train()`'s,
     saved there under `key`: the fingerprint of the stage's config and the
-    sha256 of its direct upstream, so it covers everything upstream."""
-    model = _cached_checkpoint(path, stage, key, seed, build)
-    if model is None:
-        ckpt = train()
-        ckpt.config_fingerprint = key
-        save_checkpoint(path, ckpt)
-        log.info("%s: best epoch %s of %s", path.name,
-                 ckpt.meta["best_epoch"], ckpt.meta["epochs_run"])
-        model = build(ckpt)
-    return model
+    sha256 of its direct upstream, so it covers everything upstream. Returns
+    the model and the sha256 of the file at `path`."""
+    cached = _cached_checkpoint(path, stage, key, seed, build)
+    if cached is not None:
+        return cached
+    ckpt = train()
+    ckpt.config_fingerprint = key
+    digest = save_checkpoint(path, ckpt)
+    log.info("%s: best epoch %s of %s", path.name,
+             ckpt.meta["best_epoch"], ckpt.meta["epochs_run"])
+    return build(ckpt), digest
 
 
 RUN_RECORD = "run.json"
@@ -321,12 +327,11 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
     ext_cfg, ext_seed = cfg.extractor_config(), derive_seed(cfg.seed, "stage:extractor")
     ext_path = workdir / "extractor.ckpt"
     with _stage("train-extractor"):
-        extractor = _cached_stage(
+        extractor, ext_digest = _cached_stage(
             ext_path, STAGE_EXTRACTOR, ext_seed,
             config_fingerprint({**ext_cfg.to_dict(), "upstream": _sha256(train_csv)}),
             lambda: train_extractor(train_matrix(), ext_cfg, ext_seed),
             extractor_from_checkpoint)
-        ext_digest = _sha256(ext_path)
 
     latents_path = workdir / TRAIN_LATENTS
     latents_digest = _recorded_latents(workdir, ext_digest)
@@ -347,13 +352,12 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
     flow_cfg, flow_seed = cfg.flow_config(), derive_seed(cfg.seed, "stage:flow")
     flow_path = workdir / "flow.ckpt"
     with _stage("train-flow"):
-        flow = _cached_stage(
+        flow, flow_digest = _cached_stage(
             flow_path, STAGE_FLOW, flow_seed,
             config_fingerprint({**flow_cfg.to_dict(), "upstream": ext_digest}),
             lambda: train_flow(FlowModel.create(flow_cfg, flow_seed), latents(),
                                flow_cfg, flow_seed),
             flow_from_checkpoint)
-        flow_digest = _sha256(flow_path)
 
     with _stage("load-test"):
         test_packets = read_dataset(test_csv)
@@ -367,7 +371,7 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
         clf_seed = derive_seed(cfg.seed, f"stage:classifier:{tag}")
         clf_path = workdir / f"classifier_{tag}.ckpt"
         with _stage(f"train-classifier-{tag}"):
-            classifier = _cached_stage(
+            classifier, _ = _cached_stage(
                 clf_path, STAGE_CLASSIFIER, clf_seed,
                 config_fingerprint({**clf_cfg.to_dict(), "noise": tag,
                                     "upstream": flow_digest}),

@@ -53,6 +53,14 @@ def test_save_is_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_save_and_load_give_the_sha256_of_the_file(tmp_path):
+    path = tmp_path / "x.ckpt"
+    digest = save_checkpoint(path, sample_checkpoint())
+    assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
+    assert load_checkpoint(path).sha256 == digest
+    assert load_checkpoint(path, include=("flow.block0.s",)).sha256 == digest
+
+
 def test_magic_verified(tmp_path):
     path = tmp_path / "x.ckpt"
     save_checkpoint(path, sample_checkpoint())

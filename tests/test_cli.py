@@ -122,6 +122,20 @@ def test_infer_and_eval_commands(stage_artifacts, tmp_path):
     assert report.n_pos == 60 and report.n_neg == 60
 
 
+def test_eval_of_an_undecodable_score_file_exits_2_naming_its_line(stage_artifacts,
+                                                                  tmp_path, capsys):
+    root, ext, flw, clf, test_csv = stage_artifacts
+    scores_csv = tmp_path / "scores.csv"
+    assert run_cli("infer", "--extractor", ext, "--classifier", clf,
+                   "--data", test_csv, "--scores-out", scores_csv) == 0
+    header, first, *rest = scores_csv.read_bytes().splitlines(keepends=True)
+    scores_csv.write_bytes(b"".join([header, first, b"\xff" + rest[0], *rest[1:]]))
+    capsys.readouterr()
+    assert run_cli("eval", "--scores", scores_csv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{scores_csv}:3: undecodable text" in err
+
+
 def test_infer_refuses_a_nan_in_the_classifier(stage_artifacts, tmp_path, capsys):
     root, ext, flw, clf, test_csv = stage_artifacts
     poisoned = tmp_path / "classifier.ckpt"
@@ -277,8 +291,10 @@ def test_console_entry_point_runs():
     (["--ratios", "0.5,0"], "ratio"),
     (["--seed", "abc"], "seed"),
     (["--encoder-widths", "1600,x,70"], "encoder_widths"),
+    (["--noise-grid", "0.1234561,1;0.1234562,1"], "(0.1234561, 1.0) and (0.1234562, 1.0)"),
+    (["--noise-grid", "0,1;0,1"], "(0.0, 1.0) and (0.0, 1.0)"),
 ], ids=["grid-1", "grid-semicolon", "flow-blocks-0", "ratio-0", "seeds", "ratios",
-        "seed-abc", "encoder-widths-x"])
+        "seed-abc", "encoder-widths-x", "grid-shared-tag", "grid-repeated"])
 def test_pipeline_bad_value_fails_before_training(tiny_corpus, tmp_path, capsys,
                                                   flags, key):
     train_csv, test_csv = tiny_corpus

@@ -215,6 +215,22 @@ def test_flow_checkpoint_round_trip():
     np.testing.assert_array_equal(rebuilt.normalize(z)[0], model.normalize(z)[0])
 
 
+def test_normalize_is_the_tape_path_run_off_the_tape():
+    rng = np.random.default_rng(10)
+    cfg = FlowConfig(dim=5, blocks=3, hidden=8, epochs=3)
+    model = FlowModel.create(cfg, seed=4)
+    train_flow(model, shifted_correlated(rng, 200, 5), cfg, seed=4)
+    z = shifted_correlated(rng, 12, 5)
+    c_t, log_det_t = model.normalize_t(Tensor(z))
+    c, log_det = model.normalize(z)
+    assert c.tobytes() == c_t.data.tobytes()
+    assert log_det.tobytes() == log_det_t.data.tobytes()
+    c_t, log_det_t = model.normalize_t(Tensor(z[:1]))
+    c, log_det = model.normalize(z[0])
+    assert c.tobytes() == c_t.data[0].tobytes()
+    assert isinstance(log_det, float) and log_det == log_det_t.data[0]
+
+
 def test_flow_checkpoint_with_tables_for_more_blocks_than_its_config_is_refused(tmp_path):
     cfg = FlowConfig(dim=4, blocks=4, hidden=8, epochs=1)
     path = tmp_path / "flow.ckpt"

@@ -1,12 +1,15 @@
+import re
+
 import numpy as np
 import pytest
 
-from flowgate.errors import OneClassOnly
+from flowgate.dataset import read_dataset, read_latents, write_dataset, write_latents
+from flowgate.errors import MalformedRow, OneClassOnly
 from flowgate.metrics import (
     ScoredSample, auroc, evaluate, format_report, parse_report, read_report,
     read_scores, tied_ranks, write_report, write_scores,
 )
-from flowgate.packets import Label
+from flowgate.packets import EncodedPacket, Label
 
 
 def brute_force_auroc(scores, labels):
@@ -125,3 +128,38 @@ def test_scores_round_trip(tmp_path):
     assert write_scores(path, scored) == 21
     back = read_scores(path)
     assert back == scored
+
+
+def prefix_line(path, lineno, text: bytes) -> None:
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines[lineno - 1] = text + lines[lineno - 1]
+    path.write_bytes(b"".join(lines))
+
+
+CSV_READERS = {
+    "dataset": (read_dataset,
+                lambda path: write_dataset([EncodedPacket(bytes(1600), Label.NORMAL)] * 3, path)),
+    "latents": (read_latents, lambda path: write_latents(path, np.zeros((3, 2)))),
+    "scores": (read_scores,
+               lambda path: write_scores(path, make_scored(np.random.default_rng(5), 2, 1))),
+}
+
+
+@pytest.mark.parametrize("spoil", [b"\xff", b"1" * 140_000], ids=["bad-byte", "oversized-field"])
+@pytest.mark.parametrize("read, write", CSV_READERS.values(), ids=CSV_READERS.keys())
+def test_csv_readers_name_the_line_of_a_bad_byte_or_an_oversized_field(tmp_path, read, write,
+                                                                       spoil):
+    path = tmp_path / "file.csv"
+    write(path)
+    read(path)
+    prefix_line(path, 3, spoil)
+    with pytest.raises(MalformedRow, match=re.escape(f"{path}:3: ")):
+        read(path)
+
+
+def test_read_report_names_the_line_of_a_bad_byte(tmp_path):
+    path = tmp_path / "report.txt"
+    write_report(path, evaluate(make_scored(np.random.default_rng(6), 5, 5)))
+    prefix_line(path, 2, b"\xff")
+    with pytest.raises(MalformedRow, match=re.escape(f"{path}:2: undecodable text")):
+        read_report(path)

@@ -67,6 +67,29 @@ def test_eval_np_matches_tape_path():
     np.testing.assert_array_equal(net.eval_np(x), net(Tensor(x)).data)
 
 
+def test_eval_np_inside_a_tape_records_nothing():
+    rng = np.random.default_rng(4)
+    net = MLP.create(rng, [6, 8, 3], Activation.RELU, Activation.SIGMOID)
+    x = rng.standard_normal((5, 6))
+    with GradTape() as tape:
+        out = net.eval_np(x)
+    assert len(tape) == 0
+    np.testing.assert_array_equal(out, net(Tensor(x)).data)
+
+
+def test_off_tape_ops_record_nothing_and_pass_no_gradient():
+    w = Tensor(np.random.default_rng(3).standard_normal(4))
+    with GradTape() as tape:
+        with nn.off_tape():
+            frozen = nn.tanh(w * w)
+        assert len(tape) == 0
+        loss = nn.reduce_sum(frozen * w)
+    assert len(tape) == 2  # recording resumes once off_tape exits
+    grads = backward(tape, loss)
+    # d/dw sum(c * w) = c: the frozen factor is a constant, not tanh(w * w)
+    np.testing.assert_array_equal(grads[w], frozen.data)
+
+
 def test_backward_sum_gives_ones():
     x = Tensor(np.random.default_rng(2).standard_normal((3, 4)))
     with GradTape() as tape:

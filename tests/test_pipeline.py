@@ -302,6 +302,21 @@ def test_untrusted_latents_are_encoded_again(pipeline_run, tmp_path, monkeypatch
         "train_latents_sha256": pipeline._sha256(workdir / "train_latents.csv")}
 
 
+def test_run_json_holds_the_extractor_digest_when_trained_and_when_reused(
+        tiny_corpus, tmp_path, monkeypatch):
+    hashed = collections.Counter()
+    real = pipeline._sha256
+    monkeypatch.setattr(pipeline, "_sha256",
+                        lambda path: hashed.update([Path(path).name]) or real(path))
+    cfg = tiny_pipeline_config(tmp_path / "work", *tiny_corpus)
+    for _ in ("trained", "reused"):
+        result = run_pipeline(cfg)
+        record = json.loads((result.extractor_ckpt.parent / "run.json").read_text())
+        assert record["extractor_sha256"] == real(result.extractor_ckpt)
+    # checkpoint digests come from the bytes the pipeline already wrote or read
+    assert not any(name.endswith(".ckpt") for name in hashed)
+
+
 def test_pipeline_deterministic_across_fresh_workdirs(tiny_corpus, tmp_path):
     train_csv, test_csv = tiny_corpus
     results = []
