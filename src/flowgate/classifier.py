@@ -6,9 +6,8 @@ import numpy as np
 
 from . import nn
 from .checkpoint import Checkpoint, STAGE_CLASSIFIER, build_model, trained_checkpoint
-from .errors import BadConfig, BadThreshold, EmptyClass, ShapeMismatch
+from .errors import BadConfig, EmptyClass, ShapeMismatch
 from .nn import Activation, GradTape, MLP, Tensor
-from .packets import Label
 from .seeding import rng_for
 
 
@@ -57,15 +56,6 @@ class ClassifierModel:
         arr, single = nn.as_rows(z, self.input_dim)
         out = self.net.eval_np(arr)[:, 0]
         return float(out[0]) if single else out
-
-    def predict(self, z: np.ndarray, threshold: float = 0.5) -> Label | list[Label]:
-        """ANOMALY iff score >= threshold."""
-        if not 0.0 < threshold < 1.0:
-            raise BadThreshold(f"threshold must be in (0, 1), got {threshold}")
-        s = self.score(z)
-        if isinstance(s, float):
-            return Label.ANOMALY if s >= threshold else Label.NORMAL
-        return [Label.ANOMALY if v >= threshold else Label.NORMAL for v in s]
 
 
 def train_classifier(normals: np.ndarray, pseudo: np.ndarray,

@@ -13,7 +13,7 @@ import struct
 import numpy as np
 
 from .errors import BadConfig
-from .packets import EncodedPacket, FilterVerdict, Label, encode_frame
+from .packets import DropReason, EncodedPacket, Label, encode_frame
 from .seeding import rng_for
 
 NORMAL_TCP_PORTS = (80, 443, 8080, 22, 25, 143, 993, 3306)
@@ -133,7 +133,7 @@ def make_synthetic_corpus(seed: int, n_normal: int, n_anomaly: int,
             frame = synthetic_frame(rng, anomaly)
             encoded = encode_frame(frame, label=label, source_id=(tag, index))
             index += 1
-            if isinstance(encoded, FilterVerdict):
+            if isinstance(encoded, DropReason):
                 continue  # generator never targets port 53, but stay safe
             out[anomaly].append(encoded)
     return out[False], out[True]

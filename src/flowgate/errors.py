@@ -95,10 +95,6 @@ class EmptyInput(FlowgateError):
 
 # --- scoring / evaluation ---
 
-class BadThreshold(FlowgateError):
-    """Decision threshold must lie strictly between 0 and 1."""
-
-
 class OneClassOnly(FlowgateError):
     """Metric needs at least one positive and one negative sample."""
 

@@ -35,17 +35,10 @@ class ScoredSample:
 
 def tied_ranks(values: np.ndarray) -> np.ndarray:
     """1-based ranks with ties averaged; averages land on exact half-integers."""
-    values = np.asarray(values)
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(values.size, dtype=np.float64)
-    i = 0
-    while i < values.size:
-        j = i
-        while j + 1 < values.size and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
+    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True,
+                                   equal_nan=False)
+    # a run of equals at 1-based positions i..j ends at cumsum; its mean is (i + j) / 2
+    return (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
 
 
 def auroc(scored: Iterable[tuple[float, int]]) -> float:

@@ -1,12 +1,12 @@
-"""Packet cleaning and encoding.
+"""Packet cleaning and encoding, in one pass from frame bytes to a 1600-byte row.
 
-Raw frames are stripped of the link layer, parsed as IPv4 + TCP/UDP, filtered
-(DNS, ARP, payload-less TCP control segments, anything unparseable), address-
-anonymized, and flattened into the fixed 1600-value vector the models consume:
-IP header zero-padded to 60 bytes, transport header zero-padded to 60 bytes,
-then the payload, truncated or zero-padded to 1600 total. A packet holds
-those 1600 bytes; they become float64 values in [0, 1], each byte divided by
-255, only when the model reads them (`EncodedPacket.values`, or
+`encode_frame` strips the link layer, parses IPv4 + TCP/UDP (a frame it cannot
+parse raises), drops DNS, ARP, payload-less TCP control segments and other
+transports (returning the `DropReason`), and lays out the row the models
+consume: IP header zero-padded to 60 bytes with its checksum and addresses
+zeroed, transport header zero-padded to 60 bytes, then the payload, truncated
+or zero-padded to 1600 total. A packet holds those bytes; each becomes float64
+byte/255 only when the model reads it (`EncodedPacket.values`, or
 `dataset.values_matrix` for many packets at once).
 """
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import BadIHL, HeaderTruncated, NotIPv4, ShapeMismatch, TooShort
-from .pcap import RawPacket, parse_capture
+from .pcap import parse_capture
 
 VECTOR_LEN = 1600
 IP_HEADER_SLOT = 60
@@ -28,7 +28,6 @@ TRANSPORT_HEADER_SLOT = 60
 PAYLOAD_OFFSET = IP_HEADER_SLOT + TRANSPORT_HEADER_SLOT
 MAX_PAYLOAD = VECTOR_LEN - PAYLOAD_OFFSET
 
-ETHERTYPE_IPV4 = 0x0800
 ETHERTYPE_ARP = 0x0806
 ETHERTYPE_VLAN = 0x8100
 
@@ -49,24 +48,10 @@ class Transport(Enum):
 
 
 class DropReason(Enum):
-    KEPT = "kept"
     DNS = "dns"
     ARP = "arp"
     TCP_CONTROL = "tcp_control"
     UNPARSEABLE = "unparseable"
-
-
-@dataclass(frozen=True)
-class FilterVerdict:
-    keep: bool
-    reason: DropReason
-
-    def __post_init__(self):
-        if self.keep != (self.reason is DropReason.KEPT):
-            raise ValueError("keep flag must agree with the reason")
-
-
-KEPT = FilterVerdict(True, DropReason.KEPT)
 
 
 @dataclass(frozen=True)
@@ -75,11 +60,8 @@ class ParsedPacket:
     transport_protocol: Transport
     transport_header: bytes
     payload: bytes
-    src_ip: bytes
-    dst_ip: bytes
     src_port: int
     dst_port: int
-    tcp_flags: Optional[int] = None
 
 
 @dataclass(eq=False)
@@ -102,9 +84,8 @@ class EncodedPacket:
         return np.frombuffer(self.codes, dtype=np.uint8) / 255.0
 
 
-def strip_link_layer(p: RawPacket) -> bytes | FilterVerdict:
+def strip_link_layer(frame: bytes) -> bytes | DropReason:
     """Bytes after the Ethernet II header (single VLAN tag skipped), or an ARP drop."""
-    frame = p.link_bytes
     if len(frame) < 14:
         raise TooShort(f"frame has {len(frame)} bytes, link header needs 14")
     ethertype = int.from_bytes(frame[12:14], "big")
@@ -115,7 +96,7 @@ def strip_link_layer(p: RawPacket) -> bytes | FilterVerdict:
         ethertype = int.from_bytes(frame[16:18], "big")
         offset = 18
     if ethertype == ETHERTYPE_ARP:
-        return FilterVerdict(False, DropReason.ARP)
+        return DropReason.ARP
     return frame[offset:]
 
 
@@ -137,7 +118,6 @@ def parse_network_transport(data: bytes) -> ParsedPacket:
         data = data[:total_length]  # trim link-layer padding
     ip_header = data[:header_len]
     proto = data[9]
-    src_ip, dst_ip = data[12:16], data[16:20]
     rest = data[header_len:]
 
     if proto == 6:
@@ -148,52 +128,27 @@ def parse_network_transport(data: bytes) -> ParsedPacket:
             raise BadIHL(f"TCP data offset {data_offset // 4} below minimum of 5")
         if len(rest) < data_offset:
             raise HeaderTruncated("TCP options extend past captured bytes")
-        header = rest[:data_offset]
-        return ParsedPacket(
-            ip_header=ip_header, transport_protocol=Transport.TCP,
-            transport_header=header, payload=rest[data_offset:],
-            src_ip=src_ip, dst_ip=dst_ip,
-            src_port=int.from_bytes(header[0:2], "big"),
-            dst_port=int.from_bytes(header[2:4], "big"),
-            tcp_flags=header[13])
-    if proto == 17:
+        transport = Transport.TCP
+    elif proto == 17:
         if len(rest) < 8:
             raise HeaderTruncated("UDP header needs 8 bytes")
-        header = rest[:8]
-        return ParsedPacket(
-            ip_header=ip_header, transport_protocol=Transport.UDP,
-            transport_header=header, payload=rest[8:],
-            src_ip=src_ip, dst_ip=dst_ip,
-            src_port=int.from_bytes(header[0:2], "big"),
-            dst_port=int.from_bytes(header[2:4], "big"))
-    return ParsedPacket(
-        ip_header=ip_header, transport_protocol=Transport.OTHER,
-        transport_header=b"", payload=rest,
-        src_ip=src_ip, dst_ip=dst_ip, src_port=0, dst_port=0)
+        transport, data_offset = Transport.UDP, 8
+    else:
+        return ParsedPacket(ip_header, Transport.OTHER, b"", rest, src_port=0, dst_port=0)
+    return ParsedPacket(ip_header, transport, rest[:data_offset], rest[data_offset:],
+                        src_port=int.from_bytes(rest[0:2], "big"),
+                        dst_port=int.from_bytes(rest[2:4], "big"))
 
 
-def filter_packet(p: ParsedPacket) -> FilterVerdict:
-    """Drop DNS, payload-less TCP control segments, and non-TCP/UDP transports."""
+def filter_packet(p: ParsedPacket) -> DropReason | None:
+    """The drop reason of DNS, payload-less TCP control and non-TCP/UDP; None keeps."""
     if p.transport_protocol is Transport.OTHER:
-        return FilterVerdict(False, DropReason.UNPARSEABLE)
+        return DropReason.UNPARSEABLE
     if p.src_port == DNS_PORT or p.dst_port == DNS_PORT:
-        return FilterVerdict(False, DropReason.DNS)
+        return DropReason.DNS
     if p.transport_protocol is Transport.TCP and len(p.payload) == 0:
-        return FilterVerdict(False, DropReason.TCP_CONTROL)
-    return KEPT
-
-
-def anonymize(p: ParsedPacket) -> ParsedPacket:
-    """Zero the source/destination addresses and the IP checksum; nothing else."""
-    header = bytearray(p.ip_header)
-    header[10:12] = b"\x00\x00"
-    header[12:20] = bytes(8)
-    zero = bytes(4)
-    return ParsedPacket(
-        ip_header=bytes(header), transport_protocol=p.transport_protocol,
-        transport_header=p.transport_header, payload=p.payload,
-        src_ip=zero, dst_ip=zero, src_port=p.src_port, dst_port=p.dst_port,
-        tcp_flags=p.tcp_flags)
+        return DropReason.TCP_CONTROL
+    return None
 
 
 def canonicalize(p: ParsedPacket, label: Optional[Label] = None,
@@ -202,6 +157,7 @@ def canonicalize(p: ParsedPacket, label: Optional[Label] = None,
     buf = bytearray(VECTOR_LEN)
     ip = p.ip_header[:IP_HEADER_SLOT]
     buf[:len(ip)] = ip
+    buf[10:20] = bytes(10)  # anonymized: the IP checksum and both addresses
     th = p.transport_header[:TRANSPORT_HEADER_SLOT]
     buf[IP_HEADER_SLOT:IP_HEADER_SLOT + len(th)] = th
     payload = p.payload[:MAX_PAYLOAD]
@@ -214,7 +170,7 @@ class PreprocessStats:
     seen: int = 0
     kept: int = 0
     dropped: dict[str, int] = field(default_factory=lambda: {
-        r.value: 0 for r in DropReason if r is not DropReason.KEPT})
+        r.value: 0 for r in DropReason})
 
     def drop(self, reason: DropReason) -> None:
         self.dropped[reason.value] += 1
@@ -224,21 +180,18 @@ class PreprocessStats:
         return f"seen={self.seen} kept={self.kept} {drops}"
 
 
-def encode_frame(link_bytes: bytes, label: Optional[Label] = None,
+def encode_frame(frame: bytes, label: Optional[Label] = None,
                  source_id: Optional[tuple[str, int]] = None,
-                 ) -> EncodedPacket | FilterVerdict:
-    """Run one raw frame through the whole cleaning chain."""
-    raw = RawPacket(capture_index=source_id[1] if source_id else 0,
-                    link_bytes=link_bytes, caplen=len(link_bytes),
-                    origlen=len(link_bytes))
-    stripped = strip_link_layer(raw)
-    if isinstance(stripped, FilterVerdict):
+                 ) -> EncodedPacket | DropReason:
+    """Run one raw frame through the whole cleaning chain: its row, or why it drops."""
+    stripped = strip_link_layer(frame)
+    if isinstance(stripped, DropReason):
         return stripped
     parsed = parse_network_transport(stripped)
-    verdict = filter_packet(parsed)
-    if not verdict.keep:
-        return verdict
-    return canonicalize(anonymize(parsed), label=label, source_id=source_id)
+    reason = filter_packet(parsed)
+    if reason is not None:
+        return reason
+    return canonicalize(parsed, label=label, source_id=source_id)
 
 
 def process_capture(file_path: str | Path, label: Optional[Label] = None,
@@ -257,8 +210,8 @@ def process_capture(file_path: str | Path, label: Optional[Label] = None,
         except (TooShort, NotIPv4, HeaderTruncated, BadIHL):
             stats.drop(DropReason.UNPARSEABLE)
             continue
-        if isinstance(encoded, FilterVerdict):
-            stats.drop(encoded.reason)
+        if isinstance(encoded, DropReason):
+            stats.drop(encoded)
             continue
         stats.kept += 1
         kept.append(encoded)

@@ -4,10 +4,11 @@ Stages run in order: extractor, flow, then per noise setting synthesis plus
 classifier, followed by inference and evaluation on the labeled test set.
 Each stage checkpoint is cached in the work directory under its seed and a
 key: its config plus the sha256 of its direct upstream (`train.csv`,
-`extractor.ckpt`, or `flow.ckpt` and the noise tag). It is reused only when
-both match and the model builds from it, so a pipeline resumes stage by stage,
-a changed `train.csv` retrains all three stages, and a checkpoint whose config
-or tables do not fit its stage is retrained.
+`extractor.ckpt`, or `flow.ckpt`; a classifier's key also holds its noise tag
+and the exact mu, sigma and ratio). It is reused only when both match and the
+model builds from it, so a pipeline resumes stage by stage, a changed
+`train.csv` retrains all three stages, and a checkpoint whose config or tables
+do not fit its stage is retrained.
 
 Every run ends by writing `run.json`: the sha256 of `extractor.ckpt` and of
 the `train_latents.csv` encoded by it. A rerun whose extractor is reused
@@ -374,6 +375,7 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
             classifier, _ = _cached_stage(
                 clf_path, STAGE_CLASSIFIER, clf_seed,
                 config_fingerprint({**clf_cfg.to_dict(), "noise": tag,
+                                    "exact": [repr(float(v)) for v in (mu, sigma, cfg.ratio)],
                                     "upstream": flow_digest}),
                 lambda: train_classifier(
                     latents(), _synthesize(cfg, workdir, flow, latents(), mu, sigma),

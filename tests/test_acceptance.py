@@ -22,10 +22,8 @@ from flowgate.flow import FlowConfig, FlowModel, nll_t, train_flow
 from flowgate.metrics import auroc
 from flowgate.nn import GradTape, Tensor
 from flowgate.packets import (
-    DropReason, FilterVerdict, encode_frame, filter_packet,
-    parse_network_transport, strip_link_layer,
+    DropReason, encode_frame, filter_packet, parse_network_transport, strip_link_layer,
 )
-from flowgate.pcap import RawPacket
 from flowgate.pipeline import InferenceEngine, PipelineConfig, ratio_ablation, run_pipeline
 from flowgate.checkpoint import load_checkpoint, save_checkpoint
 from crafting import ethernet, ipv4_header, tcp_header, udp_header, vlan_ethernet
@@ -206,22 +204,19 @@ def test_criterion_05_auroc_oracle_equivalence():
 
 
 def test_criterion_06_preprocessing_golden():
-    def raw(frame):
-        return RawPacket(0, frame, len(frame), len(frame))
-
     # DNS over UDP: dropped with the DNS reason
     dns = parse_network_transport(
         ipv4_header(proto=17, payload_len=13) + udp_header(5353, 53, 5) + b"query")
-    assert filter_packet(dns) == FilterVerdict(False, DropReason.DNS)
+    assert filter_packet(dns) is DropReason.DNS
 
     # ARP frame: dropped at the link layer
-    arp = strip_link_layer(raw(ethernet(bytes(28), ethertype=0x0806)))
-    assert arp == FilterVerdict(False, DropReason.ARP)
+    arp = strip_link_layer(ethernet(bytes(28), ethertype=0x0806))
+    assert arp is DropReason.ARP
 
     # TCP without payload: dropped as a control segment
     ctl = parse_network_transport(
         ipv4_header(proto=6, payload_len=20) + tcp_header(flags=0x12))
-    assert filter_packet(ctl) == FilterVerdict(False, DropReason.TCP_CONTROL)
+    assert filter_packet(ctl) is DropReason.TCP_CONTROL
 
     # VLAN-tagged TCP with payload: kept, vector is byte-exact
     payload = b"tagged payload bytes"

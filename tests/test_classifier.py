@@ -5,8 +5,7 @@ from flowgate.classifier import (
     ClassifierConfig, ClassifierModel, classifier_from_checkpoint,
     train_classifier,
 )
-from flowgate.errors import BadThreshold, EmptyClass, ShapeMismatch
-from flowgate.packets import Label
+from flowgate.errors import EmptyClass, ShapeMismatch
 
 
 def separable_clusters(rng, n_normal=300, n_pseudo=150, dim=70, offset=5.0):
@@ -35,20 +34,6 @@ def test_score_shape_check():
     model = ClassifierModel.create(ClassifierConfig(), seed=2)
     with pytest.raises(ShapeMismatch):
         model.score(np.zeros(69))
-
-
-def test_predict_threshold_conventions():
-    model = ClassifierModel.create(ClassifierConfig(), seed=3)
-    for p in model.params:
-        p.data = np.zeros_like(p.data)
-    z = np.zeros(70)
-    # score is exactly 0.5: >= convention says ANOMALY
-    assert model.predict(z, threshold=0.5) is Label.ANOMALY
-    assert model.predict(z, threshold=0.99) is Label.NORMAL
-    with pytest.raises(BadThreshold):
-        model.predict(z, threshold=0.0)
-    with pytest.raises(BadThreshold):
-        model.predict(z, threshold=1.0)
 
 
 def test_separable_toy_training():

@@ -3,51 +3,45 @@ import pytest
 
 from flowgate.errors import BadIHL, HeaderTruncated, NotIPv4, ShapeMismatch, TooShort
 from flowgate.packets import (
-    DropReason, EncodedPacket, FilterVerdict, Label, Transport, anonymize,
-    canonicalize, encode_frame, filter_packet, parse_network_transport,
-    strip_link_layer,
+    DropReason, EncodedPacket, Label, Transport, canonicalize, encode_frame,
+    filter_packet, parse_network_transport, strip_link_layer,
 )
-from flowgate.pcap import RawPacket
 from crafting import (
     ethernet, ipv4_header, tcp_frame, tcp_header, udp_frame, udp_header,
     vlan_ethernet,
 )
 
 
-def raw(frame: bytes) -> RawPacket:
-    return RawPacket(0, frame, len(frame), len(frame))
-
-
 # --- strip_link_layer ---
 
 def test_strip_plain_ethernet():
     inner = bytes(range(40))
-    out = strip_link_layer(raw(ethernet(inner)))
+    out = strip_link_layer(ethernet(inner))
     assert out == inner
 
 
 def test_strip_arp_dropped():
-    out = strip_link_layer(raw(ethernet(bytes(28), ethertype=0x0806)))
-    assert isinstance(out, FilterVerdict)
-    assert not out.keep and out.reason is DropReason.ARP
+    out = strip_link_layer(ethernet(bytes(28), ethertype=0x0806))
+    assert isinstance(out, DropReason)
+    assert out is DropReason.ARP
 
 
 def test_strip_vlan_offset_18():
     inner = bytes(range(60))
     frame = vlan_ethernet(inner)
-    out = strip_link_layer(raw(frame))
+    out = strip_link_layer(frame)
     assert out == inner
     assert out == frame[18:]
 
 
 def test_strip_vlan_arp_dropped():
-    out = strip_link_layer(raw(vlan_ethernet(bytes(28), inner_ethertype=0x0806)))
-    assert isinstance(out, FilterVerdict) and out.reason is DropReason.ARP
+    out = strip_link_layer(vlan_ethernet(bytes(28), inner_ethertype=0x0806))
+    assert isinstance(out, DropReason) and out is DropReason.ARP
 
 
 def test_strip_too_short():
     with pytest.raises(TooShort):
-        strip_link_layer(raw(b"\x00" * 13))
+        strip_link_layer(b"\x00" * 13)
 
 
 # --- parse_network_transport ---
@@ -96,7 +90,7 @@ def test_parse_tcp_options_and_flags():
             + tcp_header(data_offset=6, options=opts, flags=0x02) + b"xyz")
     p = parse_network_transport(data)
     assert len(p.transport_header) == 24
-    assert p.tcp_flags == 0x02
+    assert p.transport_header[13] == 0x02
     assert p.payload == b"xyz"
 
 
@@ -130,71 +124,63 @@ def tcp_packet(sport=443, dport=50000, payload=b"x", flags=0x18):
 
 def test_filter_dns_by_dst_port():
     v = filter_packet(udp_packet(dport=53))
-    assert (v.keep, v.reason) == (False, DropReason.DNS)
+    assert v is DropReason.DNS
 
 
 def test_filter_dns_by_src_port():
     v = filter_packet(tcp_packet(sport=53))
-    assert v.reason is DropReason.DNS
+    assert v is DropReason.DNS
 
 
 def test_filter_tcp_control():
     v = filter_packet(tcp_packet(payload=b"", flags=0x02))
-    assert v.reason is DropReason.TCP_CONTROL
+    assert v is DropReason.TCP_CONTROL
 
 
 def test_filter_keeps_payload_tcp():
     v = filter_packet(tcp_packet(payload=b"p" * 100))
-    assert v.keep and v.reason is DropReason.KEPT
+    assert v is None
 
 
 def test_filter_keeps_empty_udp():
     v = filter_packet(udp_packet(payload=b""))
-    assert v.keep
+    assert v is None
 
 
 def test_filter_drops_other_transport():
     data = ipv4_header(proto=47, payload_len=4) + bytes(4)
     v = filter_packet(parse_network_transport(data))
-    assert v.reason is DropReason.UNPARSEABLE
+    assert v is DropReason.UNPARSEABLE
 
 
 def test_filter_never_keeps_port_53():
     for sport, dport in [(53, 1000), (1000, 53), (53, 53)]:
         for maker in (udp_packet, tcp_packet):
-            assert not filter_packet(maker(sport=sport, dport=dport)).keep
-
-
-# --- anonymize ---
-
-def test_anonymize_zeroes_addresses_and_checksum():
-    p = tcp_packet(payload=b"data")
-    q = anonymize(p)
-    assert q.src_ip == bytes(4) and q.dst_ip == bytes(4)
-    assert q.ip_header[12:20] == bytes(8)
-    assert q.ip_header[10:12] == bytes(2)
-    # everything else in the IP header is untouched
-    for i in list(range(10)) + list(range(20, len(p.ip_header))):
-        assert q.ip_header[i] == p.ip_header[i]
-    assert q.payload == p.payload
-    assert q.transport_header == p.transport_header
-
-
-def test_anonymize_idempotent():
-    p = tcp_packet()
-    once = anonymize(p)
-    twice = anonymize(once)
-    assert once == twice
+            assert filter_packet(maker(sport=sport, dport=dport)) is not None
 
 
 # --- canonicalize ---
 
+def test_canonicalize_zeroes_addresses_and_checksum():
+    p = tcp_packet(payload=b"data")
+    q = canonicalize(p).codes
+    assert q[12:16] == bytes(4) and q[16:20] == bytes(4)
+    assert q[12:20] == bytes(8)
+    assert q[10:12] == bytes(2)
+    # everything else in the IP header is untouched
+    for i in list(range(10)) + list(range(20, len(p.ip_header))):
+        assert q[i] == p.ip_header[i]
+    assert q[120:120 + len(p.payload)] == p.payload
+    assert q[60:60 + len(p.transport_header)] == p.transport_header
+
+
 def test_canonicalize_layout_and_padding():
-    p = anonymize(tcp_packet(payload=b""))
+    p = tcp_packet(payload=b"")
     enc = canonicalize(p)
     v = enc.values
     assert v.shape == (1600,)
-    ip = np.frombuffer(p.ip_header, dtype=np.uint8) / 255.0
+    anonymized = p.ip_header[:10] + bytes(10) + p.ip_header[20:]
+    ip = np.frombuffer(anonymized, dtype=np.uint8) / 255.0
     th = np.frombuffer(p.transport_header, dtype=np.uint8) / 255.0
     np.testing.assert_array_equal(v[:20], ip)
     np.testing.assert_array_equal(v[20:60], np.zeros(40))
@@ -204,7 +190,7 @@ def test_canonicalize_layout_and_padding():
 
 
 def test_canonicalize_byte_scaling():
-    p = anonymize(tcp_packet(payload=b"\xff\x00\x80"))
+    p = tcp_packet(payload=b"\xff\x00\x80")
     v = canonicalize(p).values
     assert v[120] == 1.0
     assert v[121] == 0.0
@@ -212,13 +198,13 @@ def test_canonicalize_byte_scaling():
 
 
 def test_canonicalize_truncates_long_payload():
-    p = anonymize(tcp_packet(payload=bytes(2000)))
+    p = tcp_packet(payload=bytes(2000))
     v = canonicalize(p).values
     assert v.shape == (1600,)
 
 
 def test_canonicalize_udp_header_slot():
-    p = anonymize(udp_packet(payload=b"zz"))
+    p = udp_packet(payload=b"zz")
     v = canonicalize(p).values
     th = np.frombuffer(p.transport_header, dtype=np.uint8) / 255.0
     np.testing.assert_array_equal(v[60:68], th)
@@ -227,7 +213,7 @@ def test_canonicalize_udp_header_slot():
 
 
 def test_canonicalize_deterministic():
-    p = anonymize(tcp_packet(payload=b"same bytes"))
+    p = tcp_packet(payload=b"same bytes")
     a = canonicalize(p).values
     b = canonicalize(p).values
     np.testing.assert_array_equal(a, b)
@@ -257,4 +243,4 @@ def test_encode_frame_end_to_end():
     assert isinstance(enc, EncodedPacket)
     assert enc.label is Label.NORMAL
     assert enc.source_id == ("f", 3)
-    assert encode_frame(udp_frame(dport=53)).reason is DropReason.DNS
+    assert encode_frame(udp_frame(dport=53)) is DropReason.DNS

@@ -1,14 +1,17 @@
-"""Every flowgate name the benchmark traces still exists.
+"""Every flowgate name the benchmark traces or compares still exists.
 
 `perfbench/tracing.py` wraps flowgate functions and methods by module and
 attribute name when it runs with `--trace 1`; a rename in flowgate would break
 that mode. This reads the table only and never installs the wrappers.
+`perfbench/measure.py` compares each capture's drop counts by reason name.
 """
 import importlib
 import importlib.util
 from pathlib import Path
 
 import pytest
+
+from flowgate.packets import PreprocessStats
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -31,3 +34,8 @@ def test_traced_name_resolves(module_name, attr):
     else:
         assert callable(getattr(module, attr))
 
+
+
+def test_drop_counts_carry_the_reason_names_the_benchmark_compares():
+    # `check_capture` checks these keys against the drops it planted per reason
+    assert set(PreprocessStats().dropped) == {"dns", "arp", "tcp_control", "unparseable"}

@@ -225,6 +225,25 @@ def test_rerun_loads_each_checkpoint_once_and_rewrites_none(pipeline_run, tmp_pa
                            shallow=False), name
 
 
+def test_ratio_past_the_tags_digits_retrains_the_classifier(pipeline_run, tmp_path,
+                                                            monkeypatch):
+    cfg, first = pipeline_run
+    workdir = tmp_path / "work"
+    shutil.copytree(first.extractor_ckpt.parent, workdir)
+    # tagged ratio0.5 like the classifier trained at 0.5, but not the same setting
+    changed = dataclasses.replace(cfg, workdir=str(workdir), ratio=0.5000001)
+    assert _checkpoints_saved(monkeypatch, changed) == {"classifier_mu0_sigma1_ratio0.5.ckpt"}
+
+
+def test_mu_past_the_tags_digits_retrains_the_classifier(pipeline_run, tmp_path, monkeypatch):
+    cfg, first = pipeline_run
+    workdir = tmp_path / "work"
+    shutil.copytree(first.extractor_ckpt.parent, workdir)
+    run_pipeline(dataclasses.replace(cfg, workdir=str(workdir), noise_grid=((-9.0, 5.0),)))
+    changed = dataclasses.replace(cfg, workdir=str(workdir), noise_grid=((-9.0000001, 5.0),))
+    assert _checkpoints_saved(monkeypatch, changed) == {"classifier_mu-9_sigma5_ratio0.5.ckpt"}
+
+
 def _count_reads(monkeypatch) -> collections.Counter:
     """Counts, by file name, the CSVs the pipeline parses from now on."""
     reads = collections.Counter()
