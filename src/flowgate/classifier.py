@@ -78,7 +78,8 @@ def train_classifier(normals: np.ndarray, pseudo: np.ndarray,
 
     def step(xb: np.ndarray, yb: np.ndarray) -> None:
         with GradTape() as tape:
-            loss = nn.bce(model.net(Tensor(xb)), Tensor(yb[:, None]))
+            loss = nn.bce(model.net(Tensor(xb, requires_grad=False)),
+                          Tensor(yb[:, None], requires_grad=False))
         update(tape, loss)
 
     def holdout_loss(x_hold: np.ndarray, y_hold: np.ndarray) -> float:

@@ -10,7 +10,7 @@ encoder is kept for inference.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -101,7 +101,7 @@ class FeatureExtractor:
 
     def generator_loss(self, x: np.ndarray) -> float:
         arr, _ = nn.as_rows(x, self.config.input_dim)
-        return self._generator_loss_t(Tensor(arr)).item()
+        return self._generator_loss_t(Tensor(arr, requires_grad=False)).item()
 
     def discriminator_loss(self, x: np.ndarray) -> float:
         arr, _ = nn.as_rows(x, self.config.input_dim)
@@ -110,10 +110,18 @@ class FeatureExtractor:
         d_fake = Tensor(self.discriminator.eval_np(x_hat))
         return discriminator_objective(d_real, d_fake).item()
 
-    def _generator_loss_t(self, x: Tensor) -> Tensor:
-        z = self.encoder(x)
-        x_hat = self.decoder(z)
-        _, feat_fake = self.discriminator.forward_hidden(x_hat)
+    def _reconstruct_t(self, x: Tensor) -> Tensor:
+        """The generator's forward pass, on the active tape."""
+        return self.decoder(self.encoder(x))
+
+    def _generator_loss_t(self, x: Tensor, x_hat: Optional[Tensor] = None) -> Tensor:
+        """The generator objective of `x` and its reconstructions `x_hat`, run
+        here if not given. The discriminator is frozen: gradients pass through
+        it to `x_hat` only."""
+        if x_hat is None:
+            x_hat = self._reconstruct_t(x)
+        with nn.frozen(self.discriminator.params):
+            _, feat_fake = self.discriminator.forward_hidden(x_hat)
         with nn.off_tape():  # a constant of the generator step
             _, feat_real = self.discriminator.forward_hidden(x)
         return generator_objective(feat_real, feat_fake, x, x_hat,
@@ -163,17 +171,22 @@ def train_extractor(dataset: Sequence[EncodedPacket] | np.ndarray,
     disc_update = cfg.adam_update(model.discriminator_params)
 
     def step(xb: np.ndarray) -> None:
-        # discriminator step; reconstructions are constants here
-        x_hat = model.decoder.eval_np(model.encoder.eval_np(xb))
+        x = Tensor(xb, requires_grad=False)
+        # the generator's forward, run once: the discriminator step below
+        # leaves encoder and decoder as they are
+        with GradTape() as gen_tape:
+            x_hat = model._reconstruct_t(x)
+        # discriminator step; the reconstructions are a constant batch here
         with GradTape() as tape:
-            d_real = model.discriminator(Tensor(xb))
-            d_fake = model.discriminator(Tensor(x_hat))
+            d_real = model.discriminator(x)
+            d_fake = model.discriminator(Tensor(x_hat.data, requires_grad=False))
             d_loss = discriminator_objective(d_real, d_fake)
         disc_update(tape, d_loss)
-        # generator step; discriminator parameters receive no update
-        with GradTape() as tape:
-            g_loss = model._generator_loss_t(Tensor(xb))
-        gen_update(tape, g_loss)
+        # generator step, on the tape of its forward, through the updated
+        # discriminator
+        with gen_tape:
+            g_loss = model._generator_loss_t(x, x_hat)
+        gen_update(gen_tape, g_loss)
 
     history, best_epoch, n_train = nn.fit(
         model.generator_params + model.discriminator_params, (data,), step,

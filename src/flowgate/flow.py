@@ -192,7 +192,7 @@ def train_flow(model: FlowModel, latents: np.ndarray, cfg: FlowConfig,
 
     def step(xb: np.ndarray) -> None:
         with GradTape() as tape:
-            loss = nll_t(model, Tensor(xb))
+            loss = nll_t(model, Tensor(xb, requires_grad=False))
         update(tape, loss)
 
     def holdout_nll(hold: np.ndarray) -> float:

@@ -7,6 +7,18 @@ keeps the finite-difference checks in the test suite tight. Each computation
 is defined once: a frozen network runs the same operations inside `off_tape()`,
 which records nothing even under an active tape, so its outputs are constants
 to any surrounding gradient.
+
+A tensor whose `requires_grad` is false is a constant: operations compute no
+gradient for it, `backward` returns none, and an operation on constants alone
+is not recorded. Input batches are made constants; `frozen(params)` makes a
+parameter list constant inside it and always restores each flag, so a network
+that only passes gradients through computes no weight gradients.
+
+Adam updates each parameter's array in place, block by block, with the
+operations of an allocating update in the same order, so results are
+bit-identical. A parameter must be a writeable C-contiguous array, and a
+trained model must own its tables: nothing else may hold them while it trains
+(`snapshot`, `restore` and `checkpoint.trained_checkpoint` copy).
 """
 from __future__ import annotations
 
@@ -36,12 +48,18 @@ LEAKY_RELU_SLOPE = 0.2
 
 
 class Tensor:
-    """A float64 array; `backward` returns gradients keyed by tensor."""
+    """A float64 array; `backward` returns gradients keyed by tensor.
 
-    __slots__ = ("data",)
+    A tensor with `requires_grad` false is a constant: operations on a tape
+    compute no gradient for it and `backward` returns none. An operation none
+    of whose inputs requires a gradient records nothing, and its output is a
+    constant too."""
 
-    def __init__(self, data) -> None:
+    __slots__ = ("data", "requires_grad")
+
+    def __init__(self, data, requires_grad: bool = True) -> None:
         self.data = np.asarray(data, dtype=np.float64)
+        self.requires_grad = requires_grad
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -76,7 +94,7 @@ class Tensor:
 
 
 def _wrap(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
+    return x if isinstance(x, Tensor) else Tensor(x, requires_grad=False)
 
 
 BackwardFn = Callable[[Array], tuple[Array | None, ...]]
@@ -118,9 +136,31 @@ def off_tape():
         _TAPE_STACK.pop()
 
 
+@contextmanager
+def frozen(params: Sequence[Tensor]):
+    """`params` are constants inside, and get their own `requires_grad` back
+    on the way out, an exception included."""
+    saved = [p.requires_grad for p in params]
+    for p in params:
+        p.requires_grad = False
+    try:
+        yield
+    finally:
+        for p, flag in zip(params, saved):
+            p.requires_grad = flag
+
+
 def _record(out: Tensor, inputs: tuple[Tensor, ...], backward_fn: BackwardFn) -> Tensor:
+    """Records an operation on the active tape; an input that is a constant when
+    it is recorded is held as None, so `backward` gives it no gradient."""
     tape = _TAPE_STACK[-1] if _TAPE_STACK else None
     if tape is not None:
+        needed = [t.requires_grad for t in inputs]
+        if not any(needed):
+            out.requires_grad = False
+            return out
+        if not all(needed):
+            inputs = tuple([t if need else None for t, need in zip(inputs, needed)])
         tape._records.append((out, inputs, backward_fn))
         tape._outputs.add(id(out))
     return out
@@ -129,8 +169,8 @@ def _record(out: Tensor, inputs: tuple[Tensor, ...], backward_fn: BackwardFn) ->
 def backward(tape: GradTape, loss: Tensor) -> dict[Tensor, Array]:
     """Gradients of a scalar loss w.r.t. every tensor on the tape.
 
-    Tensors never touched by the tape are simply absent from the result;
-    callers treat them as zero-gradient (see `grads_for`).
+    Tensors never touched by the tape, and constants, are simply absent from
+    the result; callers treat them as zero-gradient (see `grads_for`).
     """
     if id(loss) not in tape._outputs:
         raise DetachedLoss("loss was not produced by an operation recorded on this tape")
@@ -143,7 +183,7 @@ def backward(tape: GradTape, loss: Tensor) -> dict[Tensor, Array]:
         if g_out is None:
             continue
         for tensor, g in zip(inputs, backward_fn(g_out)):
-            if g is None:
+            if tensor is None or g is None:
                 continue
             key = id(tensor)
             if key in grads:
@@ -241,13 +281,12 @@ def tanh(a: Tensor) -> Tensor:
 
 
 def sigmoid(a: Tensor) -> Tensor:
-    # overflow-safe in both tails
+    # overflow-safe in both tails: with e = exp(-|x|), 1 / (1 + e) from 0 up
+    # and e / (1 + e) below
     x = a.data
-    s = np.empty_like(x)
-    pos = x >= 0
-    s[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    s[~pos] = ex / (1.0 + ex)
+    e = np.exp(-np.abs(x))
+    s = np.where(x >= 0, 1.0, e)
+    s /= 1.0 + e
     out = Tensor(s)
 
     def bw(g: Array):
@@ -342,13 +381,17 @@ def linear(x: Tensor, weights: Tensor, bias: Tensor) -> Tensor:
     if xd.ndim not in (1, 2) or xd.shape[-1] != wd.shape[1]:
         raise ShapeMismatch(
             f"input shape {xd.shape} incompatible with weights {wd.shape}")
-    out = Tensor(xd @ wd.T + bd)
+    y = xd @ wd.T
+    y += bd
+    out = Tensor(y)
+    # only the gradients `backward` will take: none for a constant input or frozen weights
+    need_x, need_w, need_b = x.requires_grad, weights.requires_grad, bias.requires_grad
 
     def bw(g: Array):
-        gx = g @ wd
+        gx = g @ wd if need_x else None
         if xd.ndim == 1:
-            return gx, np.outer(g, xd), g
-        return gx, g.T @ xd, g.sum(axis=0)
+            return gx, np.outer(g, xd) if need_w else None, g if need_b else None
+        return gx, g.T @ xd if need_w else None, g.sum(axis=0) if need_b else None
 
     return _record(out, (x, weights, bias), bw)
 
@@ -551,8 +594,14 @@ class TrainConfig:
         return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in d.items()})
 
 
+# elements per block of an Adam update: 256 KB of float64, so each block's
+# moments, gradient and scratch stay in cache across its dozen passes
+ADAM_CHUNK = 32768
+
+
 class AdamState:
-    """Adam moments for one parameter list; moments start at zero."""
+    """Adam moments for one parameter list; moments start at zero. Two
+    block-sized scratch arrays hold every temporary of an update."""
 
     def __init__(self, params: Sequence[Tensor], lr: float = TrainConfig.lr,
                  beta1: float = TrainConfig.beta1, beta2: float = TrainConfig.beta2,
@@ -562,35 +611,66 @@ class AdamState:
         self.beta2 = beta2
         self.eps = eps
         self.step_count = 0
-        self.m = [np.zeros_like(p.data) for p in params]
-        self.v = [np.zeros_like(p.data) for p in params]
+        self.m = [np.zeros(p.data.shape) for p in params]
+        self.v = [np.zeros(p.data.shape) for p in params]
         self._shapes = [p.data.shape for p in params]
+        n = min(ADAM_CHUNK, max((p.data.size for p in params), default=0))
+        tmp, step = np.empty(n), np.empty(n)
+        self._blocks = [_adam_blocks(m, v, tmp, step) for m, v in zip(self.m, self.v)]
+
+
+def _adam_blocks(m: Array, v: Array, tmp: Array, step: Array) -> list[tuple]:
+    """(slice of the flat view, m and v blocks, scratch views) per block of a
+    parameter; a parameter of one block is taken whole, in its own shape."""
+    if m.size <= ADAM_CHUNK:
+        return [(None, m, v, tmp[:m.size].reshape(m.shape), step[:m.size].reshape(m.shape))]
+    blocks = []
+    for lo in range(0, m.size, ADAM_CHUNK):
+        block = slice(lo, lo + ADAM_CHUNK)
+        mb = m.reshape(-1)[block]
+        blocks.append((block, mb, v.reshape(-1)[block], tmp[:mb.size], step[:mb.size]))
+    return blocks
 
 
 def adam_step(state: AdamState, params: Sequence[Tensor],
               grads: Sequence[Array]) -> Sequence[Tensor]:
-    """One bias-corrected Adam update, in place; returns the same params."""
+    """One bias-corrected Adam update, in place; returns the same params.
+
+    Each parameter's `data` is overwritten block by block, so it must be a
+    writeable C-contiguous array that no one else holds (a reshaped copy
+    would take the update and drop it)."""
     if len(params) != len(state.m) or len(grads) != len(params):
         raise ShapeMismatch("parameter/gradient count does not match optimizer state")
     t = state.step_count + 1
     bc1 = 1.0 - state.beta1 ** t
     bc2 = 1.0 - state.beta2 ** t
+    b1, b2, eps = state.beta1, state.beta2, state.eps
+    c1, c2, lr_t = 1.0 - b1, 1.0 - b2, state.lr / bc1
     for i, (p, g) in enumerate(zip(params, grads)):
         if p.data.shape != state._shapes[i] or g.shape != state._shapes[i]:
             raise ShapeMismatch(f"parameter {i} shape changed under the optimizer")
-        m, v = state.m[i], state.v[i]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        gg = g * g
-        gg *= 1.0 - state.beta2
-        v += gg
-        denom = np.asarray(v / bc2)
-        np.sqrt(denom, out=denom)
-        denom += state.eps
-        step = np.asarray(m / denom)
-        step *= state.lr / bc1
-        p.data = p.data - step
+        if not (p.data.flags.c_contiguous and p.data.flags.writeable):
+            raise ShapeMismatch(f"parameter {i} is not a writeable C-contiguous array; "
+                                "Adam updates it in place")
+        for block, m, v, a, s in state._blocks[i]:
+            pc, gc = ((p.data, g) if block is None
+                      else (p.data.reshape(-1)[block], g.reshape(-1)[block]))
+            # the allocating update's operations, in its order:
+            # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g g
+            m *= b1
+            np.multiply(gc, c1, out=a)
+            m += a
+            v *= b2
+            np.multiply(gc, gc, out=a)
+            a *= c2
+            v += a
+            # p -= (m / (sqrt(v / bc2) + eps)) * (lr / bc1)
+            np.divide(v, bc2, out=a)
+            np.sqrt(a, out=a)
+            a += eps
+            np.divide(m, a, out=s)
+            s *= lr_t
+            pc -= s
     state.step_count = t
     return params
 

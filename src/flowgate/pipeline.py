@@ -270,7 +270,11 @@ def infer(extractor_ckpt: str | Path, classifier_ckpt: str | Path,
 
 
 def _noise_tag(mu: float, sigma: float, ratio: float) -> str:
-    return f"mu{mu:g}_sigma{sigma:g}_ratio{ratio:g}"
+    return f"mu{mu:g}_sigma{sigma:g}_{_ratio_tag(ratio)}"
+
+
+def _ratio_tag(ratio: float) -> str:
+    return f"ratio{ratio:g}"
 
 
 @dataclass
@@ -415,6 +419,13 @@ def ratio_ablation(cfg: PipelineConfig, ratios: Sequence[float],
     workdir cache. Emits a comparison table: one row per noise setting, one
     column per ratio.
     """
+    # two ratios that share a tag would write, and overwrite, the same files
+    tagged: dict[str, float] = {}
+    for r in ratios:
+        tag = _ratio_tag(r)
+        if tag in tagged:
+            raise BadConfig(f"ratios {tagged[tag]!r} and {r!r} share the tag {tag}")
+        tagged[tag] = r
     configs = {r: replace(cfg, ratio=r) for r in ratios}  # checks every ratio first
     results = {r: run_pipeline(c) for r, c in configs.items()}
     header = f"{'mu':>8}  {'sigma':>6}  " + "  ".join(

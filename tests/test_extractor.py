@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from flowgate import nn
-from flowgate.checkpoint import STAGE_EXTRACTOR
+from flowgate.checkpoint import STAGE_EXTRACTOR, save_checkpoint
 from flowgate.errors import AnomalyInTrainingSet, EmptyDataset, ShapeMismatch
 from flowgate.extractor import (
     ExtractorConfig, FeatureExtractor, discriminator_objective,
@@ -205,3 +205,14 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
     x = rng.uniform(0, 1, size=(5, 8))
     np.testing.assert_array_equal(rebuilt.encode(x),
                                   extractor_from_checkpoint(ckpt).encode(x))
+
+
+def test_train_extractor_writes_the_pinned_checkpoint_bytes(tmp_path):
+    # pinned bytes: the in-place Adam, the one generator forward per step and
+    # the gradients left out for constants and frozen weights must write what
+    # the straightforward versions write; the first layers span two Adam blocks
+    cfg = ExtractorConfig(latent_dim=8, encoder_widths=(1600, 24, 8),
+                          disc_widths=(1600, 16, 1), epochs=3, batch_size=16, patience=5)
+    data = np.random.default_rng(12).integers(0, 256, size=(60, 1600)) / 255.0
+    digest = save_checkpoint(tmp_path / "x.ckpt", train_extractor(data, cfg, seed=7))
+    assert digest == "bd2e2eb3adabfb5afb91530c14d67a63271704423ddf8bc9caaa0f7a51cca8a1"

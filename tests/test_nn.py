@@ -10,7 +10,7 @@ from flowgate.checkpoint import (
 from flowgate.classifier import (
     ClassifierConfig, ClassifierModel, classifier_from_checkpoint,
 )
-from flowgate.errors import CheckpointMismatch, DetachedLoss, ShapeMismatch
+from flowgate.errors import CheckpointMismatch, DetachedLoss, FlowgateError, ShapeMismatch
 from flowgate.extractor import (
     ExtractorConfig, FeatureExtractor, encoder_from_checkpoint,
     extractor_from_checkpoint,
@@ -257,6 +257,139 @@ def test_adam_shape_mismatch():
     state = AdamState([p])
     with pytest.raises(ShapeMismatch):
         adam_step(state, [p], [np.zeros(4)])
+
+
+def _reference_adam(params, grads, m, v, t, lr, beta1, beta2, eps=1e-8):
+    """The allocating update: fresh temporaries for every operation."""
+    bc1 = 1.0 - beta1 ** t
+    bc2 = 1.0 - beta2 ** t
+    out = []
+    for p, g, mi, vi in zip(params, grads, m, v):
+        mi *= beta1
+        mi += (1.0 - beta1) * g
+        vi *= beta2
+        gg = g * g
+        gg *= 1.0 - beta2
+        vi += gg
+        denom = np.asarray(vi / bc2)
+        np.sqrt(denom, out=denom)
+        denom += eps
+        step = np.asarray(mi / denom)
+        step *= lr / bc1
+        out.append(p - step)
+    return out
+
+
+def test_adam_blocks_match_the_allocating_update_bit_for_bit():
+    chunk = nn.ADAM_CHUNK
+    # smaller than one block, exactly one block, several blocks and a remainder
+    shapes = [(7,), (chunk // 64, 64), (3 * chunk + 123,), (2, 3, chunk // 4 + 5)]
+    rng = np.random.default_rng(17)
+    params = [Tensor(rng.standard_normal(shape)) for shape in shapes]
+    expected = [p.data.copy() for p in params]
+    m = [np.zeros(shape) for shape in shapes]
+    v = [np.zeros(shape) for shape in shapes]
+    state = AdamState(params, lr=0.003, beta1=0.5, beta2=0.999)
+    for t in range(1, 7):
+        grads = [rng.standard_normal(shape) * 10.0 ** rng.integers(-6, 3)
+                 for shape in shapes]
+        expected = _reference_adam(expected, grads, m, v, t, 0.003, 0.5, 0.999)
+        adam_step(state, params, grads)
+        for p, want, mi, vi, m_got, v_got in zip(params, expected, m, v, state.m, state.v):
+            np.testing.assert_array_equal(p.data, want)
+            np.testing.assert_array_equal(m_got, mi)
+            np.testing.assert_array_equal(v_got, vi)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: np.zeros((4, 3)).T,
+    lambda: np.zeros(10)[::2],
+    lambda: np.zeros((3, 4)),
+], ids=["transposed", "strided", "read-only"])
+def test_adam_refuses_a_parameter_it_cannot_update_in_place(make):
+    data = make()
+    if data.flags.c_contiguous:
+        data.setflags(write=False)
+    p = Tensor(data)
+    state = AdamState([p])
+    with pytest.raises(FlowgateError, match="writeable C-contiguous"):
+        adam_step(state, [p], [np.ones(data.shape)])
+    np.testing.assert_array_equal(p.data, np.zeros(data.shape))
+
+
+@pytest.mark.parametrize("stage", [STAGE_EXTRACTOR, STAGE_FLOW, STAGE_CLASSIFIER])
+def test_more_steps_never_reach_a_trained_checkpoint(stage):
+    model, cfg = _untrained_model(stage)
+    ckpt = trained_checkpoint(stage, 0, cfg.to_dict(), model.param_items(),
+                              0, "holdout", [0.0])
+    saved = {name: t.copy() for name, t in ckpt.tensors.items()}
+    params = [t for _, t in model.param_items()]
+    state = AdamState(params)
+    for _ in range(3):
+        adam_step(state, params, [np.ones(p.data.shape) for p in params])
+    for name, tensor in model.param_items():
+        assert not np.array_equal(tensor.data, saved[name]), name  # the model moved
+        np.testing.assert_array_equal(ckpt.tensors[name], saved[name])  # its checkpoint did not
+
+
+# --- constants and frozen parameters ---
+
+def _mlp_loss_grads(net, x, y, freeze=()):
+    with GradTape() as tape:
+        h = x
+        for i, layer in enumerate(net.layers):
+            if i in freeze:
+                with nn.frozen(layer.params):
+                    h = layer(h)
+            else:
+                h = layer(h)
+        loss = mse(h, y)
+    return backward(tape, loss), len(tape)
+
+
+def test_constants_and_frozen_layers_get_no_gradient_and_change_no_other():
+    rng = np.random.default_rng(8)
+    net = MLP.create(rng, [5, 6, 4, 3], Activation.TANH, Activation.SIGMOID)
+    data, y = rng.standard_normal((7, 5)), Tensor(rng.standard_normal((7, 3)))
+    x = Tensor(data)
+    full, _ = _mlp_loss_grads(net, x, y)
+    assert x in full and all(p in full for p in net.params)
+
+    const = Tensor(data, requires_grad=False)
+    grads, _ = _mlp_loss_grads(net, const, y, freeze={1})
+    frozen = net.layers[1].params
+    assert const not in grads
+    assert not any(p in grads for p in frozen)
+    for p in net.params:
+        if all(p is not f for f in frozen):
+            np.testing.assert_array_equal(grads[p], full[p])
+    assert all(p.requires_grad for p in net.params)  # unfrozen on the way out
+
+
+def test_an_operation_on_constants_alone_is_not_recorded():
+    a, b = Tensor(np.ones(3), requires_grad=False), Tensor(np.ones(3), requires_grad=False)
+    w = Tensor(np.full(3, 2.0))
+    with GradTape() as tape:
+        c = a * b
+        loss = nn.reduce_sum(c * w)
+    assert len(tape) == 2  # c * w and the sum
+    assert not c.requires_grad
+    grads = backward(tape, loss)
+    assert c not in grads and a not in grads
+    np.testing.assert_array_equal(grads[w], np.ones(3))
+    with GradTape() as tape:
+        detached = nn.reduce_sum(a * b)
+    with pytest.raises(DetachedLoss):
+        backward(tape, detached)
+
+
+def test_frozen_restores_requires_grad_after_an_exception():
+    params = [Tensor(np.zeros(2)), Tensor(np.zeros(2), requires_grad=False), Tensor(np.zeros(1))]
+    with pytest.raises(RuntimeError):
+        with nn.frozen(params):
+            assert not any(p.requires_grad for p in params)
+            raise RuntimeError("inside")
+    assert [p.requires_grad for p in params] == [True, False, True]
 
 
 def test_forward_deterministic():
