@@ -52,10 +52,12 @@ class ClassifierModel:
         return self.net.param_items()
 
     def score(self, z: np.ndarray) -> np.ndarray | float:
-        """Anomaly score in (0, 1); higher means more anomalous."""
+        """Anomaly score in (0, 1); higher means more anomalous. Scored in
+        padded blocks (`MLP.eval_blocks`), so a row's score does not depend on
+        the batch it is in."""
         arr, single = nn.as_rows(z, self.input_dim)
-        out = self.net.eval_np(arr)[:, 0]
-        return float(out[0]) if single else out
+        out = self.net.eval_blocks(len(arr), lambda block, rows: np.copyto(block, arr[rows]))
+        return float(out[0, 0]) if single else out[:, 0]
 
 
 def train_classifier(normals: np.ndarray, pseudo: np.ndarray,

@@ -134,10 +134,15 @@ def read_dataset(path: str | Path) -> list[EncodedPacket]:
     return packets
 
 
-def values_matrix(packets: Sequence[EncodedPacket]) -> np.ndarray:
-    """The packets' values as an [n, 1600] float64 matrix, each byte/255."""
+def values_matrix(packets: Sequence[EncodedPacket],
+                  out: Optional[np.ndarray] = None) -> np.ndarray:
+    """The packets' values as an [n, 1600] float64 matrix, each byte/255,
+    written into `out` when given. Training stacks a whole set at once;
+    scoring fills one reused block of `nn.EVAL_BLOCK` rows at a time, zero
+    past the last packet, so a batch of any size costs one block of floats
+    and a packet's score does not depend on the batch it came in."""
     codes = np.frombuffer(b"".join(p.codes for p in packets), dtype=np.uint8)
-    return codes.reshape(-1, VECTOR_LEN) / 255.0
+    return np.divide(codes.reshape(-1, VECTOR_LEN), 255.0, out=out)
 
 
 # --- latent-vector CSV (70 columns + label) ---

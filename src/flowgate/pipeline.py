@@ -19,7 +19,12 @@ latents are encoded again and the file rewritten.
 
 Inference deliberately loads only the encoder and classifier parameter
 tables; the loader records what it materialized so tests can verify nothing
-else was touched.
+else was touched. `infer` and the pipeline's test set are scored by one path,
+`packet_latents` then `ClassifierModel.score`, in padded blocks of
+`nn.EVAL_BLOCK` rows: a batch of any size holds one block of packet values
+and the latents, and every forward pass has one shape, so a packet's score is
+the same bits whatever batch it is scored in. Training-side encoding
+(`train_latents.csv`, holdout losses) runs whole-batch.
 """
 from __future__ import annotations
 
@@ -251,15 +256,21 @@ class InferenceEngine:
                        self.encoder.params + self.classifier.params))
 
     def score_packets(self, packets: Sequence[EncodedPacket]) -> list[ScoredSample]:
-        if not packets:
-            return []
-        return _scored(self.classifier.score(self.encoder.eval_np(values_matrix(packets))),
+        return _scored(self.classifier.score(packet_latents(self.encoder, packets)),
                        packets)
+
+
+def packet_latents(encoder: MLP, packets: Sequence[EncodedPacket]) -> np.ndarray:
+    """The encoder's latents of `packets`, in padded blocks of `nn.EVAL_BLOCK`
+    rows: each block's values are written into one reused buffer, so only the
+    latents are kept for every packet."""
+    return encoder.eval_blocks(
+        len(packets), lambda block, rows: values_matrix(packets[rows], out=block))
 
 
 def _scored(scores: np.ndarray, packets: Sequence[EncodedPacket]) -> list[ScoredSample]:
     return [ScoredSample(score=float(s), label=p.label, source_id=p.source_id)
-            for s, p in zip(np.atleast_1d(scores), packets)]
+            for s, p in zip(scores, packets)]
 
 
 def infer(extractor_ckpt: str | Path, classifier_ckpt: str | Path,
@@ -366,8 +377,8 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
 
     with _stage("load-test"):
         test_packets = read_dataset(test_csv)
-        # encoded once; every classifier scores these latents
-        test_latents = extractor.encode(values_matrix(test_packets))
+        # encoded once, as `infer` encodes; every classifier scores these latents
+        test_latents = packet_latents(extractor.encoder, test_packets)
 
     reports, clf_paths = {}, {}
     clf_cfg = cfg.classifier_config()

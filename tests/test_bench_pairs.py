@@ -62,14 +62,47 @@ class _Steady:
 def test_run_once_keeps_a_failed_run_as_failed():
     ok = bench_pairs.run_once(_Steady({
         "correct": True, "attempted": 3, "failed": 0, "aurocs": {},
-        "metrics": {"wall_s": {"value": 9.5, "unit": "s"}}, "raw": {"slowness": 0.6}}),
+        "metrics": {"wall_s": {"value": 9.5, "unit": "s"}},
+        "raw": {"slowness": 0.6, "setup_s": 0.2, "wall_s": 5.7, "csv_rows_per_s": 4000.0,
+                "slowness_blas": 0.7}}),
         "resweep", 5, 20, 0)
     assert {k: v for k, v in ok.items() if k != "elapsed_s"} == {
         "workload": "resweep", "seed": 5, "trace": 0, "correct": True, "attempted": 3,
-        "failed": 0, "metrics": {"wall_s": 9.5}, "slowness": 0.6}
+        "failed": 0, "metrics": {"wall_s": 9.5}, "slowness": 0.6,
+        "unscaled": {"setup_s": 0.2, "wall_s": 5.7, "csv_rows_per_s": 4000.0}}
     bad = bench_pairs.run_once(_Steady(RuntimeError("resweep seed 5: exit code 1")),
                                "resweep", 5, 20, 0)
     assert not bad["correct"] and bad["metrics"] == {}
     assert bad["error"] == "resweep seed 5: exit code 1"
     assert bench_pairs.summarize([{"side": "change", **bad}], BETTER)["resweep"] == {
         "pairs": 0, "all_correct": False, "failed_operations": 0, "metrics": {}}
+
+
+def test_run_once_keeps_no_setup_a_traced_run_did_not_measure():
+    traced = bench_pairs.run_once(_Steady({
+        "correct": True, "attempted": 3, "failed": 0, "aurocs": {}, "metrics": {},
+        "raw": {"slowness": 0.6, "setup_s": None, "wall_s": 5.7, "csv_rows_per_s": 4000.0}}),
+        "score", 5, 20, 1)
+    assert traced["unscaled"] == {"wall_s": 5.7, "csv_rows_per_s": 4000.0}
+
+
+def test_unscaled_figures_are_summarized_as_metrics_of_their_own():
+    # the scaled wall_s says the change lost every pair; unscaled, it won three
+    # of four, and the slowness factor made up the difference
+    runs = []
+    for seed, (p_raw, c_raw, p_rate, c_rate) in enumerate(
+            [(10, 7, 100, 90), (12, 8, 110, 120), (11, 11, 90, 95), (13, 9, 105, 100)]):
+        for side, raw, rate in (("parent", p_raw, p_rate), ("change", c_raw, c_rate)):
+            run = _run(side, seed, 20, 50)
+            run["unscaled"] = {"wall_s": raw, "csv_rows_per_s": rate}
+            runs.append(run)
+    out = bench_pairs.summarize(runs, BETTER)["resweep"]["metrics"]
+    assert out["wall_s"]["change_better_in"] == 0
+    wall = out["unscaled_wall_s"]
+    assert wall["parent"] == {"median": 11.5, "q1": 10.25, "q3": 12.75}
+    assert wall["change"] == {"median": 8.5, "q1": 7.25, "q3": 10.5}
+    assert wall["change_of_median"] == pytest.approx(-3 / 11.5)
+    assert wall["better"] == "lower" and wall["change_better_in"] == 3
+    rate = out["unscaled_csv_rows_per_s"]
+    assert rate["better"] == "higher" and rate["change_better_in"] == 2
+    assert "unscaled_setup_s" not in out  # no run recorded it

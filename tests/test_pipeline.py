@@ -4,17 +4,22 @@ import filecmp
 import json
 import shutil
 import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from flowgate import nn
 from flowgate.checkpoint import load_checkpoint
+from flowgate.classifier import ClassifierConfig, ClassifierModel
 from flowgate.cli import main as cli_main
 from flowgate.corpus import synthetic_frame
 from flowgate.dataset import read_dataset, write_dataset
 from flowgate.errors import AnomalyInTrainingSet, CheckpointMismatch
+from flowgate.extractor import ExtractorConfig, FeatureExtractor
 from flowgate.metrics import read_report, read_scores
+from flowgate.packets import EncodedPacket, VECTOR_LEN
 import flowgate.pipeline as pipeline
 from flowgate.pipeline import InferenceEngine, infer, ratio_ablation, run_pipeline
 from conftest import tiny_pipeline_config
@@ -395,6 +400,59 @@ def test_infer_deterministic_and_labels_passthrough(pipeline_run, tiny_corpus):
     assert a == b
     assert [s.label for s in a] == [p.label for p in packets]
     assert [s.source_id for s in a] == [p.source_id for p in packets]
+
+
+def test_pipeline_scores_are_the_bytes_flowgate_infer_writes(pipeline_run, tiny_corpus,
+                                                              tmp_path):
+    cfg, result = pipeline_run
+    _, test_csv = tiny_corpus
+    for (mu, sigma), clf_path in result.classifier_ckpts.items():
+        out = tmp_path / f"{clf_path.stem}.csv"
+        assert cli_main(["infer", "--extractor", str(result.extractor_ckpt),
+                         "--classifier", str(clf_path), "--data", str(test_csv),
+                         "--scores-out", str(out)]) == 0
+        tag = pipeline._noise_tag(mu, sigma, cfg.ratio)
+        assert out.read_bytes() == (Path(cfg.workdir) / f"scores_{tag}.csv").read_bytes()
+
+
+@pytest.fixture(scope="module")
+def default_engine():
+    """An engine of default widths, drawn at random, and 2,000 random packets."""
+    engine = InferenceEngine(FeatureExtractor.create(ExtractorConfig(), 1).encoder,
+                             ClassifierModel.create(ClassifierConfig(), 2), ())
+    codes = np.random.default_rng(5).integers(0, 256, (2000, VECTOR_LEN), dtype=np.uint8)
+    packets = [EncodedPacket(row.tobytes(), None, ("random", i))
+               for i, row in enumerate(codes)]
+    return engine, packets
+
+
+def test_a_packets_score_does_not_depend_on_its_batch(default_engine):
+    engine, packets = default_engine
+    whole = [s.score for s in engine.score_packets(packets)]
+    for lo in (0, 333, 1999):
+        assert [s.score for s in engine.score_packets(packets[lo:lo + 1])] == whole[lo:lo + 1]
+    lo = 333
+    for size in (17, 64, 65, 300):
+        batch = engine.score_packets(packets[lo:lo + size])
+        # float equality is bit equality for scores in (0, 1)
+        assert [s.score for s in batch] == whole[lo:lo + size], size
+        assert [s.source_id for s in batch] == [p.source_id for p in packets[lo:lo + size]]
+    assert engine.score_packets([]) == []
+
+
+def test_scoring_memory_is_bounded_by_the_block_not_the_batch(default_engine):
+    engine, packets = default_engine
+    engine.score_packets(packets[:1])  # numpy's and BLAS's first-call setup
+    tracemalloc.start()
+    try:
+        scored = engine.score_packets(packets)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(scored) == len(packets)
+    # whole-batch scoring held the [2000, 1600] float64 values: 25.6 MB
+    latents = len(packets) * engine.encoder.widths[-1] * 8
+    assert peak < 3 * nn.EVAL_BLOCK * VECTOR_LEN * 8 + latents
 
 
 def test_infer_checkpoint_dim_mismatch(pipeline_run, tmp_path, tiny_corpus):

@@ -9,11 +9,14 @@ ones, so a drift of the machine's speed falls on both sides alike. Each run
 is made by the checkout's own `perfbench/steady.py` `run_once`, so it starts
 from that checkout's root and builds what it measures from its `src/`. The
 output file holds every run (side, seed, whether it exited cleanly with its
-checks passed and if not why, operations attempted and failed, metrics and
-slowness) and, for each workload and metric, both sides' median and
-quartiles, the change in the medians and the number of pairs in which the
-change was better, with the machine it ran on: cores, BLAS threads, Python
-and numpy versions. It is rewritten after every run, so an interrupted set
+checks passed and if not why, operations attempted and failed, metrics,
+slowness, and the unscaled `setup_s`, `wall_s` and `csv_rows_per_s` from
+before perfbench divides them by the run's slowness) and, for each workload
+and metric, both sides' median and quartiles, the change in the medians and
+the number of pairs in which the change was better, with the machine it ran
+on: cores, BLAS threads, Python and numpy versions. Each unscaled figure is
+summarized as a metric of its own, `unscaled_<name>`, so a gain can be told
+from a drift of the slowness factor. It is rewritten after every run, so an interrupted set
 keeps the pairs done. Standard library only.
 """
 from __future__ import annotations
@@ -31,6 +34,8 @@ import time
 from pathlib import Path
 
 SIDES = ("parent", "change")
+# end-to-end figures `steady.run_once` also returns unscaled, in its `raw`
+UNSCALED = ("setup_s", "wall_s", "csv_rows_per_s")
 
 
 def perfbench_module(checkout: Path, name: str, side: str):
@@ -55,7 +60,10 @@ def run_once(steady, workload: str, seed: int, seconds: float, trace: int) -> di
     return {**run, "correct": result["correct"], "attempted": result["attempted"],
             "failed": result["failed"], "elapsed_s": round(time.monotonic() - start, 1),
             "metrics": {name: m["value"] for name, m in result["metrics"].items()},
-            "slowness": result["raw"]["slowness"]}
+            "slowness": result["raw"]["slowness"],
+            # a traced run measures no setup, and records it as None
+            "unscaled": {name: result["raw"][name] for name in UNSCALED
+                         if result["raw"].get(name) is not None}}
 
 
 def quartiles(values: list[float]) -> dict:
@@ -68,23 +76,32 @@ def quartiles(values: list[float]) -> dict:
     return {"median": statistics.median(values), "q1": q1, "q3": q3}
 
 
+def figures(run: dict) -> dict[str, float]:
+    """A run's metrics, and its unscaled figures as `unscaled_<name>`."""
+    return {**run["metrics"],
+            **{f"unscaled_{name}": v for name, v in run.get("unscaled", {}).items()}}
+
+
 def summarize(runs: list[dict], better: dict[str, str]) -> dict:
-    """Per workload and metric, over the pairs (same workload and seed) in which
-    both runs report it: each side's median and quartiles, the relative change
-    of the medians, and, for a metric `better` gives as "lower" or "higher",
-    the number of pairs in which the change was better. Also whether every run
-    passed its checks, and how many operations failed."""
+    """Per workload and metric (unscaled figures included, see `figures`), over
+    the pairs (same workload and seed) in which both runs report it: each
+    side's median and quartiles, the relative change of the medians, and, for a
+    metric `better` gives as "lower" or "higher", the number of pairs in which
+    the change was better. Also whether every run passed its checks, and how
+    many operations failed."""
+    better = {**better, **{f"unscaled_{name}": better[name]
+                           for name in UNSCALED if name in better}}
     summary: dict[str, dict] = {}
     for workload in sorted({r["workload"] for r in runs}):
         mine = [r for r in runs if r["workload"] == workload]
         by_seed: dict[int, dict] = {}
         for r in mine:
-            by_seed.setdefault(r["seed"], {})[r["side"]] = r
+            by_seed.setdefault(r["seed"], {})[r["side"]] = figures(r)
         pairs = [p for _, p in sorted(by_seed.items()) if len(p) == len(SIDES)]
         metrics = {}
-        for name in dict.fromkeys(n for r in mine for n in r["metrics"]):
-            sides = {side: [p[side]["metrics"][name] for p in pairs
-                            if all(name in p[s]["metrics"] for s in SIDES)]
+        for name in dict.fromkeys(n for r in mine for n in figures(r)):
+            sides = {side: [p[side][name] for p in pairs
+                            if all(name in p[s] for s in SIDES)]
                      for side in SIDES}
             if not sides["parent"]:
                 continue
