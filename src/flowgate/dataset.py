@@ -7,13 +7,16 @@ the shortest exact decimal of that double, one of 256 strings, so a round
 trip reproduces the bytes and their values bit for bit.
 
 read_dataset decodes a row whose values are all in that spelling by table
-lookup. A row with any other field (quoted, padded, in exponent form, `0`
-for 0.0, hand-written) is tokenized by csv.reader and parsed as floats,
-which is slower but accepts any decimal whose product with 255 is within
-1e-9 of a whole number b, and reads it as the byte b: a near-grid decimal
-such as 0.003921568627 becomes exactly 1/255. NaN, infinities, values
-outside [0, 1] or off that grid, a wrong column count and a label other than
-empty, "0" or "1" are rejected with MalformedRow naming the line.
+lookup. The run of "0.0" fields that ends a packet shorter than its slot is
+matched as one string, so only the fields before it are split and looked up:
+a row costs about its payload, not its 1600 fields. A row with any other
+field (quoted, padded, in exponent form, `0` for 0.0, hand-written) is
+tokenized by csv.reader and parsed as floats, which is slower but accepts
+any decimal whose product with 255 is within 1e-9 of a whole number b, and
+reads it as the byte b: a near-grid decimal such as 0.003921568627 becomes
+exactly 1/255. NaN, infinities, values outside [0, 1] or off that grid, a
+wrong column count and a label other than empty, "0" or "1" are rejected
+with MalformedRow naming the line.
 """
 from __future__ import annotations
 
@@ -35,6 +38,11 @@ _BYTE_STR = [repr(b / 255.0) for b in range(256)]
 # correctly rounded quotient that repr(b / 255.0) spells
 _BYTE_OF = {text: b for b, text in enumerate(_BYTE_STR)}
 _LABEL_OF = {"": None, "0": Label.NORMAL, "1": Label.ANOMALY}
+# (n, write_dataset's spelling of n zero values, each after its comma) for
+# each power of two n below VECTOR_LEN, largest first: their sums reach any
+# count of trailing zeros a row can hold
+_ZERO_RUNS = [(1 << i, ",0.0" * (1 << i))
+              for i in reversed(range((VECTOR_LEN - 1).bit_length()))]
 
 
 def _label_str(label: Optional[Label]) -> str:
@@ -63,12 +71,22 @@ def _lookup_row(line: str) -> Optional[tuple[bytes, Optional[Label]]]:
     if line[:line.find(",")] not in _BYTE_OF:
         return None
     # a line holds one record ending in at most one of \n, \r, \r\n
-    fields = line.rstrip("\r\n").split(",")
-    if len(fields) != VECTOR_LEN + 1 or fields[-1] not in _LABEL_OF:
+    body, _, label_text = line.rstrip("\r\n").rpartition(",")
+    if label_text not in _LABEL_OF:
         return None
-    label = _LABEL_OF[fields.pop()]
+    # a packet shorter than its slot ends in a run of "0.0" fields: count the
+    # whole ",0.0" fields that end the body by binary search, one string
+    # compare per bit of the count, so only the head before them is split and
+    # looked up. The first field has no comma before it and stays in the head
+    zeros = 0
+    for run, text in _ZERO_RUNS:
+        if body.endswith(text, 0, len(body) - 4 * zeros):
+            zeros += run
+    head = body[:len(body) - 4 * zeros].split(",")
+    if len(head) + zeros != VECTOR_LEN:
+        return None
     try:
-        return bytes(map(_BYTE_OF.__getitem__, fields)), label
+        return bytes(map(_BYTE_OF.__getitem__, head)) + bytes(zeros), _LABEL_OF[label_text]
     except KeyError:
         return None
 
@@ -96,18 +114,21 @@ def _parse_row(row: list[str], where: str) -> tuple[bytes, Optional[Label]]:
 def text_lines(path: str | Path, what: str) -> Iterator[str]:
     """The lines of the file at `path` as UTF-8 text, line ends kept, read as
     they are used. A file that cannot be read is an IoFailure naming `what`; a
-    line that is not UTF-8, a MalformedRow naming it."""
+    line that is not UTF-8, a MalformedRow naming it. Only a line that is not
+    ASCII is encoded again to find out."""
     try:
         fh = open(path, encoding="utf-8", errors="surrogateescape", newline="")
     except OSError as err:
         raise IoFailure(f"cannot read {what} {path}: {err}") from err
     with fh:
         for lineno, line in enumerate(fh, 1):
-            # an undecodable byte reads as a lone surrogate, which UTF-8 cannot encode
-            try:
-                line.encode("utf-8")
-            except UnicodeEncodeError:
-                raise MalformedRow(f"{path}:{lineno}: undecodable text") from None
+            # an undecodable byte reads as a lone surrogate, which UTF-8 cannot
+            # encode; an ASCII line holds none, and isascii costs no scan
+            if not line.isascii():
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError:
+                    raise MalformedRow(f"{path}:{lineno}: undecodable text") from None
             yield line
 
 

@@ -1,11 +1,14 @@
+import csv
+
 import numpy as np
 import pytest
 
+import flowgate.dataset as dataset
 from flowgate.dataset import (
     read_dataset, read_latents, values_matrix, write_dataset, write_latents,
 )
 from flowgate.errors import FlowgateError, MalformedRow
-from flowgate.packets import EncodedPacket, Label
+from flowgate.packets import PAYLOAD_OFFSET, EncodedPacket, Label
 
 
 def make_packet(rng, label=None, idx=0):
@@ -116,6 +119,20 @@ def canonical_csv(path):
     for i, label in enumerate([Label.NORMAL, Label.ANOMALY, None]):
         codes = rng.integers(0, 256, size=1600).astype(np.uint8)
         codes[:2] = (0, 255)
+        packets.append(EncodedPacket(codes.tobytes(), label=label, source_id=("mem", i)))
+    write_dataset(packets, path)
+    return packets
+
+
+def zero_tailed_csv(path):
+    """Four rows of packets shorter than the slot, as captures give: header
+    slots and a payload of random length, then zero padding to 1600 bytes."""
+    rng = np.random.default_rng(7)
+    packets = []
+    for i, (label, length) in enumerate([(Label.NORMAL, PAYLOAD_OFFSET + 1),
+                                         (Label.ANOMALY, 400), (None, 977), (Label.NORMAL, 1599)]):
+        codes = np.zeros(1600, dtype=np.uint8)
+        codes[:length] = rng.integers(1, 256, size=length)
         packets.append(EncodedPacket(codes.tobytes(), label=label, source_id=("mem", i)))
     write_dataset(packets, path)
     return packets
@@ -239,9 +256,11 @@ def mutate(rng, data: bytes) -> bytes:
     return bytes(buf)
 
 
-def test_mutated_csvs_raise_only_flowgate_errors_or_read_valid_packets(tmp_path):
+def check_mutants(tmp_path, write_canonical):
+    """Mutants of the file `write_canonical` writes raise only FlowgateErrors
+    or read to valid packets, and some of them are accepted."""
     original = tmp_path / "canonical.csv"
-    canonical_csv(original)
+    write_canonical(original)
     data = original.read_bytes()
     rng = np.random.default_rng(20240315)
     path = tmp_path / "mutant.csv"
@@ -259,3 +278,73 @@ def test_mutated_csvs_raise_only_flowgate_errors_or_read_valid_packets(tmp_path)
             assert v.min() >= 0.0 and v.max() <= 1.0
             assert np.abs(v * 255.0 - np.rint(v * 255.0)).max() <= 1e-9
     assert accepted > 0
+
+
+def test_mutated_csvs_raise_only_flowgate_errors_or_read_valid_packets(tmp_path):
+    check_mutants(tmp_path, canonical_csv)
+
+
+def test_mutated_zero_tailed_csvs_raise_only_flowgate_errors_or_read_valid_packets(tmp_path):
+    check_mutants(tmp_path, zero_tailed_csv)
+
+
+# --- rows that end in a run of zero values ---
+
+@pytest.mark.parametrize("zeros", [0, 1, 1598, 1599, 1600])
+def test_a_zero_tail_reads_like_the_float_parser(tmp_path, zeros):
+    rng = np.random.default_rng(zeros)
+    codes = rng.integers(1, 256, size=1600).astype(np.uint8)
+    codes[1600 - zeros:] = 0
+    path = tmp_path / "d.csv"
+    write_dataset([EncodedPacket(codes.tobytes(), label=Label.ANOMALY)], path)
+    line = path.read_text().splitlines()[1]
+    assert line.endswith(",0.0" * min(zeros, 1599) + ",1")
+    want = dataset._parse_row(next(csv.reader([line])), "d.csv:2")
+    (got,) = read_dataset(path)
+    assert (got.codes, got.label) == want == (codes.tobytes(), Label.ANOMALY)
+
+
+# a field of the zero tail of line 3 rewritten; None where the row is refused
+MALFORMED_TAILS = [
+    ("two_decimals", -20, "0.00", None),
+    ("integer", -20, "0", None),
+    ("space", -20, " 0.0", None),
+    ("empty", -20, "", "non-numeric value"),
+    ("extra_zero", -1, "0.0,1", "expected 1601 columns, got 1602"),
+]
+
+
+@pytest.mark.parametrize("col,text,error", [m[1:] for m in MALFORMED_TAILS],
+                         ids=[m[0] for m in MALFORMED_TAILS])
+def test_a_malformed_zero_tail_reads_through_the_float_parser(tmp_path, col, text, error):
+    path = tmp_path / "d.csv"
+    packets = zero_tailed_csv(path)
+    rewrite_field(path, 3, col, text)
+    if error is not None:
+        with pytest.raises(MalformedRow, match=rf"d\.csv:3: {error}"):
+            read_dataset(path)
+        return
+    got = read_dataset(path)
+    assert [(p.codes, p.label) for p in got] == [(p.codes, p.label) for p in packets]
+
+
+def test_a_zero_tailed_canonical_file_never_reaches_the_float_parser(tmp_path, monkeypatch):
+    path = tmp_path / "d.csv"
+    packets = zero_tailed_csv(path)
+
+    def refuse(row, where):
+        raise AssertionError(f"{where} went to the float parser")
+    monkeypatch.setattr(dataset, "_parse_row", refuse)
+    got = read_dataset(path)
+    assert [(p.codes, p.label) for p in got] == [(p.codes, p.label) for p in packets]
+
+
+# --- text that is not ASCII ---
+
+def test_valid_utf8_outside_ascii_is_a_bad_label_not_undecodable(tmp_path):
+    path = tmp_path / "d.csv"
+    canonical_csv(path)
+    text = path.read_text(encoding="utf-8")
+    path.write_text(text.replace(",0\n", ",é\n", 1), encoding="utf-8")
+    with pytest.raises(MalformedRow, match=r"d\.csv:2: bad label field 'é'"):
+        read_dataset(path)

@@ -145,15 +145,16 @@ CSV_READERS = {
 }
 
 
-@pytest.mark.parametrize("spoil", [b"\xff", b"1" * 140_000], ids=["bad-byte", "oversized-field"])
+@pytest.mark.parametrize("spoil, error", [(b"\xff", "undecodable text"), (b"1" * 140_000, "")],
+                         ids=["bad-byte", "oversized-field"])
 @pytest.mark.parametrize("read, write", CSV_READERS.values(), ids=CSV_READERS.keys())
 def test_csv_readers_name_the_line_of_a_bad_byte_or_an_oversized_field(tmp_path, read, write,
-                                                                       spoil):
+                                                                       spoil, error):
     path = tmp_path / "file.csv"
     write(path)
     read(path)
     prefix_line(path, 3, spoil)
-    with pytest.raises(MalformedRow, match=re.escape(f"{path}:3: ")):
+    with pytest.raises(MalformedRow, match=re.escape(f"{path}:3: {error}")):
         read(path)
 
 
