@@ -158,12 +158,14 @@ def read_dataset(path: str | Path) -> list[EncodedPacket]:
 def values_matrix(packets: Sequence[EncodedPacket],
                   out: Optional[np.ndarray] = None) -> np.ndarray:
     """The packets' values as an [n, 1600] float64 matrix, each byte/255,
-    written into `out` when given. Training stacks a whole set at once;
-    scoring fills one reused block of `nn.EVAL_BLOCK` rows at a time, zero
-    past the last packet, so a batch of any size costs one block of floats
-    and a packet's score does not depend on the batch it came in."""
+    written into `out` when given; an `out` of fewer columns takes each
+    packet's first values only. Training stacks a whole set at once; scoring
+    fills one reused block of `nn.EVAL_BLOCK` rows at a time, as wide as the
+    narrowed encoder it feeds, so a batch of any size costs one block of
+    floats and a packet's score does not depend on the batch it came in."""
+    width = VECTOR_LEN if out is None else out.shape[1]
     codes = np.frombuffer(b"".join(p.codes for p in packets), dtype=np.uint8)
-    return np.divide(codes.reshape(-1, VECTOR_LEN), 255.0, out=out)
+    return np.divide(codes.reshape(-1, VECTOR_LEN)[:, :width], 255.0, out=out)
 
 
 # --- latent-vector CSV (70 columns + label) ---
@@ -198,6 +200,49 @@ def csv_records(path: str | Path, what: str) -> Iterator[tuple[str, list[str]]]:
 
 
 def read_latents(path: str | Path) -> tuple[np.ndarray, list[Optional[Label]]]:
+    """The latents and labels of a latent CSV, with rows of any count of
+    finite values. A file in write_latents' form is parsed by one np.loadtxt
+    call; any other, or any refused, is read record by record, which names
+    the line of the first bad record."""
+    bulk = _bulk_latents(path)
+    return bulk if bulk is not None else _latents_by_record(path)
+
+
+def _bulk_latents(path: str | Path) -> Optional[tuple[np.ndarray, list[Optional[Label]]]]:
+    """read_latents' result for a file of unquoted lines that np.loadtxt
+    parses whole, else None. It accepts no line the record reader refuses:
+    a quote, an empty or non-numeric field, a line csv.reader would find
+    over its field limit, a bad label or a non-finite value all return None."""
+    try:
+        lines = list(text_lines(path, "latents"))
+    except MalformedRow:
+        return None
+    if not lines or '"' in lines[0] or max(map(len, lines)) >= csv.field_size_limit():
+        return None
+    header = lines[0].rstrip("\r\n").split(",")
+    if header[-1] != "label":
+        return None
+    values, labels = [], []
+    for line in lines[1:]:
+        head, comma, label = line.rstrip("\r\n").rpartition(",")
+        if not comma or label not in _LABEL_OF:
+            return None
+        values.append(head)
+        labels.append(_LABEL_OF[label])
+    dim = len(header) - 1
+    if not values:
+        return np.zeros((0, dim)), labels
+    try:
+        # np.loadtxt skips an empty head (the line ",0", say): the shape check refuses it
+        matrix = np.loadtxt(values, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if matrix.shape != (len(values), dim) or not np.isfinite(matrix).all():
+        return None
+    return matrix, labels
+
+
+def _latents_by_record(path: str | Path) -> tuple[np.ndarray, list[Optional[Label]]]:
     records = csv_records(path, "latents")
     _, header = next(records, (None, None))
     if not header or header[-1] != "label":

@@ -542,6 +542,17 @@ class MLP:
             x = layer(x)
         return self.layers[-1](x), x
 
+    def narrowed(self, width: int) -> "MLP":
+        """This network for inputs whose columns from `width` on are zero: the
+        first layer reads the view of its first `width` weight columns, and
+        every table is shared. At the full input width it is `self`."""
+        first = self.layers[0]
+        if width == first.n_in:
+            return self
+        narrow = DenseLayer(Tensor(first.weights.data[:, :width], first.weights.requires_grad),
+                            first.bias, first.activation)
+        return MLP([narrow, *self.layers[1:]], self.prefix)
+
     def eval_np(self, x: Array) -> Array:
         """The output for a plain array, computed off the tape."""
         with off_tape():

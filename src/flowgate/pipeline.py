@@ -22,9 +22,12 @@ tables; the loader records what it materialized so tests can verify nothing
 else was touched. `infer` and the pipeline's test set are scored by one path,
 `packet_latents` then `ClassifierModel.score`, in padded blocks of
 `nn.EVAL_BLOCK` rows: a batch of any size holds one block of packet values
-and the latents, and every forward pass has one shape, so a packet's score is
-the same bits whatever batch it is scored in. Training-side encoding
-(`train_latents.csv`, holdout losses) runs whole-batch.
+and the latents, and every forward pass has one shape. `packet_latents`
+groups the packets by the width past which their bytes are all zero and
+narrows the encoder's first layer to it, so the zero padding of a short
+packet is not multiplied. A packet's group depends only on its bytes, so its
+score is the same bits whatever batch it is scored in. Training-side
+encoding (`train_latents.csv`, holdout losses) runs whole-batch.
 """
 from __future__ import annotations
 
@@ -260,12 +263,42 @@ class InferenceEngine:
                        packets)
 
 
+# The input widths a packet is scored at: the first whose tail past it holds
+# only zero bytes. The product of zeros is exact, so a narrowed first layer
+# drops nothing. The cuts are multiples of 384, the K block of OpenBLAS's
+# dgemm on its SkylakeX kernel, so there the narrowed product sums the same
+# blocks in the same order as the full one and the latents are bit-identical
+# to it. Under another BLAS or kernel they may differ from it in the last
+# bits, while a score still depends on nothing but its packet's bytes.
+SCORE_WIDTHS = (384, 768, 1152, VECTOR_LEN)
+_ZERO_TAILS = tuple((width, bytes(VECTOR_LEN - width)) for width in SCORE_WIDTHS[:-1])
+
+
+def score_width(codes: bytes) -> int:
+    """The first of `SCORE_WIDTHS` past which `codes` are all zero."""
+    if not codes[-1]:  # a packet that fills its slot is told by its last byte
+        for width, tail in _ZERO_TAILS:
+            if codes.endswith(tail):
+                return width
+    return VECTOR_LEN
+
+
 def packet_latents(encoder: MLP, packets: Sequence[EncodedPacket]) -> np.ndarray:
-    """The encoder's latents of `packets`, in padded blocks of `nn.EVAL_BLOCK`
-    rows: each block's values are written into one reused buffer, so only the
-    latents are kept for every packet."""
-    return encoder.eval_blocks(
-        len(packets), lambda block, rows: values_matrix(packets[rows], out=block))
+    """The encoder's latents of `packets`. Each packet joins the group of its
+    `score_width`, and each group runs through the encoder narrowed to that
+    width, so a short packet costs the first layer about its payload, not its
+    1600 values. A group is scored in padded blocks of `nn.EVAL_BLOCK` rows,
+    each block's values written into one reused buffer, so only the latents
+    are kept for every packet."""
+    groups: dict[int, list[int]] = {width: [] for width in SCORE_WIDTHS}
+    for i, packet in enumerate(packets):
+        groups[score_width(packet.codes)].append(i)
+    latents = np.empty((len(packets), encoder.widths[-1]))
+    for width, rows in groups.items():
+        group = [packets[i] for i in rows]
+        latents[rows] = encoder.narrowed(width).eval_blocks(
+            len(group), lambda block, span: values_matrix(group[span], out=block))
+    return latents
 
 
 def _scored(scores: np.ndarray, packets: Sequence[EncodedPacket]) -> list[ScoredSample]:

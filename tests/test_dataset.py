@@ -1,4 +1,5 @@
 import csv
+import re
 
 import numpy as np
 import pytest
@@ -108,6 +109,78 @@ def test_latents_empty(tmp_path):
     write_latents(path, np.zeros((0, 70)))
     back, labels = read_latents(path)
     assert back.shape == (0, 70) and labels == []
+
+
+LATENTS_HEAD = "z0,z1,label\n"
+
+
+@pytest.mark.parametrize("text, values, labels", [
+    ("0.5,-1.25,0\n2.0,3e-300,\n", [[0.5, -1.25], [2.0, 3e-300]], [Label.NORMAL, None]),
+    ('"0.5",-1.25,"1"\n', [[0.5, -1.25]], [Label.ANOMALY]),
+    (" 0.5,-1.25 ,0\r\n2.0,3.0,1", [[0.5, -1.25], [2.0, 3.0]], [Label.NORMAL, Label.ANOMALY]),
+    ("", np.zeros((0, 2)), []),
+], ids=["plain", "quoted", "padded-crlf-no-final-newline", "header-only"])
+def test_latent_files_read_accepts(tmp_path, text, values, labels):
+    path = tmp_path / "z.csv"
+    path.write_text(LATENTS_HEAD + text, newline="")
+    matrix, got = read_latents(path)
+    np.testing.assert_array_equal(matrix, np.array(values, dtype=np.float64).reshape(-1, 2))
+    assert got == labels
+
+
+@pytest.mark.parametrize("text, error", [
+    ("0.5,-1.25,0\n\n2.0,3.0,1\n", "z.csv:3: expected 3 columns, got 0"),
+    ("#0.5,-1.25,0\n", "z.csv:2: non-numeric value"),
+    ("0.5,,0\n", "z.csv:2: non-numeric value"),
+    ("0.5,-1.25,0\nnan,3.0,1\n", "z.csv: non-finite latent value"),
+    ("0.5,inf,0\n", "z.csv: non-finite latent value"),
+    ("0.5,-1.25,2\n", "z.csv:2: bad label field '2'"),
+    ("0.5,-1.25,0\n2.0,3.0,4.0,1\n", "z.csv:3: expected 3 columns, got 4"),
+    ("0.5,0\n", "z.csv:2: expected 3 columns, got 2"),
+    # a finite value (0.0) in a field over csv.reader's size limit
+    ("0." + "0" * 140_000 + "1,0.5,0\n", "z.csv:2: field larger than field limit"),
+], ids=["blank-line", "hash", "empty-field", "nan", "inf", "bad-label", "extra-column",
+        "missing-column", "oversized-field"])
+def test_latent_files_read_refuses(tmp_path, text, error):
+    path = tmp_path / "z.csv"
+    path.write_text(LATENTS_HEAD + text, newline="")
+    with pytest.raises(MalformedRow, match=re.escape(error)):
+        read_latents(path)
+
+
+def test_a_quoted_latent_header_is_split_as_csv_splits_it(tmp_path):
+    path = tmp_path / "z.csv"
+    path.write_text('"z0,z1",label\n0.5,-1.25,0\n')
+    with pytest.raises(MalformedRow, match=re.escape("z.csv:2: expected 2 columns, got 3")):
+        read_latents(path)
+    path.write_text('"z0,z1",label\n0.5,0\n')
+    assert read_latents(path)[0].tolist() == [[0.5]]
+
+
+def test_a_latent_file_is_refused_at_its_first_bad_line(tmp_path):
+    path = tmp_path / "z.csv"
+    path.write_bytes(LATENTS_HEAD.encode() + b"1" * 140_000 + b",0.5,0\n0.5,\xff,0\n")
+    with pytest.raises(MalformedRow, match=re.escape("z.csv:2: field larger than field limit")):
+        read_latents(path)
+
+
+def test_a_written_latents_file_is_parsed_in_one_call(tmp_path, monkeypatch):
+    path = tmp_path / "z.csv"
+    z = np.random.default_rng(7).standard_normal((40, 70))
+    write_latents(path, z, [Label.NORMAL] * 40)
+
+    def refuse(path):
+        raise AssertionError("read record by record")
+    monkeypatch.setattr(dataset, "_latents_by_record", refuse)
+    np.testing.assert_array_equal(read_latents(path)[0], z)
+
+
+def test_values_matrix_fills_a_narrower_out_with_each_packets_first_values():
+    rng = np.random.default_rng(8)
+    packets = [make_packet(rng, idx=i) for i in range(3)]
+    out = np.full((3, 384), np.nan)
+    assert values_matrix(packets, out=out) is out
+    np.testing.assert_array_equal(out, values_matrix(packets)[:, :384])
 
 
 # --- the value contract: lookup spelling, any other exact decimal, rejections ---

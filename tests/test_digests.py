@@ -1,7 +1,13 @@
+import collections
+import importlib.util
 import json
 import subprocess
 import sys
 from pathlib import Path
+
+from flowgate.cli import main as cli_main
+from flowgate.dataset import read_dataset
+from flowgate.pipeline import SCORE_WIDTHS, score_width
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "digests.py"
 
@@ -27,3 +33,14 @@ def test_digests_are_the_same_twice_and_against_lists_every_difference(tmp_path)
     listed = [line.split(":")[0] for line in second.stderr.splitlines()
               if line.split(":")[0] in digests.keys() | earlier.keys()]
     assert listed == ["chain/report.txt", "gone/file.csv", "tiny/flow.ckpt"]
+
+
+def test_the_digested_test_set_holds_packets_of_every_score_width(tmp_path):
+    """`--against` compares the scores of every narrowed encoder only if the
+    corpus it scores has packets of each width."""
+    spec = importlib.util.spec_from_file_location("digests", TOOL)
+    digests = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(digests)
+    assert cli_main(["make-corpus", "--out-dir", str(tmp_path), *map(str, digests.CORPUS)]) == 0
+    widths = collections.Counter(score_width(p.codes) for p in read_dataset(tmp_path / "test.csv"))
+    assert [w for w in SCORE_WIDTHS if not widths[w]] == [], widths

@@ -15,7 +15,7 @@ from flowgate.checkpoint import load_checkpoint
 from flowgate.classifier import ClassifierConfig, ClassifierModel
 from flowgate.cli import main as cli_main
 from flowgate.corpus import synthetic_frame
-from flowgate.dataset import read_dataset, write_dataset
+from flowgate.dataset import read_dataset, values_matrix, write_dataset
 from flowgate.errors import AnomalyInTrainingSet, CheckpointMismatch
 from flowgate.extractor import ExtractorConfig, FeatureExtractor
 from flowgate.metrics import read_report, read_scores
@@ -415,14 +415,24 @@ def test_pipeline_scores_are_the_bytes_flowgate_infer_writes(pipeline_run, tiny_
         assert out.read_bytes() == (Path(cfg.workdir) / f"scores_{tag}.csv").read_bytes()
 
 
+# the last non-zero byte of each zero-tailed packet of `default_engine`: none
+# (all zero), then each side of every cut of `pipeline.SCORE_WIDTHS`
+LAST_NONZERO = (None, 383, 384, 767, 768, 1151, 1152, 1599)
+
+
 @pytest.fixture(scope="module")
 def default_engine():
-    """An engine of default widths, drawn at random, and 2,000 random packets."""
+    """An engine of default widths, drawn at random, 2,000 random packets, and
+    after them one zero-tailed packet per entry of `LAST_NONZERO`."""
     engine = InferenceEngine(FeatureExtractor.create(ExtractorConfig(), 1).encoder,
                              ClassifierModel.create(ClassifierConfig(), 2), ())
-    codes = np.random.default_rng(5).integers(0, 256, (2000, VECTOR_LEN), dtype=np.uint8)
+    rng = np.random.default_rng(5)
+    codes = rng.integers(0, 256, (2000, VECTOR_LEN), dtype=np.uint8)
+    tailed = rng.integers(1, 256, (len(LAST_NONZERO), VECTOR_LEN), dtype=np.uint8)
+    for row, last in zip(tailed, LAST_NONZERO):
+        row[0 if last is None else last + 1:] = 0
     packets = [EncodedPacket(row.tobytes(), None, ("random", i))
-               for i, row in enumerate(codes)]
+               for i, row in enumerate(np.concatenate([codes, tailed]))]
     return engine, packets
 
 
@@ -438,6 +448,37 @@ def test_a_packets_score_does_not_depend_on_its_batch(default_engine):
         assert [s.score for s in batch] == whole[lo:lo + size], size
         assert [s.source_id for s in batch] == [p.source_id for p in packets[lo:lo + size]]
     assert engine.score_packets([]) == []
+
+
+def test_a_zero_tailed_packets_score_does_not_depend_on_its_batch(default_engine):
+    engine, packets = default_engine
+    tailed = packets[2000:]
+    assert [pipeline.score_width(p.codes) for p in tailed] == [
+        384, 384, 768, 768, 1152, 1152, 1600, 1600]
+    whole = {p.source_id: s.score for p, s in zip(packets, engine.score_packets(packets))}
+    for packet in tailed:
+        assert engine.score_packets([packet])[0].score == whole[packet.source_id]
+    # every group at several positions among full-length packets, in two orders
+    mixed = packets[:40] + tailed + packets[40:300] + tailed[::-1] + packets[300:301]
+    for batch in (mixed, mixed[::-1]):
+        assert [(s.source_id, s.score) for s in engine.score_packets(batch)] == [
+            (p.source_id, whole[p.source_id]) for p in batch]
+
+
+def test_narrowed_latents_are_the_full_width_encoders(default_engine):
+    engine, packets = default_engine
+    encoder = engine.encoder
+    assert encoder.narrowed(VECTOR_LEN) is encoder
+    narrow = encoder.narrowed(384)
+    assert narrow.widths == [384] + encoder.widths[1:]
+    assert np.shares_memory(narrow.layers[0].weights.data, encoder.layers[0].weights.data)
+    assert narrow.layers[0].bias is encoder.layers[0].bias
+    assert narrow.layers[1:] == encoder.layers[1:]
+    batch = packets[1990:]  # ten full-length packets and every zero-tailed one
+    full = encoder.eval_np(values_matrix(batch))
+    # a tolerance, not equality: how the sum is blocked is up to the BLAS
+    np.testing.assert_allclose(pipeline.packet_latents(encoder, batch), full,
+                               rtol=0, atol=1e-12)
 
 
 def test_scoring_memory_is_bounded_by_the_block_not_the_batch(default_engine):

@@ -37,6 +37,9 @@ SKIPPED = {"run.json"}
 TINY = ["--latent-dim", "16", "--encoder-widths", "1600,64,16",
         "--disc-widths", "1600,32,16,1", "--classifier-widths", "16,16,8,1",
         "--flow-blocks", "4", "--flow-hidden", "16"]
+# `make-corpus` options; its test set holds packets of every score width
+CORPUS = ("--seed", 21, "--n-normal", 360, "--n-anomaly", 60, "--n-train", 300,
+          "--n-test-normal", 60, "--n-test-anomaly", 60)
 CONFIG_FILE = ("ratio = 0.75\nw_adv = 2\nw_rec = 40\nepochs = 3\nlatent_dim = 16\n"
                "encoder_widths = 1600,64,16\ndisc_widths = 1600,32,16,1\n"
                "classifier_widths = 16,16,8,1\nflow_blocks = 4\nflow_hidden = 16\n")
@@ -85,9 +88,7 @@ def run_all(tmp: Path) -> dict[str, str]:
             raise SystemExit(f"flowgate {' '.join(map(str, argv))} exited {code}")
 
     corpus = tmp / "corpus"
-    flowgate("make-corpus", "--out-dir", corpus, "--seed", 21, "--n-normal", 360,
-             "--n-anomaly", 60, "--n-train", 300, "--n-test-normal", 60,
-             "--n-test-anomaly", 60)
+    flowgate("make-corpus", "--out-dir", corpus, *CORPUS)
     train, test = corpus / "train.csv", corpus / "test.csv"
     data = ["--train-csv", train, "--test-csv", test]
     out = digest_dir(corpus, "corpus")
