@@ -22,7 +22,8 @@ from .corpus import make_synthetic_corpus
 from .dataset import read_dataset, read_latents, write_dataset, write_latents
 from .errors import AnomalyInTrainingSet, BadConfig, FlowgateError, IoFailure
 from .extractor import (
-    ExtractorConfig, extractor_from_checkpoint, train_extractor, training_matrix,
+    ExtractorConfig, encode_codes, extractor_from_checkpoint, train_extractor,
+    training_matrix,
 )
 from .flow import FlowConfig, FlowModel, flow_from_checkpoint, train_flow
 from .metrics import evaluate, format_report, read_scores, write_report, write_scores
@@ -127,7 +128,8 @@ def _encode_training_data(data_csv: str, extractor_ckpt: str):
     """Latents of a normal packet CSV; rows labeled as anomalies are refused."""
     ext = extractor_from_checkpoint(
         load_checkpoint(extractor_ckpt, expect_stage=STAGE_EXTRACTOR))
-    return ext.encode(training_matrix(read_dataset(data_csv), ext.config.input_dim))
+    return encode_codes(ext.encoder,
+                        training_matrix(read_dataset(data_csv), ext.config.input_dim))
 
 
 def cmd_train_flow(args) -> int:

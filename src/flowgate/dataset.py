@@ -155,17 +155,23 @@ def read_dataset(path: str | Path) -> list[EncodedPacket]:
     return packets
 
 
+def codes_matrix(packets: Sequence[EncodedPacket]) -> np.ndarray:
+    """The packets' bytes as a read-only [n, 1600] uint8 matrix: how training
+    holds a set, one byte per value, until a batch is read."""
+    codes = np.frombuffer(b"".join(p.codes for p in packets), dtype=np.uint8)
+    return codes.reshape(-1, VECTOR_LEN)
+
+
 def values_matrix(packets: Sequence[EncodedPacket],
                   out: Optional[np.ndarray] = None) -> np.ndarray:
     """The packets' values as an [n, 1600] float64 matrix, each byte/255,
     written into `out` when given; an `out` of fewer columns takes each
-    packet's first values only. Training stacks a whole set at once; scoring
-    fills one reused block of `nn.EVAL_BLOCK` rows at a time, as wide as the
-    narrowed encoder it feeds, so a batch of any size costs one block of
-    floats and a packet's score does not depend on the batch it came in."""
+    packet's first values only. Scoring fills one reused block of
+    `nn.EVAL_BLOCK` rows at a time, as wide as the narrowed encoder it feeds,
+    so a batch of any size costs one block of floats and a packet's score
+    does not depend on the batch it came in."""
     width = VECTOR_LEN if out is None else out.shape[1]
-    codes = np.frombuffer(b"".join(p.codes for p in packets), dtype=np.uint8)
-    return np.divide(codes.reshape(-1, VECTOR_LEN)[:, :width], 255.0, out=out)
+    return np.divide(codes_matrix(packets)[:, :width], 255.0, out=out)
 
 
 # --- latent-vector CSV (70 columns + label) ---

@@ -59,6 +59,10 @@ class DetachedLoss(FlowgateError):
     """The loss tensor was not produced by any operation recorded on the tape."""
 
 
+class DtypeMismatch(FlowgateError):
+    """An integer array, packet byte codes say, where float values are expected."""
+
+
 # --- training ---
 
 class EmptyDataset(FlowgateError):
@@ -71,6 +75,10 @@ class AnomalyInTrainingSet(FlowgateError):
 
 class EmptyClass(FlowgateError):
     """Classifier training requires samples from both classes."""
+
+
+class NonFiniteMetric(FlowgateError):
+    """A training stage's holdout metric came out NaN or infinite."""
 
 
 # --- flow ---

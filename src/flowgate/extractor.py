@@ -6,9 +6,15 @@ term. The generator objective mixes reconstruction error with feature
 matching on the discriminator's last hidden layer; generator and
 discriminator are updated alternately with separate Adam states. Only the
 encoder is kept for inference.
+
+Packets train as their uint8 byte codes: the training step and the holdout
+loss read a batch as values, byte/255 as `dataset.values_matrix` computes
+them, only when they use it, so a training set costs one byte per value.
+`encode_codes` gives the latents of a set of codes in padded blocks.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -16,7 +22,7 @@ import numpy as np
 
 from . import nn
 from .checkpoint import Checkpoint, STAGE_EXTRACTOR, build_model, trained_checkpoint
-from .dataset import values_matrix
+from .dataset import codes_matrix
 from .errors import AnomalyInTrainingSet, BadConfig, EmptyDataset, ShapeMismatch
 from .nn import Activation, GradTape, MLP, Tensor
 from .packets import EncodedPacket, Label
@@ -40,8 +46,11 @@ class ExtractorConfig(nn.TrainConfig):
             raise BadConfig("encoder_widths must end at latent_dim")
         if self.disc_widths[0] != self.input_dim or self.disc_widths[-1] != 1:
             raise BadConfig("disc_widths must map input_dim to a scalar")
-        if self.w_adv < 0 or self.w_rec < 0:
-            raise BadConfig("loss weights w_adv and w_rec must be non-negative")
+        for name in ("w_adv", "w_rec"):
+            value = getattr(self, name)
+            if not (value >= 0 and math.isfinite(value)):
+                raise BadConfig(f"loss weight {name} must be non-negative and finite, "
+                                f"got {value}")
 
     @property
     def decoder_widths(self) -> tuple[int, ...]:
@@ -144,16 +153,18 @@ class FeatureExtractor:
 
 def training_matrix(dataset: Sequence[EncodedPacket] | np.ndarray,
                     input_dim: int) -> np.ndarray:
-    """Stack training inputs, rejecting anything labeled as an anomaly."""
+    """Training inputs as one matrix, refusing anything labeled as an anomaly:
+    packets as their uint8 byte codes, a uint8 array as codes too, and any
+    other array as float64 values."""
     if isinstance(dataset, np.ndarray):
-        matrix = np.asarray(dataset, dtype=np.float64)
+        matrix = dataset if dataset.dtype == np.uint8 else np.asarray(dataset, dtype=np.float64)
     else:
         packets = list(dataset)
         for p in packets:
             if p.label is Label.ANOMALY:
                 raise AnomalyInTrainingSet(
                     f"labeled anomaly {p.source_id} in a training set")
-        matrix = values_matrix(packets)
+        matrix = codes_matrix(packets)
     if matrix.ndim != 2 or matrix.shape[0] == 0:
         raise EmptyDataset("training needs at least one packet")
     if matrix.shape[1] != input_dim:
@@ -162,16 +173,31 @@ def training_matrix(dataset: Sequence[EncodedPacket] | np.ndarray,
     return matrix
 
 
+def batch_values(batch: np.ndarray) -> np.ndarray:
+    """Rows of a `training_matrix` as float64 values: codes as byte/255, the
+    quotient `dataset.values_matrix` computes; values as they are."""
+    return batch / 255.0 if batch.dtype == np.uint8 else batch
+
+
+def encode_codes(encoder: MLP, codes: np.ndarray) -> np.ndarray:
+    """The latents of packets' uint8 byte codes, `MLP.eval_blocks` filling
+    each block with its rows' values (byte/255) as it goes."""
+    return encoder.eval_blocks(
+        len(codes), lambda block, rows: np.divide(codes[rows], 255.0, out=block))
+
+
 def train_extractor(dataset: Sequence[EncodedPacket] | np.ndarray,
                     cfg: ExtractorConfig, seed: int) -> Checkpoint:
-    """Alternating per-batch discriminator/generator updates with early stopping."""
+    """Alternating per-batch discriminator/generator updates with early
+    stopping. Packets and uint8 codes are held as codes, float values as they
+    are; both give the same checkpoint."""
     data = training_matrix(dataset, cfg.input_dim)
     model = FeatureExtractor.create(cfg, seed)
     gen_update = cfg.adam_update(model.generator_params)
     disc_update = cfg.adam_update(model.discriminator_params)
 
     def step(xb: np.ndarray) -> None:
-        x = Tensor(xb, requires_grad=False)
+        x = Tensor(batch_values(xb), requires_grad=False)
         # the generator's forward, run once: the discriminator step below
         # leaves encoder and decoder as they are
         with GradTape() as gen_tape:
@@ -188,9 +214,12 @@ def train_extractor(dataset: Sequence[EncodedPacket] | np.ndarray,
             g_loss = model._generator_loss_t(x, x_hat)
         gen_update(gen_tape, g_loss)
 
+    def holdout_loss(hold: np.ndarray) -> float:
+        return model.generator_loss(batch_values(hold))
+
     history, best_epoch, n_train = nn.fit(
         model.generator_params + model.discriminator_params, (data,), step,
-        model.generator_loss, cfg, seed, "extractor")
+        holdout_loss, cfg, seed, "extractor")
     return trained_checkpoint(STAGE_EXTRACTOR, seed, cfg.to_dict(), model.param_items(),
                               best_epoch, "holdout_generator_loss", history, n_train=n_train)
 

@@ -2,7 +2,7 @@
 
 Everything runs eagerly on float64 numpy arrays. While a GradTape is active,
 operations also record backward closures; `backward` replays them in reverse
-to produce exact gradients for every tensor the tape touched. Double precision
+to produce exact gradients for every leaf the tape touched. Double precision
 keeps the finite-difference checks in the test suite tight. Each computation
 is defined once: a frozen network runs the same operations inside `off_tape()`,
 which records nothing even under an active tape, so its outputs are constants
@@ -16,9 +16,13 @@ that only passes gradients through computes no weight gradients.
 
 Adam updates each parameter's array in place, block by block, with the
 operations of an allocating update in the same order, so results are
-bit-identical. A parameter must be a writeable C-contiguous array, and a
-trained model must own its tables: nothing else may hold them while it trains
-(`snapshot`, `restore` and `checkpoint.trained_checkpoint` copy).
+bit-identical. A training step (`TrainConfig.adam_update`) updates each
+parameter as soon as `backward` has its final gradient and then drops that
+gradient, so a step holds one weight gradient at a time. A parameter must be a
+writeable C-contiguous array, and a trained model must own its tables: nothing
+else may hold them while it trains (`snapshot` and
+`checkpoint.trained_checkpoint` copy; `restore` copies back into the
+parameters' own arrays).
 """
 from __future__ import annotations
 
@@ -30,7 +34,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import BadConfig, DetachedLoss, ShapeMismatch
+from .errors import BadConfig, DetachedLoss, DtypeMismatch, NonFiniteMetric, ShapeMismatch
 from .seeding import rng_for
 
 Array = np.ndarray
@@ -166,31 +170,52 @@ def _record(out: Tensor, inputs: tuple[Tensor, ...], backward_fn: BackwardFn) ->
     return out
 
 
-def backward(tape: GradTape, loss: Tensor) -> dict[Tensor, Array]:
-    """Gradients of a scalar loss w.r.t. every tensor on the tape.
+def backward(tape: GradTape, loss: Tensor,
+             take: Callable[[Tensor, Array], object] | None = None) -> dict[Tensor, Array]:
+    """Gradients of a scalar loss w.r.t. every leaf of the tape: each tensor
+    a record reads that no record produced.
 
-    Tensors never touched by the tape, and constants, are simply absent from
-    the result; callers treat them as zero-gradient (see `grads_for`).
+    A record's output gradient is dropped once the record has passed it on to
+    its inputs. Tensors never touched by the tape, and constants, are simply
+    absent from the result; callers treat them as zero-gradient (see
+    `grads_for`). With `take`, each leaf's gradient is handed to
+    `take(leaf, grad)` as soon as it is final, once the walk has passed the
+    earliest record that reads the leaf, and is not kept: the result is then
+    empty. `take` may overwrite the leaf's array in place, unless an earlier
+    record read that array as a constant (frozen).
     """
     if id(loss) not in tape._outputs:
         raise DetachedLoss("loss was not produced by an operation recorded on this tape")
     if loss.data.size != 1:
         raise ShapeMismatch(f"loss must be a scalar, got shape {loss.data.shape}")
+    records = tape._records
+    # record index -> the leaves it is the earliest record to read
+    finals: dict[int, list[Tensor]] = {}
+    if take is not None:
+        seen = set(tape._outputs)
+        for i, (_, inputs, _) in enumerate(records):
+            for tensor in inputs:
+                if tensor is not None and id(tensor) not in seen:
+                    seen.add(id(tensor))
+                    finals.setdefault(i, []).append(tensor)
     grads: dict[int, Array] = {id(loss): np.ones_like(loss.data)}
     by_id: dict[int, Tensor] = {id(loss): loss}
-    for out, inputs, backward_fn in reversed(tape._records):
-        g_out = grads.get(id(out))
-        if g_out is None:
-            continue
-        for tensor, g in zip(inputs, backward_fn(g_out)):
-            if tensor is None or g is None:
-                continue
-            key = id(tensor)
-            if key in grads:
-                grads[key] = grads[key] + g
-            else:
-                grads[key] = g
-                by_id[key] = tensor
+    for i in range(len(records) - 1, -1, -1):
+        out, inputs, backward_fn = records[i]
+        if id(out) in grads:
+            for tensor, g in zip(inputs, backward_fn(grads.pop(id(out)))):
+                if tensor is None or g is None:
+                    continue
+                key = id(tensor)
+                if key in grads:
+                    grads[key] = grads[key] + g
+                else:
+                    grads[key] = g
+                    by_id[key] = tensor
+            g = None  # the loop's last gradient, which may be a leaf's taken below
+        for leaf in finals.get(i, ()):
+            if id(leaf) in grads:
+                take(leaf, grads.pop(id(leaf)))
     return {by_id[k]: g for k, g in grads.items()}
 
 
@@ -432,8 +457,12 @@ def bce(pred: Tensor, target: Tensor) -> Tensor:
 
 def as_rows(x, width: int) -> tuple[Array, bool]:
     """`x`, a 1-D row or a 2-D batch of `width` columns, as a float64 batch,
-    and whether it was a single row."""
-    arr = np.asarray(x, dtype=np.float64)
+    and whether it was a single row. An integer array is refused, not cast:
+    packet byte codes are read as values only through byte/255."""
+    arr = np.asarray(x)
+    if np.issubdtype(arr.dtype, np.integer):
+        raise DtypeMismatch(f"expected float values, got an array of {arr.dtype}")
+    arr = np.asarray(arr, dtype=np.float64)
     single = arr.ndim == 1
     if single:
         arr = arr[None, :]
@@ -593,8 +622,8 @@ class TrainConfig:
             raise BadConfig(f"epochs must be non-negative, got {self.epochs}")
         if self.batch_size < 1:
             raise BadConfig(f"batch_size must be at least 1, got {self.batch_size}")
-        if not self.lr > 0:
-            raise BadConfig(f"lr must be positive, got {self.lr}")
+        if not (self.lr > 0 and math.isfinite(self.lr)):
+            raise BadConfig(f"lr must be positive and finite, got {self.lr}")
         if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
             raise BadConfig("beta1 and beta2 must lie in [0, 1)")
         if self.patience < 0:
@@ -603,11 +632,29 @@ class TrainConfig:
             raise BadConfig(f"holdout_fraction must lie in [0, 1], got {self.holdout_fraction}")
 
     def adam_update(self, params: Sequence[Tensor]) -> Callable[[GradTape, Tensor], None]:
-        """An Adam state for `params`, stepped by `update(tape, loss)`."""
+        """An Adam state for `params`, stepped by `update(tape, loss)`: the same
+        update as `adam_step` on `grads_for(backward(tape, loss), params)`, but
+        each parameter is updated as soon as `backward` has its final gradient,
+        which is then dropped, and a parameter the tape never saw is updated
+        with a zero gradient at the end. A parameter that takes a gradient
+        must not also be read frozen by a record before the first that takes
+        it: its array is overwritten once the walk has passed that record."""
         state = AdamState(params, lr=self.lr, beta1=self.beta1, beta2=self.beta2)
+        index = {p: i for i, p in enumerate(params)}
 
         def update(tape: GradTape, loss: Tensor) -> None:
-            adam_step(state, params, grads_for(backward(tape, loss), params))
+            coeffs = state.coefficients()
+            pending = dict(index)
+
+            def take(leaf: Tensor, g: Array) -> None:
+                i = pending.pop(leaf, None)
+                if i is not None:
+                    _adam_update(state, i, leaf, g, coeffs)
+
+            backward(tape, loss, take)
+            for p, i in pending.items():
+                _adam_update(state, i, p, np.zeros_like(p.data), coeffs)
+            state.step_count += 1
         return update
 
     def to_dict(self) -> dict:
@@ -648,6 +695,13 @@ class AdamState:
         tmp, step = np.empty(n), np.empty(n)
         self._blocks = [_adam_blocks(m, v, tmp, step) for m, v in zip(self.m, self.v)]
 
+    def coefficients(self) -> tuple[float, ...]:
+        """(b1, 1 - b1, b2, 1 - b2, bias correction of v, eps, lr over the bias
+        correction of m) for the next update, step `step_count + 1`."""
+        t = self.step_count + 1
+        b1, b2 = self.beta1, self.beta2
+        return b1, 1.0 - b1, b2, 1.0 - b2, 1.0 - b2 ** t, self.eps, self.lr / (1.0 - b1 ** t)
+
 
 def _adam_blocks(m: Array, v: Array, tmp: Array, step: Array) -> list[tuple]:
     """(slice of the flat view, m and v blocks, scratch views) per block of a
@@ -671,38 +725,42 @@ def adam_step(state: AdamState, params: Sequence[Tensor],
     would take the update and drop it)."""
     if len(params) != len(state.m) or len(grads) != len(params):
         raise ShapeMismatch("parameter/gradient count does not match optimizer state")
-    t = state.step_count + 1
-    bc1 = 1.0 - state.beta1 ** t
-    bc2 = 1.0 - state.beta2 ** t
-    b1, b2, eps = state.beta1, state.beta2, state.eps
-    c1, c2, lr_t = 1.0 - b1, 1.0 - b2, state.lr / bc1
+    coeffs = state.coefficients()
     for i, (p, g) in enumerate(zip(params, grads)):
-        if p.data.shape != state._shapes[i] or g.shape != state._shapes[i]:
-            raise ShapeMismatch(f"parameter {i} shape changed under the optimizer")
-        if not (p.data.flags.c_contiguous and p.data.flags.writeable):
-            raise ShapeMismatch(f"parameter {i} is not a writeable C-contiguous array; "
-                                "Adam updates it in place")
-        for block, m, v, a, s in state._blocks[i]:
-            pc, gc = ((p.data, g) if block is None
-                      else (p.data.reshape(-1)[block], g.reshape(-1)[block]))
-            # the allocating update's operations, in its order:
-            # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g g
-            m *= b1
-            np.multiply(gc, c1, out=a)
-            m += a
-            v *= b2
-            np.multiply(gc, gc, out=a)
-            a *= c2
-            v += a
-            # p -= (m / (sqrt(v / bc2) + eps)) * (lr / bc1)
-            np.divide(v, bc2, out=a)
-            np.sqrt(a, out=a)
-            a += eps
-            np.divide(m, a, out=s)
-            s *= lr_t
-            pc -= s
-    state.step_count = t
+        _adam_update(state, i, p, g, coeffs)
+    state.step_count += 1
     return params
+
+
+def _adam_update(state: AdamState, i: int, p: Tensor, g: Array,
+                 coeffs: tuple[float, ...]) -> None:
+    """Adam's update of parameter `i` of `state` by gradient `g`, in place,
+    with the step's `AdamState.coefficients`."""
+    if p.data.shape != state._shapes[i] or g.shape != state._shapes[i]:
+        raise ShapeMismatch(f"parameter {i} shape changed under the optimizer")
+    if not (p.data.flags.c_contiguous and p.data.flags.writeable):
+        raise ShapeMismatch(f"parameter {i} is not a writeable C-contiguous array; "
+                            "Adam updates it in place")
+    b1, c1, b2, c2, bc2, eps, lr_t = coeffs
+    for block, m, v, a, s in state._blocks[i]:
+        pc, gc = ((p.data, g) if block is None
+                  else (p.data.reshape(-1)[block], g.reshape(-1)[block]))
+        # the allocating update's operations, in its order:
+        # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g g
+        m *= b1
+        np.multiply(gc, c1, out=a)
+        m += a
+        v *= b2
+        np.multiply(gc, gc, out=a)
+        a *= c2
+        v += a
+        # p -= (m / (sqrt(v / bc2) + eps)) * (lr / bc1)
+        np.divide(v, bc2, out=a)
+        np.sqrt(a, out=a)
+        a += eps
+        np.divide(m, a, out=s)
+        s *= lr_t
+        pc -= s
 
 
 # --- training utilities ---
@@ -712,8 +770,10 @@ def snapshot(params: Sequence[Tensor]) -> list[Array]:
 
 
 def restore(params: Sequence[Tensor], saved: Sequence[Array]) -> None:
+    """Copies `saved` into the parameters' own arrays, which stay the ones
+    their layers, their tables and any Adam update hold."""
     for p, s in zip(params, saved):
-        p.data = s.copy()
+        np.copyto(p.data, s)
 
 
 class EarlyStopper:
@@ -748,10 +808,14 @@ def fit(params: Sequence[Tensor], arrays: Sequence[Array],
     The `{tag}-split` stream holds out a `holdout_fraction` of the rows of
     `arrays`, at least one and never all (one row is both train and holdout).
     Each epoch runs `step(*batch)` over minibatches from the `{tag}-batches`
-    stream, then scores `holdout_metric(*holdout)`, lower being better. After
-    `patience` epochs without a new best it stops; `params` end at the best
-    epoch, 0 being the untrained start. Returns (metric per epoch from 0,
-    best epoch, training rows).
+    stream, then scores `holdout_metric(*holdout)`, lower being better; a
+    metric that is not finite is a NonFiniteMetric naming the tag and epoch.
+    The arrays are passed on as they are, so a step may take packet byte
+    codes and read them as values batch by batch. After `patience` epochs
+    without a new best it stops; `params` end at the best epoch, 0 being the
+    untrained start. A new best is copied into the one snapshot taken at the
+    start, and restored into the parameters' own arrays. Returns (metric per
+    epoch from 0, best epoch, training rows).
     """
     n = arrays[0].shape[0]
     perm = rng_for(seed, f"{tag}-split").permutation(n)
@@ -760,16 +824,24 @@ def fit(params: Sequence[Tensor], arrays: Sequence[Array],
     hold = [a[perm[:n_hold]] for a in arrays] if n_hold else train
     batch_rng = rng_for(seed, f"{tag}-batches")
     stopper = EarlyStopper(cfg.patience)
-    history = [holdout_metric(*hold)]
-    stopper.update(history[0], epoch=0)
+
+    def scored(epoch: int) -> float:
+        metric = holdout_metric(*hold)
+        if not math.isfinite(metric):
+            raise NonFiniteMetric(f"{tag}: holdout metric is {metric} at epoch {epoch}")
+        history.append(metric)
+        return metric
+
+    history: list[float] = []
+    stopper.update(scored(0), epoch=0)
     best = snapshot(params)
     for epoch in range(1, cfg.epochs + 1):
         order = batch_rng.permutation(n - n_hold)
         for start in range(0, n - n_hold, cfg.batch_size):
             step(*(a[order[start:start + cfg.batch_size]] for a in train))
-        history.append(holdout_metric(*hold))
-        if stopper.update(history[-1], epoch):
-            best = snapshot(params)
+        if stopper.update(scored(epoch), epoch):
+            for saved, p in zip(best, params):
+                np.copyto(saved, p.data)
         if stopper.should_stop:
             break
     restore(params, best)

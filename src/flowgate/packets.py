@@ -7,7 +7,9 @@ consume: IP header zero-padded to 60 bytes with its checksum and addresses
 zeroed, transport header zero-padded to 60 bytes, then the payload, truncated
 or zero-padded to 1600 total. A packet holds those bytes; each becomes float64
 byte/255 only when the model reads it (`EncodedPacket.values`, or
-`dataset.values_matrix` for many packets at once).
+`dataset.values_matrix` for many packets at once). Training holds a whole set
+as bytes too (`dataset.codes_matrix`) and reads a minibatch as values only
+when a step uses it.
 """
 from __future__ import annotations
 

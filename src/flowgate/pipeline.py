@@ -55,7 +55,7 @@ from .dataset import (
 )
 from .errors import BadConfig, CheckpointMismatch, FlowgateError, IoFailure
 from .extractor import (
-    ExtractorConfig, encoder_from_checkpoint, extractor_from_checkpoint,
+    ExtractorConfig, encode_codes, encoder_from_checkpoint, extractor_from_checkpoint,
     train_extractor, training_matrix,
 )
 from .flow import FlowConfig, FlowModel, flow_from_checkpoint, train_flow
@@ -387,7 +387,7 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
     encoded = None
     if latents_digest is None:
         with _stage("encode-latents"):
-            encoded = extractor.encode(train_matrix())
+            encoded = encode_codes(extractor.encoder, train_matrix())
             write_latents(latents_path, encoded, [Label.NORMAL] * encoded.shape[0])
             latents_digest = _sha256(latents_path)
 

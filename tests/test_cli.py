@@ -294,9 +294,16 @@ def test_console_entry_point_runs():
     (["--noise-grid", "0.1234561,1;0.1234562,1"], "(0.1234561, 1.0) and (0.1234562, 1.0)"),
     (["--noise-grid", "0,1;0,1"], "(0.0, 1.0) and (0.0, 1.0)"),
     (["--ratios", "0.5,0.5000001"], "ratios 0.5 and 0.5000001 share the tag ratio0.5"),
+    (["--w-adv", "nan"], "w_adv"),
+    (["--w-adv", "inf"], "w_adv"),
+    (["--w-rec", "nan"], "w_rec"),
+    (["--w-rec", "inf"], "w_rec"),
+    (["--lr", "nan"], "lr"),
+    (["--lr", "inf"], "lr"),
 ], ids=["grid-1", "grid-semicolon", "flow-blocks-0", "ratio-0", "seeds", "ratios",
         "seed-abc", "encoder-widths-x", "grid-shared-tag", "grid-repeated",
-        "ratios-shared-tag"])
+        "ratios-shared-tag", "w-adv-nan", "w-adv-inf", "w-rec-nan", "w-rec-inf",
+        "lr-nan", "lr-inf"])
 def test_pipeline_bad_value_fails_before_training(tiny_corpus, tmp_path, capsys,
                                                   flags, key):
     train_csv, test_csv = tiny_corpus

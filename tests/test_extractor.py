@@ -1,12 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from flowgate import nn
 from flowgate.checkpoint import STAGE_EXTRACTOR, save_checkpoint
-from flowgate.errors import AnomalyInTrainingSet, EmptyDataset, ShapeMismatch
+from flowgate.dataset import codes_matrix, values_matrix
+from flowgate.errors import AnomalyInTrainingSet, DtypeMismatch, EmptyDataset, ShapeMismatch
 from flowgate.extractor import (
-    ExtractorConfig, FeatureExtractor, discriminator_objective,
-    extractor_from_checkpoint, generator_objective, train_extractor,
+    ExtractorConfig, FeatureExtractor, discriminator_objective, encode_codes,
+    extractor_from_checkpoint, generator_objective, train_extractor, training_matrix,
 )
 from flowgate.nn import GradTape, Tensor
 from flowgate.packets import EncodedPacket, Label
@@ -216,3 +219,60 @@ def test_train_extractor_writes_the_pinned_checkpoint_bytes(tmp_path):
     data = np.random.default_rng(12).integers(0, 256, size=(60, 1600)) / 255.0
     digest = save_checkpoint(tmp_path / "x.ckpt", train_extractor(data, cfg, seed=7))
     assert digest == "bd2e2eb3adabfb5afb91530c14d67a63271704423ddf8bc9caaa0f7a51cca8a1"
+
+
+# --- packets as byte codes ---
+
+def _packets(n: int, seed: int) -> list[EncodedPacket]:
+    rng = np.random.default_rng(seed)
+    return [EncodedPacket(rng.integers(0, 256, 1600, dtype=np.uint8).tobytes(), Label.NORMAL)
+            for _ in range(n)]
+
+
+def test_encode_refuses_byte_codes():
+    # codes are read as values only through byte/255, never cast to 0..255 floats
+    model = FeatureExtractor.create(ExtractorConfig(), seed=0)
+    codes = codes_matrix(_packets(3, seed=1))
+    with pytest.raises(DtypeMismatch, match="uint8"):
+        model.encode(codes)
+    with pytest.raises(DtypeMismatch, match="uint8"):
+        model.encode(codes[0])
+
+
+def test_packets_train_as_codes_and_encode_as_their_values():
+    packets = _packets(5, seed=2)
+    codes = training_matrix(packets, 1600)
+    assert codes.dtype == np.uint8
+    np.testing.assert_array_equal(training_matrix(codes, 1600), codes)
+    model = FeatureExtractor.create(ExtractorConfig(), seed=3)
+    latents = encode_codes(model.encoder, codes)
+    # padded blocks and a 5-row product may take different BLAS paths
+    np.testing.assert_allclose(latents, model.encode(values_matrix(packets)),
+                               rtol=0, atol=1e-12)
+    # a row's latent does not depend on the rows encoded with it
+    np.testing.assert_array_equal(encode_codes(model.encoder, codes[3:4]), latents[3:4])
+
+
+def test_packets_their_codes_and_their_values_train_the_same_checkpoint(tmp_path):
+    cfg = ExtractorConfig(latent_dim=8, encoder_widths=(1600, 24, 8),
+                          disc_widths=(1600, 16, 1), epochs=2, batch_size=16, patience=5)
+    packets = _packets(60, seed=4)
+    digests = {save_checkpoint(tmp_path / f"{name}.ckpt", train_extractor(data, cfg, seed=7))
+               for name, data in (("packets", packets), ("codes", codes_matrix(packets)),
+                                  ("values", values_matrix(packets)))}
+    assert len(digests) == 1
+
+
+def test_training_never_holds_the_packets_as_float64():
+    packets = _packets(2000, seed=5)
+    cfg = ExtractorConfig(latent_dim=4, encoder_widths=(1600, 8, 4),
+                          disc_widths=(1600, 8, 1), epochs=1, batch_size=64)
+    train_extractor(packets[:100], cfg, seed=1)  # numpy's and BLAS's first-call setup
+    tracemalloc.start()
+    try:
+        train_extractor(packets, cfg, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the set as float64 values is 25.6 MB; as codes, 3.2 MB
+    assert peak < len(packets) * 1600 * 8

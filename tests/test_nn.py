@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,9 @@ from flowgate.checkpoint import (
 from flowgate.classifier import (
     ClassifierConfig, ClassifierModel, classifier_from_checkpoint,
 )
-from flowgate.errors import CheckpointMismatch, DetachedLoss, FlowgateError, ShapeMismatch
+from flowgate.errors import (
+    CheckpointMismatch, DetachedLoss, FlowgateError, NonFiniteMetric, ShapeMismatch,
+)
 from flowgate.extractor import (
     ExtractorConfig, FeatureExtractor, encoder_from_checkpoint,
     extractor_from_checkpoint,
@@ -416,7 +419,7 @@ def _counting_fit(epochs, patience, target=2.0):
     p = Tensor(np.array(0.0))
 
     def step(xb):
-        p.data = p.data + 1.0
+        p.data += 1.0  # in place, as Adam updates: `restore` copies into this array
 
     cfg = nn.TrainConfig(epochs=epochs, patience=patience, batch_size=8)
     history, best_epoch, n_train = nn.fit(
@@ -563,3 +566,124 @@ def test_the_encoder_loader_checks_only_the_encoder_tables():
     encoder_from_checkpoint(ckpt)  # the other networks' tables are not its concern
     with pytest.raises(CheckpointMismatch, match="unused"):
         extractor_from_checkpoint(ckpt)
+
+
+# --- one gradient at a time ---
+
+def _whole_list_update(cfg, params):
+    """`adam_step` on the gradients of every parameter at once."""
+    state = AdamState(params, lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2)
+    return lambda tape, loss: adam_step(state, params, grads_for(backward(tape, loss), params))
+
+
+def _adversarial_tables(make_update, frozen_listed=False, steps=4):
+    """The tables after `steps` alternating updates of a generator and a
+    discriminator, each update made by `make_update(cfg, params)`. The
+    discriminator reads each of its tables twice, on x and on x_hat; the
+    generator's loss passes through it frozen; the generator's list holds a
+    table no tape sees, and with `frozen_listed` the frozen tables too."""
+    cfg = nn.TrainConfig(lr=0.01)
+    nets = (("gen.", (12, 7, 12), Activation.RELU, Activation.SIGMOID),
+            ("disc.", (12, 5, 1), Activation.LEAKY_RELU, Activation.SIGMOID))
+    rng = np.random.default_rng(23)
+    tables = nn.init_tables(rng, nets)
+    tables["unseen"] = rng.standard_normal((3, 4))
+    gen, disc = (MLP.from_tables(tables, *net) for net in nets)
+    gen_params = gen.params + [Tensor(tables["unseen"])]
+    if frozen_listed:
+        gen_params += disc.params
+    gen_update, disc_update = make_update(cfg, gen_params), make_update(cfg, disc.params)
+    ones = Tensor(np.ones((6, 1)), requires_grad=False)
+    for _ in range(steps):
+        x = Tensor(rng.random((6, 12)), requires_grad=False)
+        with GradTape() as tape:
+            x_hat = Tensor(gen.eval_np(x.data), requires_grad=False)
+            loss = nn.mean(1.0 - disc(x)) + nn.mean(disc(x_hat))
+        disc_update(tape, loss)
+        with GradTape() as tape:
+            x_hat = gen(x)
+            with nn.frozen(disc.params):
+                loss = mse(disc(x_hat), ones) + mse(x_hat, x)
+        gen_update(tape, loss)
+    return tables
+
+
+@pytest.mark.parametrize("frozen_listed", [False, True], ids=["frozen-apart", "frozen-listed"])
+def test_one_gradient_at_a_time_is_adam_step_on_the_whole_list(frozen_listed):
+    streamed = _adversarial_tables(lambda cfg, params: cfg.adam_update(params), frozen_listed)
+    whole = _adversarial_tables(_whole_list_update, frozen_listed)
+    start = _adversarial_tables(_whole_list_update, frozen_listed, steps=0)
+    for name in whole:
+        np.testing.assert_array_equal(streamed[name], whole[name], err_msg=name)
+        moved = not np.array_equal(whole[name], start[name])
+        # a zero gradient moves nothing from zero moments; the frozen tables
+        # take the discriminator's own steps, and with `frozen_listed` the
+        # momentum of those too
+        assert moved == (name != "unseen"), name
+
+
+def test_an_update_holds_one_weight_gradient_at_a_time():
+    rng = np.random.default_rng(5)
+    net = MLP.create(rng, [1600, 512, 1600], Activation.RELU, Activation.LINEAR)
+    update = nn.TrainConfig().adam_update(net.params)
+    x = Tensor(rng.random((4, 1600)), requires_grad=False)
+    for measured in (False, True):  # the first update pays numpy's first-call setup
+        with GradTape() as tape:
+            loss = mse(net(x), x)
+        if measured:
+            tracemalloc.start()
+        try:
+            update(tape, loss)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    # the gradients of both 512 x 1600 weight tables: 13.1 MB
+    assert peak < 2 * 512 * 1600 * 8
+
+
+# --- the best epoch ---
+
+def test_fit_restores_the_best_epoch_into_the_arrays_the_model_holds():
+    rng = np.random.default_rng(31)
+    widths = (6, 5, 1)
+    tables = nn.init_tables(rng, [("net.", widths)])
+    net = MLP.from_tables(tables, "net.", widths, Activation.TANH, Activation.LINEAR)
+    params = net.params
+    cfg = nn.TrainConfig(epochs=5, patience=10, batch_size=4, lr=0.05)
+    update = cfg.adam_update(params)
+    scripted = iter([5.0, 4.0, 1.0, 3.0, 2.0, 6.0])  # the best is epoch 2
+    at_epoch = []
+
+    def step(xb):
+        with GradTape() as tape:
+            loss = mse(net(Tensor(xb, requires_grad=False)),
+                       Tensor(np.ones((len(xb), 1)), requires_grad=False))
+        update(tape, loss)
+
+    def metric(hold):
+        at_epoch.append(nn.snapshot(params))
+        return next(scripted)
+
+    arrays = [p.data for p in params]
+    history, best_epoch, _ = nn.fit(params, (rng.standard_normal((16, 6)),), step, metric,
+                                    cfg, seed=0, tag="script")
+    assert history == [5.0, 4.0, 1.0, 3.0, 2.0, 6.0] and best_epoch == 2
+    assert not np.array_equal(at_epoch[2][0], at_epoch[-1][0])  # training moved on
+    for p, array, best in zip(params, arrays, at_epoch[2]):
+        assert p.data is array
+        np.testing.assert_array_equal(p.data, best)
+    for name, p in net.param_items():
+        assert tables[name] is p.data
+    adam_step(AdamState(params), params, [np.ones(p.data.shape) for p in params])
+
+
+@pytest.mark.parametrize("metrics, epoch", [
+    ([float("nan")], 0),
+    ([3.0, 2.0, float("inf")], 2),
+    ([3.0, float("-inf")], 1),
+], ids=["nan-at-start", "inf-later", "minus-inf"])
+def test_fit_refuses_a_holdout_metric_that_is_not_finite(metrics, epoch):
+    scripted = iter(metrics)
+    with pytest.raises(NonFiniteMetric, match=f"script: .* at epoch {epoch}$"):
+        nn.fit([], (np.arange(8.0),), lambda xb: None, lambda hold: next(scripted),
+               nn.TrainConfig(epochs=5), seed=0, tag="script")
