@@ -7,7 +7,7 @@ import numpy as np
 from . import nn
 from .checkpoint import Checkpoint, STAGE_CLASSIFIER, build_model, trained_checkpoint
 from .errors import BadConfig, EmptyClass, ShapeMismatch
-from .nn import Activation, GradTape, MLP, Tensor
+from .nn import GradTape, MLP, Tensor
 from .seeding import rng_for
 
 
@@ -23,7 +23,7 @@ class ClassifierConfig(nn.TrainConfig):
 
 def _network(cfg: ClassifierConfig) -> tuple:
     """The network as `MLP.from_tables` takes it."""
-    return ("classifier.", cfg.widths, Activation.RELU, Activation.SIGMOID)
+    return ("classifier.", cfg.widths, nn.relu, nn.sigmoid)
 
 
 class ClassifierModel:

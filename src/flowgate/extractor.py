@@ -24,7 +24,7 @@ from . import nn
 from .checkpoint import Checkpoint, STAGE_EXTRACTOR, build_model, trained_checkpoint
 from .dataset import codes_matrix
 from .errors import AnomalyInTrainingSet, BadConfig, EmptyDataset, ShapeMismatch
-from .nn import Activation, GradTape, MLP, Tensor
+from .nn import GradTape, MLP, Tensor
 from .packets import EncodedPacket, Label
 from .seeding import rng_for
 
@@ -71,9 +71,9 @@ def discriminator_objective(d_real: Tensor, d_fake: Tensor) -> Tensor:
 def _networks(cfg: ExtractorConfig) -> tuple[tuple, tuple, tuple]:
     """The encoder, decoder and discriminator as `MLP.from_tables` takes them,
     in the order their tables are drawn."""
-    return (("encoder.", cfg.encoder_widths, Activation.RELU, Activation.LINEAR),
-            ("decoder.", cfg.decoder_widths, Activation.RELU, Activation.SIGMOID),
-            ("discriminator.", cfg.disc_widths, Activation.LEAKY_RELU, Activation.SIGMOID))
+    return (("encoder.", cfg.encoder_widths, nn.relu, None),
+            ("decoder.", cfg.decoder_widths, nn.relu, nn.sigmoid),
+            ("discriminator.", cfg.disc_widths, nn.leaky_relu, nn.sigmoid))
 
 
 class FeatureExtractor:

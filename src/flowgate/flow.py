@@ -1,11 +1,12 @@
 """Bidirectional normalizing flow over the latent space.
 
-A stack of affine coupling blocks with alternating complementary half-masks.
-The normalize direction maps latents toward a standard normal base
-distribution and accumulates the exact log-determinant; the generate
-direction is the algebraic inverse, applied blockwise in reverse. Scale
-outputs are bounded by clamp * tanh(raw) and the final subnet layers start at
-zero, so an untrained flow is the identity.
+A stack of affine coupling blocks. Each passes one half of the columns
+through, a column range, and changes the other; even blocks keep the first
+half (rounded up), odd blocks the rest. The normalize direction maps latents
+toward a standard normal base distribution and accumulates the exact
+log-determinant; the generate direction is the algebraic inverse, applied
+blockwise in reverse. Scale outputs are bounded by clamp * tanh(raw) and the
+final subnet layers start at zero, so an untrained flow is the identity.
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ from .checkpoint import Checkpoint, STAGE_FLOW, build_model, trained_checkpoint
 from .errors import (
     BadConfig, EmptyDataset, NonFiniteInput, NonFiniteIntermediate, ShapeMismatch,
 )
-from .nn import Activation, GradTape, MLP, Tensor
+from .nn import GradTape, MLP, Tensor
 from .seeding import rng_for
 
 LOG_TWO_PI = math.log(2.0 * math.pi)
@@ -48,39 +49,39 @@ class FlowConfig(nn.TrainConfig):
 class CouplingBlock:
     """One affine coupling step.
 
-    Coordinates where the mask is 1 pass through unchanged and condition the
-    scale/shift subnets applied to the remaining coordinates.
+    The columns `keep`, the first or the last of the `dim` columns, pass
+    through unchanged and condition the scale/shift subnets applied to the
+    rest.
     """
 
-    def __init__(self, mask: np.ndarray, s_net: MLP, t_net: MLP,
+    def __init__(self, keep: slice, dim: int, s_net: MLP, t_net: MLP,
                  s_clamp: float = 2.0) -> None:
-        mask = np.asarray(mask)
-        self.mask = mask
-        self.keep_idx = np.flatnonzero(mask == 1)
-        self.change_idx = np.flatnonzero(mask == 0)
+        self.keep = keep
+        self.change = slice(keep.stop, dim) if keep.start == 0 else slice(0, keep.start)
         self.s_net = s_net
         self.t_net = t_net
         self.s_clamp = float(s_clamp)
-        self.dim = mask.size
+        self.dim = dim
 
     def forward_t(self, h: Tensor) -> tuple[Tensor, Tensor]:
         """Normalization step on tape tensors; returns (h_next, per-row log-det)."""
-        a = nn.take_cols(h, self.keep_idx)
-        b = nn.take_cols(h, self.change_idx)
+        a = nn.columns(h, self.keep)
+        b = nn.columns(h, self.change)
         s = self.s_clamp * nn.tanh(self.s_net(a))
         t = self.t_net(a)
         b_next = b * nn.exp(s) + t
-        h_next = nn.put_cols(a, self.keep_idx, self.dim) + \
-            nn.put_cols(b_next, self.change_idx, self.dim)
+        h_next = nn.concat([a, b_next] if self.keep.start == 0 else [b_next, a])
         return h_next, nn.reduce_sum(s, axis=-1)
 
     def inverse_np(self, h: np.ndarray) -> np.ndarray:
-        a = h[:, self.keep_idx]
+        # column-major, as `nn.columns` gives the kept half to `forward_t`, so
+        # the subnets' products take one BLAS path in both directions under
+        # any BLAS, and a kernel that rounds by layout keeps the pinned bytes
+        a = np.asfortranarray(h[:, self.keep])
         s = self.s_clamp * np.tanh(self.s_net.eval_np(a))
         t = self.t_net.eval_np(a)
-        out = np.empty_like(h)
-        out[:, self.keep_idx] = a
-        out[:, self.change_idx] = (h[:, self.change_idx] - t) * np.exp(-s)
+        out = h.copy()
+        out[:, self.change] = (h[:, self.change] - t) * np.exp(-s)
         return out
 
 
@@ -93,12 +94,11 @@ def _couplings(cfg: FlowConfig) -> Iterator[tuple[slice, tuple, tuple]]:
         keep = slice(0, first) if k % 2 == 0 else slice(first, cfg.dim)
         n_keep = keep.stop - keep.start
         widths = (n_keep, cfg.hidden, cfg.hidden, cfg.dim - n_keep)
-        yield keep, *((f"flow.block{k}.{part}.", widths, Activation.RELU, Activation.LINEAR)
-                      for part in "st")
+        yield keep, *((f"flow.block{k}.{part}.", widths, nn.relu, None) for part in "st")
 
 
 class FlowModel:
-    """Ordered coupling blocks with alternating complementary masks."""
+    """Ordered coupling blocks whose kept halves alternate."""
 
     def __init__(self, blocks: Sequence[CouplingBlock], dim: int) -> None:
         self.blocks = list(blocks)
@@ -114,10 +114,8 @@ class FlowModel:
     def from_tables(cls, cfg: FlowConfig, tables) -> "FlowModel":
         blocks = []
         for keep, s, t in _couplings(cfg):
-            s_net, t_net = MLP.from_tables(tables, *s), MLP.from_tables(tables, *t)
-            mask = np.zeros(cfg.dim, dtype=np.int64)
-            mask[keep] = 1
-            blocks.append(CouplingBlock(mask, s_net, t_net, cfg.s_clamp))
+            blocks.append(CouplingBlock(keep, cfg.dim, MLP.from_tables(tables, *s),
+                                        MLP.from_tables(tables, *t), cfg.s_clamp))
         return cls(blocks, cfg.dim)
 
     @property

@@ -107,8 +107,11 @@ def parse_report(text: str) -> EvalReport:
         key, _, value = line.partition(":")
         fields[key.strip()] = value.strip()
     try:
+        area = float(fields["auroc"])
+        if not 0.0 <= area <= 1.0:
+            raise ValueError(f"auroc {area} is not in [0, 1]")
         return EvalReport(
-            auroc=float(fields["auroc"]),
+            auroc=area,
             n_pos=int(fields["n_pos"]),
             n_neg=int(fields["n_neg"]),
             bins=int(fields["bins"]),

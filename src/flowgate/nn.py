@@ -1,12 +1,13 @@
 """Minimal dense-network substrate: tensors, reverse-mode gradients, Adam.
 
 Everything runs eagerly on float64 numpy arrays. While a GradTape is active,
-operations also record backward closures; `backward` replays them in reverse
-to produce exact gradients for every leaf the tape touched. Double precision
-keeps the finite-difference checks in the test suite tight. Each computation
-is defined once: a frozen network runs the same operations inside `off_tape()`,
-which records nothing even under an active tape, so its outputs are constants
-to any surrounding gradient.
+operations also record backward closures; `backward` replays them in one walk
+in reverse to produce exact gradients for every leaf the tape touched. Double
+precision keeps the finite-difference checks in the test suite tight. Each
+computation is defined once: a frozen network runs the same operations inside
+`off_tape()`, which records nothing even under an active tape, so its outputs
+are constants to any surrounding gradient. A dense layer's activation is one
+of this module's operations, such as `relu`, or None for none.
 
 A tensor whose `requires_grad` is false is a constant: operations compute no
 gradient for it, `backward` returns none, and an operation on constants alone
@@ -29,7 +30,6 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
-from enum import Enum
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -38,14 +38,6 @@ from .errors import BadConfig, DetachedLoss, DtypeMismatch, NonFiniteMetric, Sha
 from .seeding import rng_for
 
 Array = np.ndarray
-
-
-class Activation(Enum):
-    LINEAR = "linear"
-    RELU = "relu"
-    LEAKY_RELU = "leaky_relu"
-    TANH = "tanh"
-    SIGMOID = "sigmoid"
 
 
 LEAKY_RELU_SLOPE = 0.2
@@ -101,6 +93,8 @@ def _wrap(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x, requires_grad=False)
 
 
+# an operation of this module, such as `relu`, or None for none
+ActivationFn = Callable[[Tensor], Tensor] | None
 BackwardFn = Callable[[Array], tuple[Array | None, ...]]
 
 # the innermost entry records; None (pushed by off_tape) records nothing
@@ -175,31 +169,34 @@ def backward(tape: GradTape, loss: Tensor,
     """Gradients of a scalar loss w.r.t. every leaf of the tape: each tensor
     a record reads that no record produced.
 
-    A record's output gradient is dropped once the record has passed it on to
-    its inputs. Tensors never touched by the tape, and constants, are simply
-    absent from the result; callers treat them as zero-gradient (see
-    `grads_for`). With `take`, each leaf's gradient is handed to
-    `take(leaf, grad)` as soon as it is final, once the walk has passed the
-    earliest record that reads the leaf, and is not kept: the result is then
-    empty. `take` may overwrite the leaf's array in place, unless an earlier
-    record read that array as a constant (frozen).
+    The walk goes once over the records, back to front. A record's output
+    gradient is dropped once the record has passed it on to its inputs, and a
+    leaf's gradient is handed off as soon as it is final, once the walk has
+    passed the earliest record that reads the leaf. Without `take` the
+    hand-offs are collected into the returned dict; tensors never touched by
+    the tape, and constants, are simply absent from it, and callers treat them
+    as zero-gradient (see `grads_for`). With `take`, each is handed to
+    `take(leaf, grad)` and not kept: the result is then empty. `take` may
+    overwrite the leaf's array in place, unless an earlier record read that
+    array as a constant (frozen).
     """
     if id(loss) not in tape._outputs:
         raise DetachedLoss("loss was not produced by an operation recorded on this tape")
     if loss.data.size != 1:
         raise ShapeMismatch(f"loss must be a scalar, got shape {loss.data.shape}")
+    result: dict[Tensor, Array] = {}
+    if take is None:
+        take = result.__setitem__
     records = tape._records
     # record index -> the leaves it is the earliest record to read
     finals: dict[int, list[Tensor]] = {}
-    if take is not None:
-        seen = set(tape._outputs)
-        for i, (_, inputs, _) in enumerate(records):
-            for tensor in inputs:
-                if tensor is not None and id(tensor) not in seen:
-                    seen.add(id(tensor))
-                    finals.setdefault(i, []).append(tensor)
+    seen = set(tape._outputs)
+    for i, (_, inputs, _) in enumerate(records):
+        for tensor in inputs:
+            if tensor is not None and id(tensor) not in seen:
+                seen.add(id(tensor))
+                finals.setdefault(i, []).append(tensor)
     grads: dict[int, Array] = {id(loss): np.ones_like(loss.data)}
-    by_id: dict[int, Tensor] = {id(loss): loss}
     for i in range(len(records) - 1, -1, -1):
         out, inputs, backward_fn = records[i]
         if id(out) in grads:
@@ -207,16 +204,12 @@ def backward(tape: GradTape, loss: Tensor,
                 if tensor is None or g is None:
                     continue
                 key = id(tensor)
-                if key in grads:
-                    grads[key] = grads[key] + g
-                else:
-                    grads[key] = g
-                    by_id[key] = tensor
+                grads[key] = grads[key] + g if key in grads else g
             g = None  # the loop's last gradient, which may be a leaf's taken below
         for leaf in finals.get(i, ()):
             if id(leaf) in grads:
                 take(leaf, grads.pop(id(leaf)))
-    return {by_id[k]: g for k, g in grads.items()}
+    return result
 
 
 def grads_for(grads: dict[Tensor, Array], params: Sequence[Tensor]) -> list[Array]:
@@ -376,28 +369,33 @@ def mean(a: Tensor) -> Tensor:
 
 
 # --- structural ops ---
+# A column range and its gradient are copied column-major, the layout fancy
+# indexing gives. BLAS products and `sum(axis=0)` take their path, and so
+# round their last bits, by the layout: the flow's checkpoints are pinned
+# with column-major halves.
 
-def take_cols(a: Tensor, idx: Array) -> Tensor:
-    out = Tensor(a.data[..., idx])
+def columns(a: Tensor, cols: slice) -> Tensor:
+    """The columns `cols` of a batch [n, width]."""
+    out = Tensor(np.asfortranarray(a.data[:, cols]))
     shape = a.data.shape
 
     def bw(g: Array):
         ga = np.zeros(shape)
-        ga[..., idx] = g
+        ga[:, cols] = g
         return (ga,)
 
     return _record(out, (a,), bw)
 
 
-def put_cols(vals: Tensor, idx: Array, width: int) -> Tensor:
-    data = np.zeros(vals.data.shape[:-1] + (width,))
-    data[..., idx] = vals.data
-    out = Tensor(data)
+def concat(parts: Sequence[Tensor]) -> Tensor:
+    """Batches [n, width_i] side by side, in order."""
+    out = Tensor(np.concatenate([p.data for p in parts], axis=1))
+    bounds = np.cumsum([0] + [p.data.shape[1] for p in parts])
 
     def bw(g: Array):
-        return (g[..., idx],)
+        return tuple(np.asfortranarray(g[:, lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:]))
 
-    return _record(out, (vals,), bw)
+    return _record(out, tuple(parts), bw)
 
 
 def linear(x: Tensor, weights: Tensor, bias: Tensor) -> Tensor:
@@ -419,19 +417,6 @@ def linear(x: Tensor, weights: Tensor, bias: Tensor) -> Tensor:
         return gx, g.T @ xd if need_w else None, g.sum(axis=0) if need_b else None
 
     return _record(out, (x, weights, bias), bw)
-
-
-_ACTIVATIONS = {
-    Activation.LINEAR: lambda x: x,
-    Activation.RELU: relu,
-    Activation.LEAKY_RELU: leaky_relu,
-    Activation.TANH: tanh,
-    Activation.SIGMOID: sigmoid,
-}
-
-
-def activate(x: Tensor, activation: Activation) -> Tensor:
-    return _ACTIVATIONS[activation](x)
 
 
 # --- losses ---
@@ -475,7 +460,7 @@ class DenseLayer:
     """One fully-connected layer: activation(W x + b) with W shaped [out, in]."""
 
     def __init__(self, weights: Tensor, bias: Tensor,
-                 activation: Activation = Activation.LINEAR) -> None:
+                 activation: ActivationFn = None) -> None:
         self.weights = weights
         self.bias = bias
         self.activation = activation
@@ -493,11 +478,8 @@ class DenseLayer:
         return [self.weights, self.bias]
 
     def __call__(self, x: Tensor) -> Tensor:
-        return forward(self, x)
-
-
-def forward(layer: DenseLayer, x: Tensor) -> Tensor:
-    return activate(linear(x, layer.weights, layer.bias), layer.activation)
+        y = linear(x, self.weights, self.bias)
+        return y if self.activation is None else self.activation(y)
 
 
 def init_tables(rng: np.random.Generator, nets: Iterable[tuple],
@@ -525,14 +507,14 @@ class MLP:
 
     @classmethod
     def create(cls, rng: np.random.Generator, widths: Sequence[int],
-               hidden_activation: Activation, final_activation: Activation,
+               hidden_activation: ActivationFn, final_activation: ActivationFn,
                zero_init_final: bool = False) -> "MLP":
         tables = init_tables(rng, [("", widths)], zero_init_final)
         return cls.from_tables(tables, "", widths, hidden_activation, final_activation)
 
     @classmethod
     def from_tables(cls, tables: Mapping[str, Array], prefix: str, widths: Sequence[int],
-                    hidden: Activation, final: Activation) -> "MLP":
+                    hidden: ActivationFn, final: ActivationFn) -> "MLP":
         """The network over `tables[f"{prefix}{i}.W"]` and `.b`, held as they are;
         each must be present with the shape `widths` gives it."""
         if len(widths) < 2:
@@ -776,30 +758,6 @@ def restore(params: Sequence[Tensor], saved: Sequence[Array]) -> None:
         np.copyto(p.data, s)
 
 
-class EarlyStopper:
-    """Tracks a held-out metric; stops after `patience` epochs without improvement."""
-
-    def __init__(self, patience: int) -> None:
-        self.patience = patience
-        self.best = math.inf
-        self.best_epoch = -1
-        self.bad_epochs = 0
-
-    def update(self, metric: float, epoch: int) -> bool:
-        """Returns True when this epoch is a new best."""
-        if metric < self.best:
-            self.best = metric
-            self.best_epoch = epoch
-            self.bad_epochs = 0
-            return True
-        self.bad_epochs += 1
-        return False
-
-    @property
-    def should_stop(self) -> bool:
-        return self.bad_epochs >= self.patience
-
-
 def fit(params: Sequence[Tensor], arrays: Sequence[Array],
         step: Callable[..., None], holdout_metric: Callable[..., float],
         cfg: TrainConfig, seed: int, tag: str) -> tuple[list[float], int, int]:
@@ -823,7 +781,6 @@ def fit(params: Sequence[Tensor], arrays: Sequence[Array],
     train = [a[perm[n_hold:]] for a in arrays]
     hold = [a[perm[:n_hold]] for a in arrays] if n_hold else train
     batch_rng = rng_for(seed, f"{tag}-batches")
-    stopper = EarlyStopper(cfg.patience)
 
     def scored(epoch: int) -> float:
         metric = holdout_metric(*hold)
@@ -833,17 +790,21 @@ def fit(params: Sequence[Tensor], arrays: Sequence[Array],
         return metric
 
     history: list[float] = []
-    stopper.update(scored(0), epoch=0)
+    best_metric, best_epoch, bad_epochs = scored(0), 0, 0
     best = snapshot(params)
     for epoch in range(1, cfg.epochs + 1):
         order = batch_rng.permutation(n - n_hold)
         for start in range(0, n - n_hold, cfg.batch_size):
             step(*(a[order[start:start + cfg.batch_size]] for a in train))
-        if stopper.update(scored(epoch), epoch):
+        metric = scored(epoch)
+        if metric < best_metric:
+            best_metric, best_epoch, bad_epochs = metric, epoch, 0
             for saved, p in zip(best, params):
                 np.copyto(saved, p.data)
-        if stopper.should_stop:
+        else:
+            bad_epochs += 1
+        if bad_epochs >= cfg.patience:
             break
     restore(params, best)
-    return history, stopper.best_epoch, n - n_hold
+    return history, best_epoch, n - n_hold
 

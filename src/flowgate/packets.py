@@ -197,18 +197,17 @@ def encode_frame(frame: bytes, label: Optional[Label] = None,
 
 
 def process_capture(file_path: str | Path, label: Optional[Label] = None,
-                    file_id: Optional[str] = None,
                     ) -> tuple[list[EncodedPacket], PreprocessStats]:
-    """Parse, clean, and encode every packet of one capture file, in file order."""
+    """Parse, clean, and encode every packet of one capture file, in file
+    order; each packet's source id is (file name, capture index)."""
     path = Path(file_path)
-    fid = file_id if file_id is not None else path.name
     stats = PreprocessStats()
     kept: list[EncodedPacket] = []
     for raw in parse_capture(path):
         stats.seen += 1
         try:
             encoded = encode_frame(raw.link_bytes, label=label,
-                                   source_id=(fid, raw.capture_index))
+                                   source_id=(path.name, raw.capture_index))
         except (TooShort, NotIPv4, HeaderTruncated, BadIHL):
             stats.drop(DropReason.UNPARSEABLE)
             continue

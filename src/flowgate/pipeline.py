@@ -27,7 +27,8 @@ groups the packets by the width past which their bytes are all zero and
 narrows the encoder's first layer to it, so the zero padding of a short
 packet is not multiplied. A packet's group depends only on its bytes, so its
 score is the same bits whatever batch it is scored in. Training-side
-encoding (`train_latents.csv`, holdout losses) runs whole-batch.
+encoding of `train_latents.csv` (`encode_codes`) runs in the same padded
+blocks at the full packet width; the stages' holdout losses run whole-batch.
 """
 from __future__ import annotations
 

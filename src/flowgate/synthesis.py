@@ -6,6 +6,7 @@ the generation direction. No real anomaly data is involved anywhere.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,24 +18,36 @@ from .seeding import rng_for
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    """Scalar Gaussian noise parameters, broadcast over every latent dimension."""
+    """Scalar Gaussian noise parameters, broadcast over every latent dimension;
+    `mu` and `sigma` are finite."""
 
     mu: float
     sigma: float
     seed: int
 
     def __post_init__(self):
+        for name, value in (("mu", self.mu), ("sigma", self.sigma)):
+            if not math.isfinite(value):
+                raise BadConfig(f"{name} must be finite, got {value}")
         if self.sigma < 0:
             raise NegativeSigma(f"sigma must be >= 0, got {self.sigma}")
 
 
+MAX_RATIO = 100.0
+
+
 @dataclass(frozen=True)
 class SynthesisConfig:
-    ratio: float = 0.5  # pseudo-anomalies per normal sample; above 1 oversamples
+    """`ratio` pseudo-anomalies per normal sample, in (0, MAX_RATIO]; above 1
+    oversamples. Synthesis holds all floor(ratio * n) latents at once, so the
+    bound keeps its memory within a hundred times the normals' and
+    floor(ratio * n) finite."""
+
+    ratio: float = 0.5
 
     def __post_init__(self):
-        if not self.ratio > 0:
-            raise BadConfig(f"ratio must be positive, got {self.ratio}")
+        if not 0 < self.ratio <= MAX_RATIO:
+            raise BadConfig(f"ratio must lie in (0, {MAX_RATIO:g}], got {self.ratio}")
 
 
 def sample_noise(spec: NoiseSpec, n: int, dim: int = 70) -> np.ndarray:

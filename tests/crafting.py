@@ -1,13 +1,18 @@
-"""Byte-level packet and capture-file builders used by the tests.
+"""Byte-level packet and capture-file builders used by the tests, and the
+byte mutations the readers' fuzz tests feed them.
 
-Everything here is assembled directly with struct/int packing so the expected
-bytes are independent of the code under test.
+Packets and captures are assembled directly with struct/int packing so the
+expected bytes are independent of the code under test.
 """
 from __future__ import annotations
 
 import json
 import math
 import struct
+
+import numpy as np
+
+from flowgate.errors import FlowgateError
 
 
 def ipv4_header(src: bytes = b"\x0a\x00\x00\x01", dst: bytes = b"\x08\x08\x08\x08",
@@ -112,3 +117,45 @@ def checkpoint_without_table(raw: bytes, name: str) -> bytes:
     blob = json.dumps(header).encode("utf-8")
     return (raw[:10] + struct.pack("<I", len(blob)) + blob
             + payload[:start] + payload[start + size:])
+
+
+FUZZ_BYTES = np.frombuffer(b',"\r\n .-+e0159naif\x00\xff', dtype=np.uint8)
+
+
+def mutate(rng, data: bytes) -> bytes:
+    """Flip, delete, insert or truncate a few bytes of `data`."""
+    buf = bytearray(data)
+    for _ in range(int(rng.integers(1, 4))):
+        pos = int(rng.integers(0, len(buf) + 1))
+        kind = int(rng.integers(0, 5))
+        if kind == 0 and pos < len(buf):
+            buf[pos] ^= int(rng.integers(1, 256))
+        elif kind == 1:
+            del buf[pos:pos + int(rng.integers(1, 16))]
+        elif kind == 2:
+            buf[pos:pos] = bytes(rng.choice(FUZZ_BYTES, size=int(rng.integers(1, 6))))
+        elif kind == 3:
+            del buf[pos:]
+        else:  # cut after the end of a line, which can leave a valid file
+            del buf[buf.find(b"\n", pos) + 1 or len(buf):]
+    return bytes(buf)
+
+
+def check_mutants(tmp_path, write_canonical, read, check) -> None:
+    """300 mutants of the file `write_canonical(path)` writes: `read(path)`
+    raises only FlowgateErrors or returns what `check(result)` passes, and
+    `check`, which returns how many items a result holds, counts some."""
+    original = tmp_path / "canonical.csv"
+    write_canonical(original)
+    data = original.read_bytes()
+    rng = np.random.default_rng(20240315)
+    path = tmp_path / "mutant.csv"
+    accepted = 0
+    for _ in range(300):
+        path.write_bytes(mutate(rng, data))
+        try:
+            result = read(path)
+        except FlowgateError:
+            continue
+        accepted += check(result)
+    assert accepted > 0

@@ -1,5 +1,6 @@
 import argparse
 import dataclasses
+import math
 import struct
 import subprocess
 import sys
@@ -15,7 +16,7 @@ from flowgate.pipeline import PipelineConfig
 from flowgate.dataset import read_dataset, read_latents
 from flowgate.metrics import read_report, read_scores
 from flowgate.packets import Label
-from crafting import pcap_bytes, tcp_frame, udp_frame
+from crafting import check_mutants, pcap_bytes, tcp_frame, udp_frame
 
 
 def run_cli(*argv) -> int:
@@ -300,10 +301,14 @@ def test_console_entry_point_runs():
     (["--w-rec", "inf"], "w_rec"),
     (["--lr", "nan"], "lr"),
     (["--lr", "inf"], "lr"),
+    (["--ratio", "inf"], "ratio"),
+    (["--ratio", "1e300"], "ratio"),
+    (["--noise-grid", "nan,5"], "mu"),
+    (["--noise-grid", "0,inf"], "sigma"),
 ], ids=["grid-1", "grid-semicolon", "flow-blocks-0", "ratio-0", "seeds", "ratios",
         "seed-abc", "encoder-widths-x", "grid-shared-tag", "grid-repeated",
         "ratios-shared-tag", "w-adv-nan", "w-adv-inf", "w-rec-nan", "w-rec-inf",
-        "lr-nan", "lr-inf"])
+        "lr-nan", "lr-inf", "ratio-inf", "ratio-huge", "grid-mu-nan", "grid-sigma-inf"])
 def test_pipeline_bad_value_fails_before_training(tiny_corpus, tmp_path, capsys,
                                                   flags, key):
     train_csv, test_csv = tiny_corpus
@@ -328,6 +333,24 @@ def test_pipeline_bad_config_file_value_names_key_and_line(tiny_corpus, tmp_path
     assert err.startswith("error:")
     assert f"{config}:4: epochs" in err
     assert not list(tmp_path.rglob("*.ckpt"))
+
+
+def test_mutated_config_files_raise_only_flowgate_errors_or_hold_finite_values(tmp_path):
+    def finite_config(cfg) -> int:
+        numbers = [cfg.ratio, cfg.w_adv, cfg.w_rec, cfg.lr, *(v for pair in cfg.noise_grid
+                                                              for v in pair)]
+        assert all(math.isfinite(v) for v in numbers)
+        return 1
+
+    def write(path):
+        path.write_text(f"workdir = {tmp_path / 'work'}\nseed = 5\nnoise_grid = -9,5;0,1\n"
+                        "ratio = 0.75\nw_adv = 2\nw_rec = 40\nlr = 0.002\nepochs = 3\n"
+                        "latent_dim = 16\nencoder_widths = 1600,64,16\nflow_blocks = 4\n")
+
+    def read(path):
+        return cli._pipeline_config(build_parser().parse_args(["pipeline", "--config", str(path)]))
+
+    check_mutants(tmp_path, write, read, finite_config)
 
 
 def test_train_flow_rejects_labeled_anomalies(stage_artifacts, tmp_path, capsys):

@@ -8,8 +8,9 @@ import flowgate.dataset as dataset
 from flowgate.dataset import (
     read_dataset, read_latents, values_matrix, write_dataset, write_latents,
 )
-from flowgate.errors import FlowgateError, MalformedRow
+from flowgate.errors import MalformedRow
 from flowgate.packets import PAYLOAD_OFFSET, EncodedPacket, Label
+from crafting import check_mutants
 
 
 def make_packet(rng, label=None, idx=0):
@@ -307,58 +308,33 @@ def test_wrong_value_count_names_its_line(tmp_path, n_values):
         read_dataset(path)
 
 
-FUZZ_BYTES = np.frombuffer(b',"\r\n .-+e0159naif\x00\xff', dtype=np.uint8)
-
-
-def mutate(rng, data: bytes) -> bytes:
-    """Flip, delete, insert or truncate a few bytes of `data`."""
-    buf = bytearray(data)
-    for _ in range(int(rng.integers(1, 4))):
-        pos = int(rng.integers(0, len(buf) + 1))
-        kind = int(rng.integers(0, 5))
-        if kind == 0 and pos < len(buf):
-            buf[pos] ^= int(rng.integers(1, 256))
-        elif kind == 1:
-            del buf[pos:pos + int(rng.integers(1, 16))]
-        elif kind == 2:
-            buf[pos:pos] = bytes(rng.choice(FUZZ_BYTES, size=int(rng.integers(1, 6))))
-        elif kind == 3:
-            del buf[pos:]
-        else:  # cut after the end of a line, which can leave a valid file
-            del buf[buf.find(b"\n", pos) + 1 or len(buf):]
-    return bytes(buf)
-
-
-def check_mutants(tmp_path, write_canonical):
-    """Mutants of the file `write_canonical` writes raise only FlowgateErrors
-    or read to valid packets, and some of them are accepted."""
-    original = tmp_path / "canonical.csv"
-    write_canonical(original)
-    data = original.read_bytes()
-    rng = np.random.default_rng(20240315)
-    path = tmp_path / "mutant.csv"
-    accepted = 0
-    for _ in range(300):
-        path.write_bytes(mutate(rng, data))
-        try:
-            packets = read_dataset(path)
-        except FlowgateError:
-            continue
-        accepted += len(packets)
-        for p in packets:
-            v = p.values
-            assert v.shape == (1600,) and np.isfinite(v).all()
-            assert v.min() >= 0.0 and v.max() <= 1.0
-            assert np.abs(v * 255.0 - np.rint(v * 255.0)).max() <= 1e-9
-    assert accepted > 0
+def valid_packets(packets) -> int:
+    for p in packets:
+        v = p.values
+        assert v.shape == (1600,) and np.isfinite(v).all()
+        assert v.min() >= 0.0 and v.max() <= 1.0
+        assert np.abs(v * 255.0 - np.rint(v * 255.0)).max() <= 1e-9
+    return len(packets)
 
 
 def test_mutated_csvs_raise_only_flowgate_errors_or_read_valid_packets(tmp_path):
-    check_mutants(tmp_path, canonical_csv)
+    check_mutants(tmp_path, canonical_csv, read_dataset, valid_packets)
 
 
 def test_mutated_zero_tailed_csvs_raise_only_flowgate_errors_or_read_valid_packets(tmp_path):
-    check_mutants(tmp_path, zero_tailed_csv)
+    check_mutants(tmp_path, zero_tailed_csv, read_dataset, valid_packets)
+
+
+def test_mutated_latent_csvs_raise_only_flowgate_errors_or_read_finite_rows(tmp_path):
+    def valid_latents(result) -> int:
+        matrix, labels = result
+        assert matrix.ndim == 2 and matrix.shape[0] == len(labels)
+        assert np.isfinite(matrix).all()
+        return len(labels)
+
+    latents = np.random.default_rng(7).standard_normal((4, 3))
+    check_mutants(tmp_path, lambda path: write_latents(path, latents, [Label.NORMAL, None] * 2),
+                  read_latents, valid_latents)
 
 
 # --- rows that end in a run of zero values ---

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from flowgate.flow import (
     FlowConfig, FlowModel, flow_from_checkpoint, nll_t, train_flow,
 )
 from flowgate.nn import GradTape, Tensor
+from flowgate.synthesis import NoiseSpec, SynthesisConfig, synthesize
 from crafting import checkpoint_with_header
 from gradcheck import max_rel_error, numeric_grad
 
@@ -54,11 +56,15 @@ def test_zero_initialized_flow_is_identity():
 
 
 def test_masks_alternate_and_cover():
+    # each block keeps one half of the columns and changes the other half;
+    # the next block swaps them
     model = make_flow(dim=70, blocks=8)
+    cols = np.arange(70)
     for block in model.blocks:
-        assert int(block.mask.sum()) == 35
+        assert len(cols[block.keep]) == 35
+        np.testing.assert_array_equal(np.sort(np.r_[cols[block.keep], cols[block.change]]), cols)
     for a, b in zip(model.blocks, model.blocks[1:]):
-        np.testing.assert_array_equal(a.mask + b.mask, np.ones(70, dtype=np.int64))
+        assert (a.keep, a.change) == (b.change, b.keep)
 
 
 def test_frozen_single_block_doubles_unmasked():
@@ -69,8 +75,8 @@ def test_frozen_single_block_doubles_unmasked():
     block.s_net.layers[-1].bias.data[:] = raw
     z = np.random.default_rng(1).standard_normal(70)
     c, log_det = model.normalize(z)
-    np.testing.assert_allclose(c[block.keep_idx], z[block.keep_idx])
-    np.testing.assert_allclose(c[block.change_idx], 2.0 * z[block.change_idx], rtol=1e-12)
+    np.testing.assert_allclose(c[block.keep], z[block.keep])
+    np.testing.assert_allclose(c[block.change], 2.0 * z[block.change], rtol=1e-12)
     assert abs(log_det - 35 * math.log(2.0)) < 1e-9
     # inverted by halving
     np.testing.assert_allclose(model.generate(c), z, atol=1e-12)
@@ -247,3 +253,30 @@ def test_flow_checkpoint_with_tables_for_more_blocks_than_its_config_is_refused(
     with pytest.raises(CheckpointMismatch,
                        match=rf"flow.ckpt: {unused} tables unused by its config: flow.block1"):
         flow_from_checkpoint(load_checkpoint(path))
+
+
+@pytest.mark.parametrize("dim, blocks, digest", [
+    (70, 8, "127bac49b19b2be1d7b6f6d79768cb587106fbd82f8a22b15963975cb8d9efea"),
+    (5, 3, "f0f46627e47aa002f966b3a490fe12c54e8b21ad8d7e8abc02cfe8dce645609b"),
+], ids=["even-dim", "odd-dim"])
+def test_train_flow_writes_the_pinned_checkpoint_bytes(tmp_path, dim, blocks, digest):
+    # pinned bytes: how a coupling block splits and joins its halves, and the
+    # layout of those halves and their gradients, must not change what
+    # training writes; an odd dim gives the two halves unequal widths
+    cfg = FlowConfig(dim=dim, blocks=blocks, hidden=16, epochs=3, batch_size=32, patience=5)
+    data = shifted_correlated(np.random.default_rng(dim), 150, dim)
+    ckpt = train_flow(FlowModel.create(cfg, seed=13), data, cfg, seed=13)
+    assert save_checkpoint(tmp_path / "flow.ckpt", ckpt) == digest
+
+
+def test_synthesize_writes_the_pinned_latent_bytes():
+    # the generate direction of a trained flow, oversampling included
+    cfg = FlowConfig(dim=70, blocks=8, hidden=16, epochs=2, batch_size=32)
+    data = shifted_correlated(np.random.default_rng(70), 150, 70)
+    model = FlowModel.create(cfg, seed=13)
+    train_flow(model, data, cfg, seed=13)
+    pseudo = synthesize(model, data, NoiseSpec(mu=0.5, sigma=2.0, seed=3),
+                        SynthesisConfig(ratio=1.5))
+    assert pseudo.shape == (225, 70)
+    assert hashlib.sha256(pseudo.tobytes()).hexdigest() == \
+        "ebf7318e7d4ce67c3a43e9ff2cddeae413dd17a73ef142529f88c9a8001440cf"

@@ -3,7 +3,9 @@ import pytest
 
 from flowgate.errors import BadConfig, EmptyInput, NegativeSigma
 from flowgate.flow import FlowConfig, FlowModel
-from flowgate.synthesis import NoiseSpec, SynthesisConfig, sample_noise, synthesize
+from flowgate.synthesis import (
+    MAX_RATIO, NoiseSpec, SynthesisConfig, sample_noise, synthesize,
+)
 
 
 def identity_flow(dim=70) -> FlowModel:
@@ -31,6 +33,21 @@ def test_noise_deterministic_per_seed_and_n():
 def test_negative_sigma_rejected():
     with pytest.raises(NegativeSigma):
         NoiseSpec(mu=0.0, sigma=-1.0, seed=0)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("mu", float("nan")), ("mu", float("-inf")), ("sigma", float("nan")), ("sigma", float("inf")),
+])
+def test_noise_that_is_not_finite_is_a_bad_config_naming_the_field(field, value):
+    with pytest.raises(BadConfig, match=f"{field} must be finite"):
+        NoiseSpec(**{"mu": 0.0, "sigma": 1.0, field: value}, seed=0)
+
+
+@pytest.mark.parametrize("ratio", [float("nan"), float("inf"), 1e300, MAX_RATIO * 1.01, 0.0])
+def test_ratio_outside_its_bounds_is_a_bad_config(ratio):
+    with pytest.raises(BadConfig, match="ratio must lie in"):
+        SynthesisConfig(ratio=ratio)
+    assert SynthesisConfig(ratio=MAX_RATIO).ratio == MAX_RATIO
 
 
 def test_negative_noise_count_is_a_bad_config():
