@@ -236,6 +236,8 @@ def _pipeline_config(args) -> PipelineConfig:
 
 
 def cmd_pipeline(args) -> int:
+    if args.seeds and args.ratios:
+        raise BadConfig("--seeds and --ratios cannot be combined: run one, then the other")
     cfg = _pipeline_config(args)
     if args.seeds:
         seeds = _parse_list(args.seeds, int, "--seeds")

@@ -28,7 +28,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from .errors import IoFailure, MalformedRow
-from .packets import EncodedPacket, Label, VECTOR_LEN
+from .packets import EncodedPacket, Label, VECTOR_LEN, byte_values
 
 DATASET_HEADER = [f"f{i}" for i in range(VECTOR_LEN)] + ["label"]
 
@@ -162,16 +162,12 @@ def codes_matrix(packets: Sequence[EncodedPacket]) -> np.ndarray:
     return codes.reshape(-1, VECTOR_LEN)
 
 
-def values_matrix(packets: Sequence[EncodedPacket],
-                  out: Optional[np.ndarray] = None) -> np.ndarray:
-    """The packets' values as an [n, 1600] float64 matrix, each byte/255,
-    written into `out` when given; an `out` of fewer columns takes each
-    packet's first values only. Scoring fills one reused block of
-    `nn.EVAL_BLOCK` rows at a time, as wide as the narrowed encoder it feeds,
-    so a batch of any size costs one block of floats and a packet's score
-    does not depend on the batch it came in."""
-    width = VECTOR_LEN if out is None else out.shape[1]
-    return np.divide(codes_matrix(packets)[:, :width], 255.0, out=out)
+def values_matrix(packets: Sequence[EncodedPacket]) -> np.ndarray:
+    """The packets' values as one [n, 1600] float64 matrix, each byte/255, for
+    a reader that wants a whole set's values at once. The models never read a
+    set this way: training reads a batch of its codes at a time, and latents
+    are encoded one padded block at a time (`extractor.encode_codes`)."""
+    return byte_values(codes_matrix(packets))
 
 
 # --- latent-vector CSV (70 columns + label) ---

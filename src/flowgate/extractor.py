@@ -8,9 +8,11 @@ discriminator are updated alternately with separate Adam states. Only the
 encoder is kept for inference.
 
 Packets train as their uint8 byte codes: the training step and the holdout
-loss read a batch as values, byte/255 as `dataset.values_matrix` computes
-them, only when they use it, so a training set costs one byte per value.
-`encode_codes` gives the latents of a set of codes in padded blocks.
+loss read a batch as values (`packets.byte_values`) only when they use it, so
+a training set costs one byte per value. `encode_codes` is the one path from
+packet bytes to latents, for the training latents, the test set and
+inference alike: each packet through the encoder narrowed to its
+`score_width`, in padded blocks, one block of values held at a time.
 """
 from __future__ import annotations
 
@@ -25,7 +27,7 @@ from .checkpoint import Checkpoint, STAGE_EXTRACTOR, build_model, trained_checkp
 from .dataset import codes_matrix
 from .errors import AnomalyInTrainingSet, BadConfig, EmptyDataset, ShapeMismatch
 from .nn import GradTape, MLP, Tensor
-from .packets import EncodedPacket, Label
+from .packets import EncodedPacket, Label, VECTOR_LEN, byte_values
 from .seeding import rng_for
 
 
@@ -96,9 +98,11 @@ class FeatureExtractor:
     # --- inference paths (frozen model, plain numpy) ---
 
     def encode(self, x: np.ndarray) -> np.ndarray:
-        """Latent representation; the only piece retained for inference."""
+        """Latent representation; the only piece retained for inference. Rows
+        run in `MLP.eval_blocks`' padded blocks, so a row's latent does not
+        depend on the rows encoded with it."""
         arr, single = nn.as_rows(x, self.config.input_dim)
-        z = self.encoder.eval_np(arr)
+        z = self.encoder.eval_blocks(len(arr), lambda block, rows: np.copyto(block, arr[rows]))
         return z[0] if single else z
 
     def reconstruct(self, x: np.ndarray) -> np.ndarray:
@@ -174,16 +178,49 @@ def training_matrix(dataset: Sequence[EncodedPacket] | np.ndarray,
 
 
 def batch_values(batch: np.ndarray) -> np.ndarray:
-    """Rows of a `training_matrix` as float64 values: codes as byte/255, the
-    quotient `dataset.values_matrix` computes; values as they are."""
-    return batch / 255.0 if batch.dtype == np.uint8 else batch
+    """Rows of a `training_matrix` as float64 values: codes as their
+    `byte_values`, values as they are."""
+    return byte_values(batch) if batch.dtype == np.uint8 else batch
 
 
-def encode_codes(encoder: MLP, codes: np.ndarray) -> np.ndarray:
-    """The latents of packets' uint8 byte codes, `MLP.eval_blocks` filling
-    each block with its rows' values (byte/255) as it goes."""
-    return encoder.eval_blocks(
-        len(codes), lambda block, rows: np.divide(codes[rows], 255.0, out=block))
+# The input widths a packet is encoded at: the first whose tail past it holds
+# only zero bytes. The product of zeros is exact, so a narrowed first layer
+# drops nothing. The cuts are multiples of 384, the K block of OpenBLAS's
+# dgemm on its SkylakeX kernel, so there the narrowed product sums the same
+# blocks in the same order as the full one and the latents are bit-identical
+# to it. Under another BLAS or kernel they may differ from it in the last
+# bits, while a latent still depends on nothing but its packet's bytes.
+SCORE_WIDTHS = (384, 768, 1152, VECTOR_LEN)
+_ZERO_TAILS = tuple((width, bytes(VECTOR_LEN - width)) for width in SCORE_WIDTHS[:-1])
+
+
+def score_width(codes: bytes) -> int:
+    """The first of `SCORE_WIDTHS` past which `codes` are all zero."""
+    if not codes[-1]:  # a packet that fills its slot is told by its last byte
+        for width, tail in _ZERO_TAILS:
+            if codes.endswith(tail):
+                return width
+    return VECTOR_LEN
+
+
+def encode_codes(encoder: MLP, codes: Sequence[bytes] | np.ndarray) -> np.ndarray:
+    """The encoder's latents of packets' byte codes: 1600 `bytes` each, or the
+    rows of a uint8 matrix. Each row joins the group of its `score_width`, and
+    each group runs through the encoder narrowed to that width, so a short
+    packet costs the first layer about its payload, not its 1600 values. A
+    group runs in `MLP.eval_blocks`' padded blocks, each block's codes gathered
+    and read as values as it is filled, so only the latents are kept for every
+    row, and a row's latent depends on its bytes alone."""
+    groups: dict[int, list[int]] = {width: [] for width in SCORE_WIDTHS}
+    for i, row in enumerate(codes):
+        groups[score_width(bytes(row))].append(i)
+    latents = np.empty((len(codes), encoder.widths[-1]))
+    for width, rows in groups.items():
+        latents[rows] = encoder.narrowed(width).eval_blocks(
+            len(rows), lambda block, span: byte_values(
+                np.frombuffer(b"".join(codes[i] for i in rows[span]), dtype=np.uint8)
+                .reshape(-1, VECTOR_LEN)[:, :width], out=block))
+    return latents
 
 
 def train_extractor(dataset: Sequence[EncodedPacket] | np.ndarray,

@@ -6,10 +6,10 @@ transports (returning the `DropReason`), and lays out the row the models
 consume: IP header zero-padded to 60 bytes with its checksum and addresses
 zeroed, transport header zero-padded to 60 bytes, then the payload, truncated
 or zero-padded to 1600 total. A packet holds those bytes; each becomes float64
-byte/255 only when the model reads it (`EncodedPacket.values`, or
-`dataset.values_matrix` for many packets at once). Training holds a whole set
-as bytes too (`dataset.codes_matrix`) and reads a minibatch as values only
-when a step uses it.
+byte/255, as `byte_values` computes it, only when the model reads it. Training
+holds a whole set as bytes too (`dataset.codes_matrix`) and reads a minibatch
+as values only when a step uses it; the latents of any set of packets are
+encoded one block of values at a time (`extractor.encode_codes`).
 """
 from __future__ import annotations
 
@@ -66,6 +66,12 @@ class ParsedPacket:
     dst_port: int
 
 
+def byte_values(codes: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """uint8 byte codes as the float64 values the models read, each byte/255,
+    written into `out` when given: the one place a byte becomes a value."""
+    return np.divide(codes, 255.0, out=out)
+
+
 @dataclass(eq=False)
 class EncodedPacket:
     """The canonical model input: 1600 bytes, each read by the model as byte/255."""
@@ -83,7 +89,7 @@ class EncodedPacket:
     @property
     def values(self) -> np.ndarray:
         """The 1600 float64 values, each byte/255: in [0, 1] on the 1/255 grid."""
-        return np.frombuffer(self.codes, dtype=np.uint8) / 255.0
+        return byte_values(np.frombuffer(self.codes, dtype=np.uint8))
 
 
 def strip_link_layer(frame: bytes) -> bytes | DropReason:

@@ -19,16 +19,13 @@ latents are encoded again and the file rewritten.
 
 Inference deliberately loads only the encoder and classifier parameter
 tables; the loader records what it materialized so tests can verify nothing
-else was touched. `infer` and the pipeline's test set are scored by one path,
-`packet_latents` then `ClassifierModel.score`, in padded blocks of
-`nn.EVAL_BLOCK` rows: a batch of any size holds one block of packet values
-and the latents, and every forward pass has one shape. `packet_latents`
-groups the packets by the width past which their bytes are all zero and
-narrows the encoder's first layer to it, so the zero padding of a short
-packet is not multiplied. A packet's group depends only on its bytes, so its
-score is the same bits whatever batch it is scored in. Training-side
-encoding of `train_latents.csv` (`encode_codes`) runs in the same padded
-blocks at the full packet width; the stages' holdout losses run whole-batch.
+else was touched. Every latent a run computes, of `train.csv` for
+`train_latents.csv` and of the test set, comes from `extractor.encode_codes`,
+which `infer` runs too: each packet through the encoder narrowed to the width
+past which its bytes are all zero, in padded blocks of `nn.EVAL_BLOCK` rows,
+one block of packet values held at a time. A packet's latent, and so its
+score, is the same bits whatever batch it is encoded in. The stages' holdout
+losses run whole-batch.
 """
 from __future__ import annotations
 
@@ -51,9 +48,7 @@ from .classifier import (
     ClassifierConfig, ClassifierModel, classifier_from_checkpoint,
     train_classifier,
 )
-from .dataset import (
-    read_dataset, read_latents, values_matrix, write_dataset, write_latents,
-)
+from .dataset import read_dataset, read_latents, write_dataset, write_latents
 from .errors import BadConfig, CheckpointMismatch, FlowgateError, IoFailure
 from .extractor import (
     ExtractorConfig, encode_codes, encoder_from_checkpoint, extractor_from_checkpoint,
@@ -260,46 +255,8 @@ class InferenceEngine:
                        self.encoder.params + self.classifier.params))
 
     def score_packets(self, packets: Sequence[EncodedPacket]) -> list[ScoredSample]:
-        return _scored(self.classifier.score(packet_latents(self.encoder, packets)),
-                       packets)
-
-
-# The input widths a packet is scored at: the first whose tail past it holds
-# only zero bytes. The product of zeros is exact, so a narrowed first layer
-# drops nothing. The cuts are multiples of 384, the K block of OpenBLAS's
-# dgemm on its SkylakeX kernel, so there the narrowed product sums the same
-# blocks in the same order as the full one and the latents are bit-identical
-# to it. Under another BLAS or kernel they may differ from it in the last
-# bits, while a score still depends on nothing but its packet's bytes.
-SCORE_WIDTHS = (384, 768, 1152, VECTOR_LEN)
-_ZERO_TAILS = tuple((width, bytes(VECTOR_LEN - width)) for width in SCORE_WIDTHS[:-1])
-
-
-def score_width(codes: bytes) -> int:
-    """The first of `SCORE_WIDTHS` past which `codes` are all zero."""
-    if not codes[-1]:  # a packet that fills its slot is told by its last byte
-        for width, tail in _ZERO_TAILS:
-            if codes.endswith(tail):
-                return width
-    return VECTOR_LEN
-
-
-def packet_latents(encoder: MLP, packets: Sequence[EncodedPacket]) -> np.ndarray:
-    """The encoder's latents of `packets`. Each packet joins the group of its
-    `score_width`, and each group runs through the encoder narrowed to that
-    width, so a short packet costs the first layer about its payload, not its
-    1600 values. A group is scored in padded blocks of `nn.EVAL_BLOCK` rows,
-    each block's values written into one reused buffer, so only the latents
-    are kept for every packet."""
-    groups: dict[int, list[int]] = {width: [] for width in SCORE_WIDTHS}
-    for i, packet in enumerate(packets):
-        groups[score_width(packet.codes)].append(i)
-    latents = np.empty((len(packets), encoder.widths[-1]))
-    for width, rows in groups.items():
-        group = [packets[i] for i in rows]
-        latents[rows] = encoder.narrowed(width).eval_blocks(
-            len(group), lambda block, span: values_matrix(group[span], out=block))
-    return latents
+        latents = encode_codes(self.encoder, [p.codes for p in packets])
+        return _scored(self.classifier.score(latents), packets)
 
 
 def _scored(scores: np.ndarray, packets: Sequence[EncodedPacket]) -> list[ScoredSample]:
@@ -412,7 +369,7 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
     with _stage("load-test"):
         test_packets = read_dataset(test_csv)
         # encoded once, as `infer` encodes; every classifier scores these latents
-        test_latents = packet_latents(extractor.encoder, test_packets)
+        test_latents = encode_codes(extractor.encoder, [p.codes for p in test_packets])
 
     reports, clf_paths = {}, {}
     clf_cfg = cfg.classifier_config()
@@ -488,11 +445,13 @@ def ratio_ablation(cfg: PipelineConfig, ratios: Sequence[float],
 def repeat_pipeline(cfg: PipelineConfig, seeds: Sequence[int],
                     ) -> tuple[str, list[PipelineResult]]:
     """Run the whole pipeline once per seed; summarizes mean/stddev of best AUROC."""
-    results = []
-    for seed in seeds:
-        sub = PipelineConfig(**{**cfg.__dict__, "seed": seed,
-                                "workdir": str(Path(cfg.workdir) / f"seed{seed}")})
-        results.append(run_pipeline(sub))
+    # a repeated seed would rerun `seed<N>` and count its AUROC twice
+    for i, seed in enumerate(seeds):
+        if seed in seeds[:i]:
+            raise BadConfig(f"seed {seed} is listed twice")
+    configs = [replace(cfg, seed=seed, workdir=str(Path(cfg.workdir) / f"seed{seed}"))
+               for seed in seeds]  # checks every seed first
+    results = [run_pipeline(sub) for sub in configs]
     aurocs = np.array([r.best.auroc for r in results])
     summary = (f"seeds: {', '.join(str(s) for s in seeds)}\n"
                f"best-auroc mean: {aurocs.mean():.4f}\n"

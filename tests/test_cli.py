@@ -305,10 +305,13 @@ def test_console_entry_point_runs():
     (["--ratio", "1e300"], "ratio"),
     (["--noise-grid", "nan,5"], "mu"),
     (["--noise-grid", "0,inf"], "sigma"),
+    (["--seeds", "1,2", "--ratios", "0.5,1"], "--seeds and --ratios"),
+    (["--seeds", "3,4,3"], "seed 3 is listed twice"),
 ], ids=["grid-1", "grid-semicolon", "flow-blocks-0", "ratio-0", "seeds", "ratios",
         "seed-abc", "encoder-widths-x", "grid-shared-tag", "grid-repeated",
         "ratios-shared-tag", "w-adv-nan", "w-adv-inf", "w-rec-nan", "w-rec-inf",
-        "lr-nan", "lr-inf", "ratio-inf", "ratio-huge", "grid-mu-nan", "grid-sigma-inf"])
+        "lr-nan", "lr-inf", "ratio-inf", "ratio-huge", "grid-mu-nan", "grid-sigma-inf",
+        "seeds-with-ratios", "seeds-repeated"])
 def test_pipeline_bad_value_fails_before_training(tiny_corpus, tmp_path, capsys,
                                                   flags, key):
     train_csv, test_csv = tiny_corpus

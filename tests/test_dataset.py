@@ -176,14 +176,6 @@ def test_a_written_latents_file_is_parsed_in_one_call(tmp_path, monkeypatch):
     np.testing.assert_array_equal(read_latents(path)[0], z)
 
 
-def test_values_matrix_fills_a_narrower_out_with_each_packets_first_values():
-    rng = np.random.default_rng(8)
-    packets = [make_packet(rng, idx=i) for i in range(3)]
-    out = np.full((3, 384), np.nan)
-    assert values_matrix(packets, out=out) is out
-    np.testing.assert_array_equal(out, values_matrix(packets)[:, :384])
-
-
 # --- the value contract: lookup spelling, any other exact decimal, rejections ---
 
 def canonical_csv(path):

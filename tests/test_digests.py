@@ -7,7 +7,7 @@ from pathlib import Path
 
 from flowgate.cli import main as cli_main
 from flowgate.dataset import read_dataset
-from flowgate.pipeline import SCORE_WIDTHS, score_width
+from flowgate.extractor import SCORE_WIDTHS, score_width
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "digests.py"
 

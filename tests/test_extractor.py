@@ -246,11 +246,20 @@ def test_packets_train_as_codes_and_encode_as_their_values():
     np.testing.assert_array_equal(training_matrix(codes, 1600), codes)
     model = FeatureExtractor.create(ExtractorConfig(), seed=3)
     latents = encode_codes(model.encoder, codes)
-    # padded blocks and a 5-row product may take different BLAS paths
-    np.testing.assert_allclose(latents, model.encode(values_matrix(packets)),
-                               rtol=0, atol=1e-12)
+    # full-length packets: both run the full-width encoder in padded blocks
+    np.testing.assert_array_equal(latents, model.encode(values_matrix(packets)))
     # a row's latent does not depend on the rows encoded with it
     np.testing.assert_array_equal(encode_codes(model.encoder, codes[3:4]), latents[3:4])
+
+
+def test_a_rows_encoding_does_not_depend_on_its_batch():
+    model = FeatureExtractor.create(ExtractorConfig(), seed=3)
+    x = values_matrix(_packets(300, seed=6))
+    whole = model.encode(x)
+    for size in (5, 17):
+        np.testing.assert_array_equal(model.encode(x[:size]), whole[:size])
+    for i in (0, 4, 16, 299):
+        np.testing.assert_array_equal(model.encode(x[i]), whole[i])
 
 
 def test_packets_their_codes_and_their_values_train_the_same_checkpoint(tmp_path):

@@ -15,9 +15,9 @@ from flowgate.checkpoint import load_checkpoint
 from flowgate.classifier import ClassifierConfig, ClassifierModel
 from flowgate.cli import main as cli_main
 from flowgate.corpus import synthetic_frame
-from flowgate.dataset import read_dataset, values_matrix, write_dataset
+from flowgate.dataset import codes_matrix, read_dataset, values_matrix, write_dataset
 from flowgate.errors import AnomalyInTrainingSet, CheckpointMismatch
-from flowgate.extractor import ExtractorConfig, FeatureExtractor
+from flowgate.extractor import ExtractorConfig, FeatureExtractor, encode_codes, score_width
 from flowgate.metrics import read_report, read_scores
 from flowgate.packets import EncodedPacket, VECTOR_LEN
 import flowgate.pipeline as pipeline
@@ -416,7 +416,7 @@ def test_pipeline_scores_are_the_bytes_flowgate_infer_writes(pipeline_run, tiny_
 
 
 # the last non-zero byte of each zero-tailed packet of `default_engine`: none
-# (all zero), then each side of every cut of `pipeline.SCORE_WIDTHS`
+# (all zero), then each side of every cut of `extractor.SCORE_WIDTHS`
 LAST_NONZERO = (None, 383, 384, 767, 768, 1151, 1152, 1599)
 
 
@@ -453,7 +453,7 @@ def test_a_packets_score_does_not_depend_on_its_batch(default_engine):
 def test_a_zero_tailed_packets_score_does_not_depend_on_its_batch(default_engine):
     engine, packets = default_engine
     tailed = packets[2000:]
-    assert [pipeline.score_width(p.codes) for p in tailed] == [
+    assert [score_width(p.codes) for p in tailed] == [
         384, 384, 768, 768, 1152, 1152, 1600, 1600]
     whole = {p.source_id: s.score for p, s in zip(packets, engine.score_packets(packets))}
     for packet in tailed:
@@ -477,8 +477,26 @@ def test_narrowed_latents_are_the_full_width_encoders(default_engine):
     batch = packets[1990:]  # ten full-length packets and every zero-tailed one
     full = encoder.eval_np(values_matrix(batch))
     # a tolerance, not equality: how the sum is blocked is up to the BLAS
-    np.testing.assert_allclose(pipeline.packet_latents(encoder, batch), full,
+    np.testing.assert_allclose(encode_codes(encoder, [p.codes for p in batch]), full,
                                rtol=0, atol=1e-12)
+
+
+def test_training_latents_are_the_latents_the_engine_scores(default_engine, monkeypatch):
+    engine, packets = default_engine
+    batch = packets[1990:]  # ten full-length packets and every zero-tailed one
+    seen, score = [], engine.classifier.score
+
+    def recording_score(latents):
+        seen.append(latents.copy())
+        return score(latents)
+    monkeypatch.setattr(engine.classifier, "score", recording_score)
+    engine.score_packets(batch)
+    (latents,) = seen
+    # a uint8 matrix, as training holds its set, and the packets' bytes
+    np.testing.assert_array_equal(encode_codes(engine.encoder, codes_matrix(batch)), latents)
+    for i, packet in enumerate(batch):  # each alone, so each width group alone
+        np.testing.assert_array_equal(encode_codes(engine.encoder, [packet.codes])[0],
+                                      latents[i])
 
 
 def test_scoring_memory_is_bounded_by_the_block_not_the_batch(default_engine):
@@ -491,9 +509,12 @@ def test_scoring_memory_is_bounded_by_the_block_not_the_batch(default_engine):
     finally:
         tracemalloc.stop()
     assert len(scored) == len(packets)
-    # whole-batch scoring held the [2000, 1600] float64 values: 25.6 MB
+    # one block of values and its activations, and the latents twice (a width
+    # group's and the batch's). Holding every packet's values at once (25.7 MB)
+    # or their codes (3.2 MB) goes past it
+    block = nn.EVAL_BLOCK * VECTOR_LEN * 8
     latents = len(packets) * engine.encoder.widths[-1] * 8
-    assert peak < 3 * nn.EVAL_BLOCK * VECTOR_LEN * 8 + latents
+    assert peak < 2 * block + 2 * latents
 
 
 def test_infer_checkpoint_dim_mismatch(pipeline_run, tmp_path, tiny_corpus):
