@@ -17,6 +17,9 @@ class ClassifierConfig(nn.TrainConfig):
 
     def __post_init__(self):
         super().__post_init__()
+        if len(self.widths) < 2 or min(self.widths) < 1:
+            raise BadConfig(f"classifier widths must be two or more, each at least 1, "
+                            f"got {self.widths}")
         if self.widths[-1] != 1:
             raise BadConfig("classifier widths must end in a scalar output")
 
@@ -51,13 +54,12 @@ class ClassifierModel:
     def param_items(self) -> list[tuple[str, Tensor]]:
         return self.net.param_items()
 
-    def score(self, z: np.ndarray) -> np.ndarray | float:
-        """Anomaly score in (0, 1); higher means more anomalous. Scored in
-        padded blocks (`MLP.eval_blocks`), so a row's score does not depend on
-        the batch it is in."""
-        arr, single = nn.as_rows(z, self.input_dim)
-        out = self.net.eval_blocks(len(arr), lambda block, rows: np.copyto(block, arr[rows]))
-        return float(out[0, 0]) if single else out[:, 0]
+    def score(self, z: np.ndarray) -> np.ndarray:
+        """Anomaly score in (0, 1) of each row of a batch; higher means more
+        anomalous. Scored in padded blocks (`MLP.eval_blocks`), so a row's
+        score does not depend on the batch it is in."""
+        arr = nn.as_rows(z, self.input_dim)
+        return self.net.eval_blocks(len(arr), lambda block, rows: np.copyto(block, arr[rows]))[:, 0]
 
 
 def train_classifier(normals: np.ndarray, pseudo: np.ndarray,

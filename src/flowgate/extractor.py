@@ -42,6 +42,11 @@ class ExtractorConfig(nn.TrainConfig):
 
     def __post_init__(self):
         super().__post_init__()
+        for name in ("encoder_widths", "disc_widths"):
+            widths = getattr(self, name)
+            if len(widths) < 2 or min(widths) < 1:
+                raise BadConfig(f"{name} must be two or more widths, each at least 1, "
+                                f"got {widths}")
         if self.encoder_widths[0] != self.input_dim:
             raise BadConfig("encoder_widths must start at input_dim")
         if self.encoder_widths[-1] != self.latent_dim:
@@ -101,23 +106,20 @@ class FeatureExtractor:
         """Latent representation; the only piece retained for inference. Rows
         run in `MLP.eval_blocks`' padded blocks, so a row's latent does not
         depend on the rows encoded with it."""
-        arr, single = nn.as_rows(x, self.config.input_dim)
-        z = self.encoder.eval_blocks(len(arr), lambda block, rows: np.copyto(block, arr[rows]))
-        return z[0] if single else z
+        arr = nn.as_rows(x, self.config.input_dim)
+        return self.encoder.eval_blocks(len(arr), lambda block, rows: np.copyto(block, arr[rows]))
 
     def reconstruct(self, x: np.ndarray) -> np.ndarray:
-        arr, single = nn.as_rows(x, self.config.input_dim)
-        out = self.decoder.eval_np(self.encoder.eval_np(arr))
-        return out[0] if single else out
+        return self.decoder.eval_np(self.encoder.eval_np(nn.as_rows(x, self.config.input_dim)))
 
     # --- objectives ---
 
     def generator_loss(self, x: np.ndarray) -> float:
-        arr, _ = nn.as_rows(x, self.config.input_dim)
+        arr = nn.as_rows(x, self.config.input_dim)
         return self._generator_loss_t(Tensor(arr, requires_grad=False)).item()
 
     def discriminator_loss(self, x: np.ndarray) -> float:
-        arr, _ = nn.as_rows(x, self.config.input_dim)
+        arr = nn.as_rows(x, self.config.input_dim)
         x_hat = self.decoder.eval_np(self.encoder.eval_np(arr))
         d_real = Tensor(self.discriminator.eval_np(arr))
         d_fake = Tensor(self.discriminator.eval_np(x_hat))
@@ -130,13 +132,13 @@ class FeatureExtractor:
     def _generator_loss_t(self, x: Tensor, x_hat: Optional[Tensor] = None) -> Tensor:
         """The generator objective of `x` and its reconstructions `x_hat`, run
         here if not given. The discriminator is frozen: gradients pass through
-        it to `x_hat` only."""
+        it to `x_hat` only; its features of `x` are a constant of the step,
+        even for an `x` that takes a gradient."""
         if x_hat is None:
             x_hat = self._reconstruct_t(x)
         with nn.frozen(self.discriminator.params):
             _, feat_fake = self.discriminator.forward_hidden(x_hat)
-        with nn.off_tape():  # a constant of the generator step
-            _, feat_real = self.discriminator.forward_hidden(x)
+            _, feat_real = self.discriminator.forward_hidden(Tensor(x.data, requires_grad=False))
         return generator_objective(feat_real, feat_fake, x, x_hat,
                                    self.config.w_adv, self.config.w_rec)
 

@@ -126,11 +126,11 @@ class FlowModel:
         return [item for block in self.blocks
                 for item in block.s_net.param_items() + block.t_net.param_items()]
 
-    def _check_input(self, z: np.ndarray) -> tuple[np.ndarray, bool]:
-        arr, single = nn.as_rows(z, self.dim)
+    def _check_input(self, z: np.ndarray) -> np.ndarray:
+        arr = nn.as_rows(z, self.dim)
         if arr.size and not np.isfinite(arr).all():
             raise NonFiniteInput("input contains NaN or infinity")
-        return arr, single
+        return arr
 
     def normalize_t(self, h: Tensor) -> tuple[Tensor, Tensor]:
         """Normalize on tensors, recorded on an active tape; input must be [n, dim]."""
@@ -142,29 +142,25 @@ class FlowModel:
             log_det = ld if log_det is None else log_det + ld
         return h, log_det
 
-    def normalize(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray | float]:
-        """Map latents toward the base distribution; returns (c, log_det)."""
-        arr, single = self._check_input(z)
-        with nn.off_tape():
-            h, log_det = self.normalize_t(Tensor(arr))
-        if single:
-            return h.data[0], float(log_det.data[0])
+    def normalize(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Map a batch of latents toward the base distribution; returns (c,
+        log_det per row). Run frozen on a constant, so nothing is recorded."""
+        with nn.frozen(self.params):
+            h, log_det = self.normalize_t(Tensor(self._check_input(z), requires_grad=False))
         return h.data, log_det.data
 
     def generate(self, c: np.ndarray) -> np.ndarray:
         """Exact inverse of normalize, blocks applied in reverse order."""
-        h, single = self._check_input(c)
+        h = self._check_input(c)
         for block in reversed(self.blocks):
             h = block.inverse_np(h)
             if h.size and not np.isfinite(h).all():
                 raise NonFiniteIntermediate("coupling block overflowed")
-        return h[0] if single else h
+        return h
 
-    def log_likelihood(self, z: np.ndarray) -> np.ndarray | float:
-        """log density of z under the flow with a standard normal base."""
+    def log_likelihood(self, z: np.ndarray) -> np.ndarray:
+        """log density of each row of z under the flow with a standard normal base."""
         c, log_det = self.normalize(z)
-        if np.ndim(c) == 1:
-            return float(-0.5 * np.sum(c * c) - 0.5 * self.dim * LOG_TWO_PI + log_det)
         return -0.5 * np.sum(c * c, axis=1) - 0.5 * self.dim * LOG_TWO_PI + log_det
 
 

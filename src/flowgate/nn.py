@@ -3,17 +3,18 @@
 Everything runs eagerly on float64 numpy arrays. While a GradTape is active,
 operations also record backward closures; `backward` replays them in one walk
 in reverse to produce exact gradients for every leaf the tape touched. Double
-precision keeps the finite-difference checks in the test suite tight. Each
-computation is defined once: a frozen network runs the same operations inside
-`off_tape()`, which records nothing even under an active tape, so its outputs
-are constants to any surrounding gradient. A dense layer's activation is one
-of this module's operations, such as `relu`, or None for none.
+precision keeps the finite-difference checks in the test suite tight. A dense
+layer's activation is one of this module's operations, such as `relu`, or None
+for none. Layers take batches only: a [n, width] array, never a single row.
 
-A tensor whose `requires_grad` is false is a constant: operations compute no
-gradient for it, `backward` returns none, and an operation on constants alone
-is not recorded. Input batches are made constants; `frozen(params)` makes a
-parameter list constant inside it and always restores each flag, so a network
-that only passes gradients through computes no weight gradients.
+There are two ways to stop a gradient, and no other. A tensor whose
+`requires_grad` is false is a constant: operations compute no gradient for it,
+`backward` returns none, and an operation on constants alone is not recorded.
+Input batches are made constants. `frozen(params)` makes a parameter list
+constant inside it and always restores each flag, so a network that only
+passes gradients through computes no weight gradients. Each computation is
+defined once: a frozen network run on a constant batch records nothing, even
+under an active tape, so its outputs are constants to any surrounding gradient.
 
 Adam updates each parameter's array in place, block by block, with the
 operations of an allocating update in the same order, so results are
@@ -97,8 +98,8 @@ def _wrap(x) -> Tensor:
 ActivationFn = Callable[[Tensor], Tensor] | None
 BackwardFn = Callable[[Array], tuple[Array | None, ...]]
 
-# the innermost entry records; None (pushed by off_tape) records nothing
-_TAPE_STACK: list[GradTape | None] = []
+# the innermost tape records
+_TAPE_STACK: list[GradTape] = []
 
 
 class GradTape:
@@ -124,17 +125,6 @@ class GradTape:
 
 
 @contextmanager
-def off_tape():
-    """Operations inside record nothing, even under an active GradTape; their
-    results are constants to it."""
-    _TAPE_STACK.append(None)
-    try:
-        yield
-    finally:
-        _TAPE_STACK.pop()
-
-
-@contextmanager
 def frozen(params: Sequence[Tensor]):
     """`params` are constants inside, and get their own `requires_grad` back
     on the way out, an exception included."""
@@ -151,8 +141,8 @@ def frozen(params: Sequence[Tensor]):
 def _record(out: Tensor, inputs: tuple[Tensor, ...], backward_fn: BackwardFn) -> Tensor:
     """Records an operation on the active tape; an input that is a constant when
     it is recorded is held as None, so `backward` gives it no gradient."""
-    tape = _TAPE_STACK[-1] if _TAPE_STACK else None
-    if tape is not None:
+    if _TAPE_STACK:
+        tape = _TAPE_STACK[-1]
         needed = [t.requires_grad for t in inputs]
         if not any(needed):
             out.requires_grad = False
@@ -399,9 +389,9 @@ def concat(parts: Sequence[Tensor]) -> Tensor:
 
 
 def linear(x: Tensor, weights: Tensor, bias: Tensor) -> Tensor:
-    """x @ W.T + b for weights shaped [out, in]; x may be [in] or [N, in]."""
+    """x @ W.T + b for a batch x [n, in] and weights shaped [out, in]."""
     xd, wd, bd = x.data, weights.data, bias.data
-    if xd.ndim not in (1, 2) or xd.shape[-1] != wd.shape[1]:
+    if xd.ndim != 2 or xd.shape[1] != wd.shape[1]:
         raise ShapeMismatch(
             f"input shape {xd.shape} incompatible with weights {wd.shape}")
     y = xd @ wd.T
@@ -411,10 +401,8 @@ def linear(x: Tensor, weights: Tensor, bias: Tensor) -> Tensor:
     need_x, need_w, need_b = x.requires_grad, weights.requires_grad, bias.requires_grad
 
     def bw(g: Array):
-        gx = g @ wd if need_x else None
-        if xd.ndim == 1:
-            return gx, np.outer(g, xd) if need_w else None, g if need_b else None
-        return gx, g.T @ xd if need_w else None, g.sum(axis=0) if need_b else None
+        return (g @ wd if need_x else None, g.T @ xd if need_w else None,
+                g.sum(axis=0) if need_b else None)
 
     return _record(out, (x, weights, bias), bw)
 
@@ -440,20 +428,17 @@ def bce(pred: Tensor, target: Tensor) -> Tensor:
 
 # --- layers ---
 
-def as_rows(x, width: int) -> tuple[Array, bool]:
-    """`x`, a 1-D row or a 2-D batch of `width` columns, as a float64 batch,
-    and whether it was a single row. An integer array is refused, not cast:
-    packet byte codes are read as values only through byte/255."""
+def as_rows(x, width: int) -> Array:
+    """`x`, a 2-D batch of `width` columns, as a float64 batch; a single 1-D
+    row is refused. An integer array is refused, not cast: packet byte codes
+    are read as values only through byte/255."""
     arr = np.asarray(x)
     if np.issubdtype(arr.dtype, np.integer):
         raise DtypeMismatch(f"expected float values, got an array of {arr.dtype}")
     arr = np.asarray(arr, dtype=np.float64)
-    single = arr.ndim == 1
-    if single:
-        arr = arr[None, :]
     if arr.ndim != 2 or arr.shape[1] != width:
         raise ShapeMismatch(f"expected rows of width {width}, got shape {arr.shape}")
-    return arr, single
+    return arr
 
 
 class DenseLayer:
@@ -565,9 +550,10 @@ class MLP:
         return MLP([narrow, *self.layers[1:]], self.prefix)
 
     def eval_np(self, x: Array) -> Array:
-        """The output for a plain array, computed off the tape."""
-        with off_tape():
-            return self(Tensor(x)).data
+        """The output for a plain batch, run frozen on a constant, so nothing
+        is recorded even under an active tape."""
+        with frozen(self.params):
+            return self(Tensor(x, requires_grad=False)).data
 
     def eval_blocks(self, n: int, fill: Callable[[Array, slice], object]) -> Array:
         """The outputs for `n` input rows, `eval_np` over `EVAL_BLOCK` rows at a
@@ -660,7 +646,7 @@ ADAM_CHUNK = 32768
 
 class AdamState:
     """Adam moments for one parameter list; moments start at zero. Two
-    block-sized scratch arrays hold every temporary of an update."""
+    `ADAM_CHUNK`-sized scratch arrays hold every temporary of an update."""
 
     def __init__(self, params: Sequence[Tensor], lr: float = TrainConfig.lr,
                  beta1: float = TrainConfig.beta1, beta2: float = TrainConfig.beta2,
@@ -672,10 +658,8 @@ class AdamState:
         self.step_count = 0
         self.m = [np.zeros(p.data.shape) for p in params]
         self.v = [np.zeros(p.data.shape) for p in params]
-        self._shapes = [p.data.shape for p in params]
         n = min(ADAM_CHUNK, max((p.data.size for p in params), default=0))
-        tmp, step = np.empty(n), np.empty(n)
-        self._blocks = [_adam_blocks(m, v, tmp, step) for m, v in zip(self.m, self.v)]
+        self._scratch = (np.empty(n), np.empty(n))
 
     def coefficients(self) -> tuple[float, ...]:
         """(b1, 1 - b1, b2, 1 - b2, bias correction of v, eps, lr over the bias
@@ -683,19 +667,6 @@ class AdamState:
         t = self.step_count + 1
         b1, b2 = self.beta1, self.beta2
         return b1, 1.0 - b1, b2, 1.0 - b2, 1.0 - b2 ** t, self.eps, self.lr / (1.0 - b1 ** t)
-
-
-def _adam_blocks(m: Array, v: Array, tmp: Array, step: Array) -> list[tuple]:
-    """(slice of the flat view, m and v blocks, scratch views) per block of a
-    parameter; a parameter of one block is taken whole, in its own shape."""
-    if m.size <= ADAM_CHUNK:
-        return [(None, m, v, tmp[:m.size].reshape(m.shape), step[:m.size].reshape(m.shape))]
-    blocks = []
-    for lo in range(0, m.size, ADAM_CHUNK):
-        block = slice(lo, lo + ADAM_CHUNK)
-        mb = m.reshape(-1)[block]
-        blocks.append((block, mb, v.reshape(-1)[block], tmp[:mb.size], step[:mb.size]))
-    return blocks
 
 
 def adam_step(state: AdamState, params: Sequence[Tensor],
@@ -717,16 +688,22 @@ def adam_step(state: AdamState, params: Sequence[Tensor],
 def _adam_update(state: AdamState, i: int, p: Tensor, g: Array,
                  coeffs: tuple[float, ...]) -> None:
     """Adam's update of parameter `i` of `state` by gradient `g`, in place,
-    with the step's `AdamState.coefficients`."""
-    if p.data.shape != state._shapes[i] or g.shape != state._shapes[i]:
+    with the step's `AdamState.coefficients`, over `ADAM_CHUNK` elements of
+    the flat views at a time. The arithmetic is elementwise, so the blocks
+    give the same bits as one pass over the whole arrays."""
+    if not p.data.shape == g.shape == state.m[i].shape:
         raise ShapeMismatch(f"parameter {i} shape changed under the optimizer")
     if not (p.data.flags.c_contiguous and p.data.flags.writeable):
         raise ShapeMismatch(f"parameter {i} is not a writeable C-contiguous array; "
                             "Adam updates it in place")
     b1, c1, b2, c2, bc2, eps, lr_t = coeffs
-    for block, m, v, a, s in state._blocks[i]:
-        pc, gc = ((p.data, g) if block is None
-                  else (p.data.reshape(-1)[block], g.reshape(-1)[block]))
+    flat_p, flat_g = p.data.reshape(-1), g.reshape(-1)
+    flat_m, flat_v = state.m[i].reshape(-1), state.v[i].reshape(-1)
+    tmp, step = state._scratch
+    for lo in range(0, flat_m.size, ADAM_CHUNK):
+        block = slice(lo, lo + ADAM_CHUNK)
+        pc, gc, m, v = flat_p[block], flat_g[block], flat_m[block], flat_v[block]
+        a, s = tmp[:m.size], step[:m.size]
         # the allocating update's operations, in its order:
         # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g g
         m *= b1

@@ -99,8 +99,13 @@ class PipelineConfig:
         # every stage's config, so a bad value fails before any data is read
         self.extractor_config()
         self.flow_config()
-        self.classifier_config()
+        if self.classifier_config().widths[0] != self.latent_dim:
+            raise BadConfig(f"classifier_widths must start at latent_dim {self.latent_dim}, "
+                            f"got {self.classifier_widths}")
         SynthesisConfig(ratio=self.ratio)
+        if not self.noise_grid or any(np.shape(s) != (2,) for s in self.noise_grid):
+            raise BadConfig(f"noise_grid must be one or more (mu, sigma) pairs, "
+                            f"got {self.noise_grid!r}")
         # a tag names a setting's files and keys its classifier
         tagged: dict[str, tuple[float, float]] = {}
         for mu, sigma in self.noise_grid:

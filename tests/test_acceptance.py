@@ -98,14 +98,15 @@ def test_criterion_02_log_det_correctness():
                 else:
                     p.data = rng.uniform(-0.1, 0.1, size=p.data.shape)
             z = rng.standard_normal(dim)
-            _, analytic = model.normalize(z)
+            analytic = model.normalize(z[None])[1][0]
             h = 1e-5
             jac = np.zeros((dim, dim))
             for j in range(dim):
                 zp, zm = z.copy(), z.copy()
                 zp[j] += h
                 zm[j] -= h
-                jac[:, j] = (model.normalize(zp)[0] - model.normalize(zm)[0]) / (2 * h)
+                jac[:, j] = (model.normalize(zp[None])[0][0]
+                             - model.normalize(zm[None])[0][0]) / (2 * h)
             sign, numeric = np.linalg.slogdet(jac)
             assert sign != 0
             rel = abs(analytic - numeric) / max(abs(numeric), 1e-12)

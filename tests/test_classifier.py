@@ -18,8 +18,8 @@ def test_zero_weights_scores_half():
     model = ClassifierModel.create(ClassifierConfig(), seed=0)
     for p in model.params:
         p.data = np.zeros_like(p.data)
-    z = np.random.default_rng(0).standard_normal(70)
-    assert model.score(z) == 0.5
+    z = np.random.default_rng(0).standard_normal((1, 70))
+    assert model.score(z)[0] == 0.5
 
 
 def test_score_bounded_and_deterministic():
@@ -33,7 +33,7 @@ def test_score_bounded_and_deterministic():
 def test_score_shape_check():
     model = ClassifierModel.create(ClassifierConfig(), seed=2)
     with pytest.raises(ShapeMismatch):
-        model.score(np.zeros(69))
+        model.score(np.zeros((1, 69)))
 
 
 def test_separable_toy_training():

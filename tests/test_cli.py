@@ -307,11 +307,17 @@ def test_console_entry_point_runs():
     (["--noise-grid", "0,inf"], "sigma"),
     (["--seeds", "1,2", "--ratios", "0.5,1"], "--seeds and --ratios"),
     (["--seeds", "3,4,3"], "seed 3 is listed twice"),
+    (["--latent-dim", "16", "--encoder-widths", "1600,-5,16"], "encoder_widths"),
+    (["--disc-widths", "1600,0,1"], "disc_widths"),
+    (["--latent-dim", "16", "--classifier-widths", "16,0,1"], "classifier widths"),
+    (["--latent-dim", "16", "--encoder-widths", "1600,32,16", "--classifier-widths", "70,8,1"],
+     "classifier_widths"),
 ], ids=["grid-1", "grid-semicolon", "flow-blocks-0", "ratio-0", "seeds", "ratios",
         "seed-abc", "encoder-widths-x", "grid-shared-tag", "grid-repeated",
         "ratios-shared-tag", "w-adv-nan", "w-adv-inf", "w-rec-nan", "w-rec-inf",
         "lr-nan", "lr-inf", "ratio-inf", "ratio-huge", "grid-mu-nan", "grid-sigma-inf",
-        "seeds-with-ratios", "seeds-repeated"])
+        "seeds-with-ratios", "seeds-repeated", "encoder-width-negative", "disc-width-0",
+        "classifier-width-0", "classifier-not-latent-dim"])
 def test_pipeline_bad_value_fails_before_training(tiny_corpus, tmp_path, capsys,
                                                   flags, key):
     train_csv, test_csv = tiny_corpus

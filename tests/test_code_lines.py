@@ -42,3 +42,21 @@ def test_the_tool_prints_each_modules_count_and_their_total(tmp_path):
     out = subprocess.run([sys.executable, TOOL, tmp_path], capture_output=True,
                          text=True, check=True)
     assert json.loads(out.stdout) == {"a.py": 7, "b.py": 1, "total": 8}
+
+
+def test_against_prints_both_sides_and_the_delta_of_each_module(tmp_path):
+    here, parent = tmp_path / "here", tmp_path / "parent"
+    here.mkdir()
+    parent.mkdir()
+    (here / "a.py").write_text(SOURCE)
+    (parent / "a.py").write_text(SOURCE + "y = 2\n")
+    (here / "new.py").write_text("X = 1\n")
+    (parent / "gone.py").write_text("X = 1\nY = 2\n")
+    out = subprocess.run([sys.executable, TOOL, here, "--against", parent],
+                         capture_output=True, text=True, check=True)
+    assert json.loads(out.stdout) == {
+        "a.py": {"against": 8, "here": 7, "delta": -1},
+        "gone.py": {"against": 2, "here": 0, "delta": -2},
+        "new.py": {"against": 0, "here": 1, "delta": 1},
+        "total": {"against": 10, "here": 8, "delta": -2},
+    }

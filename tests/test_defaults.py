@@ -26,8 +26,8 @@ def test_extractor_defaults():
 
 def test_extractor_latent_dim_is_70():
     model = FeatureExtractor.create(ExtractorConfig(), seed=0)
-    z = model.encode(np.zeros(1600))
-    assert z.shape == (70,)
+    z = model.encode(np.zeros((1, 1600)))
+    assert z.shape == (1, 70)
     # discriminator feature tap is the 64-wide last hidden layer
     assert model.discriminator.layers[-1].n_in == 64
 

@@ -61,24 +61,24 @@ def test_discriminator_objective_values():
 
 def test_encode_shape_and_determinism():
     model = FeatureExtractor.create(ExtractorConfig(), seed=0)
-    x = np.random.default_rng(0).integers(0, 256, size=1600) / 255.0
+    x = np.random.default_rng(0).integers(0, 256, size=(1, 1600)) / 255.0
     z1, z2 = model.encode(x), model.encode(x)
-    assert z1.shape == (70,)
+    assert z1.shape == (1, 70)
     np.testing.assert_array_equal(z1, z2)
 
 
 def test_encode_differs_when_one_byte_changes():
     model = FeatureExtractor.create(ExtractorConfig(), seed=1)
-    x = np.zeros(1600)
+    x = np.zeros((1, 1600))
     y = x.copy()
-    y[100] = 37 / 255.0
+    y[0, 100] = 37 / 255.0
     assert not np.array_equal(model.encode(x), model.encode(y))
 
 
 def test_encode_rejects_bad_shape():
     model = FeatureExtractor.create(toy_config(), seed=0)
     with pytest.raises(ShapeMismatch):
-        model.encode(np.zeros(9))
+        model.encode(np.zeros((1, 9)))
 
 
 def test_reconstruct_range_and_length():
@@ -259,7 +259,7 @@ def test_a_rows_encoding_does_not_depend_on_its_batch():
     for size in (5, 17):
         np.testing.assert_array_equal(model.encode(x[:size]), whole[:size])
     for i in (0, 4, 16, 299):
-        np.testing.assert_array_equal(model.encode(x[i]), whole[i])
+        np.testing.assert_array_equal(model.encode(x[i:i + 1])[0], whole[i])
 
 
 def test_packets_their_codes_and_their_values_train_the_same_checkpoint(tmp_path):

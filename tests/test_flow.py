@@ -73,11 +73,11 @@ def test_frozen_single_block_doubles_unmasked():
     block = model.blocks[0]
     raw = math.atanh(math.log(2.0) / block.s_clamp)
     block.s_net.layers[-1].bias.data[:] = raw
-    z = np.random.default_rng(1).standard_normal(70)
+    z = np.random.default_rng(1).standard_normal((1, 70))
     c, log_det = model.normalize(z)
-    np.testing.assert_allclose(c[block.keep], z[block.keep])
-    np.testing.assert_allclose(c[block.change], 2.0 * z[block.change], rtol=1e-12)
-    assert abs(log_det - 35 * math.log(2.0)) < 1e-9
+    np.testing.assert_allclose(c[:, block.keep], z[:, block.keep])
+    np.testing.assert_allclose(c[:, block.change], 2.0 * z[:, block.change], rtol=1e-12)
+    assert abs(log_det[0] - 35 * math.log(2.0)) < 1e-9
     # inverted by halving
     np.testing.assert_allclose(model.generate(c), z, atol=1e-12)
 
@@ -103,8 +103,8 @@ def test_log_det_matches_numeric_jacobian(dim):
         model = make_flow(dim=dim, blocks=4, hidden=8)
         randomize(model, rng)
         z = rng.standard_normal(dim)
-        _, analytic = model.normalize(z)
-        numeric = numeric_log_det(lambda v: model.normalize(v)[0], z)
+        analytic = model.normalize(z[None])[1][0]
+        numeric = numeric_log_det(lambda v: model.normalize(v[None])[0][0], z)
         assert abs(analytic - numeric) / max(abs(numeric), 1e-12) < 1e-6
 
 
@@ -114,14 +114,14 @@ def test_log_det_antisymmetry_via_generate_jacobian():
     model = make_flow(dim=4, blocks=4, hidden=8)
     randomize(model, rng)
     z = rng.standard_normal(4)
-    c, forward_ld = model.normalize(z)
-    inverse_ld = numeric_log_det(lambda v: model.generate(v), c)
+    c, forward_ld = (out[0] for out in model.normalize(z[None]))
+    inverse_ld = numeric_log_det(lambda v: model.generate(v[None])[0], c)
     assert abs(forward_ld + inverse_ld) < 1e-6
 
 
 def test_log_likelihood_zero_model_at_origin():
     model = make_flow()
-    value = model.log_likelihood(np.zeros(70))
+    value = model.log_likelihood(np.zeros((1, 70)))[0]
     assert abs(value - (-35.0 * math.log(2.0 * math.pi))) < 1e-12
 
 
@@ -130,7 +130,7 @@ def test_log_likelihood_zero_model_peaks_at_origin():
     rng = np.random.default_rng(3)
     samples = rng.standard_normal((100, 70))
     ll = model.log_likelihood(samples)
-    assert model.log_likelihood(np.zeros(70)) > ll.max()
+    assert model.log_likelihood(np.zeros((1, 70)))[0] > ll.max()
 
 
 def test_log_likelihood_dim2_hand_jacobian():
@@ -143,7 +143,7 @@ def test_log_likelihood_dim2_hand_jacobian():
     z = np.array([0.4, -1.1])
     c = np.array([z[0], z[1] * math.exp(s_val) + t_val])
     expected = (-0.5 * np.sum(c * c) - math.log(2.0 * math.pi) + s_val)
-    assert abs(model.log_likelihood(z) - expected) < 1e-12
+    assert abs(model.log_likelihood(z[None])[0] - expected) < 1e-12
 
 
 def test_nll_gradient_finite_differences():
@@ -166,9 +166,9 @@ def test_nll_gradient_finite_differences():
 def test_normalize_rejects_bad_input():
     model = make_flow(dim=4, blocks=2, hidden=4)
     with pytest.raises(NonFiniteInput):
-        model.normalize(np.array([1.0, np.nan, 0.0, 0.0]))
+        model.normalize(np.array([[1.0, np.nan, 0.0, 0.0]]))
     with pytest.raises(ShapeMismatch):
-        model.normalize(np.zeros(5))
+        model.normalize(np.zeros((1, 5)))
 
 
 def shifted_correlated(rng, n, dim):
@@ -232,9 +232,9 @@ def test_normalize_is_the_tape_path_run_off_the_tape():
     assert c.tobytes() == c_t.data.tobytes()
     assert log_det.tobytes() == log_det_t.data.tobytes()
     c_t, log_det_t = model.normalize_t(Tensor(z[:1]))
-    c, log_det = model.normalize(z[0])
-    assert c.tobytes() == c_t.data[0].tobytes()
-    assert isinstance(log_det, float) and log_det == log_det_t.data[0]
+    c, log_det = model.normalize(z[:1])
+    assert c.tobytes() == c_t.data.tobytes()
+    assert log_det.tobytes() == log_det_t.data.tobytes()
 
 
 def test_flow_checkpoint_with_tables_for_more_blocks_than_its_config_is_refused(tmp_path):

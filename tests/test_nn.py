@@ -27,14 +27,14 @@ from gradcheck import max_rel_error, numeric_grad
 
 def test_forward_identity_linear():
     layer = DenseLayer(Tensor(np.eye(3)), Tensor(np.zeros(3)), None)
-    x = np.array([0.3, -1.2, 7.0])
+    x = np.array([[0.3, -1.2, 7.0]])
     out = layer(Tensor(x))
     np.testing.assert_array_equal(out.data, x)
 
 
 def test_forward_sigmoid_of_zero_is_half():
     layer = DenseLayer(Tensor(np.zeros((4, 2))), Tensor(np.zeros(4)), nn.sigmoid)
-    out = layer(Tensor(np.zeros(2)))
+    out = layer(Tensor(np.zeros((1, 2))))
     np.testing.assert_allclose(out.data, 0.5)
 
 
@@ -42,14 +42,14 @@ def test_forward_relu_hand_case():
     # W=[[1,2],[3,4]], b=0, x=[1,1] -> [3,7]
     layer = DenseLayer(Tensor(np.array([[1.0, 2.0], [3.0, 4.0]])),
                        Tensor(np.zeros(2)), nn.relu)
-    out = layer(Tensor(np.array([1.0, 1.0])))
-    np.testing.assert_array_equal(out.data, [3.0, 7.0])
+    out = layer(Tensor(np.array([[1.0, 1.0]])))
+    np.testing.assert_array_equal(out.data, [[3.0, 7.0]])
 
 
 def test_forward_shape_mismatch():
     layer = DenseLayer(Tensor(np.zeros((2, 3))), Tensor(np.zeros(2)))
     with pytest.raises(ShapeMismatch):
-        layer(Tensor(np.zeros(4)))
+        layer(Tensor(np.zeros((1, 4))))
 
 
 def test_forward_batched_matches_single():
@@ -58,8 +58,8 @@ def test_forward_batched_matches_single():
     x = rng.standard_normal((4, 5))
     batched = layer(Tensor(x)).data
     for i in range(4):
-        single = layer(Tensor(x[i])).data
-        np.testing.assert_allclose(batched[i], single, rtol=1e-12)
+        single = layer(Tensor(x[i:i + 1])).data
+        np.testing.assert_allclose(batched[i], single[0], rtol=1e-12)
 
 
 def test_eval_np_matches_tape_path():
@@ -79,17 +79,22 @@ def test_eval_np_inside_a_tape_records_nothing():
     np.testing.assert_array_equal(out, net(Tensor(x)).data)
 
 
-def test_off_tape_ops_record_nothing_and_pass_no_gradient():
-    w = Tensor(np.random.default_rng(3).standard_normal(4))
+def test_frozen_params_on_a_constant_record_nothing_and_pass_no_gradient():
+    rng = np.random.default_rng(3)
+    w = Tensor(rng.standard_normal((4, 4)))
+    b = Tensor(rng.standard_normal(4))
+    x = Tensor(rng.standard_normal((2, 4)), requires_grad=False)
     with GradTape() as tape:
-        with nn.off_tape():
-            frozen = nn.tanh(w * w)
-        assert len(tape) == 0
-        loss = nn.reduce_sum(frozen * w)
-    assert len(tape) == 2  # recording resumes once off_tape exits
+        with nn.frozen([w, b]):
+            frozen = nn.tanh(nn.linear(x, w, b))
+        assert len(tape) == 0 and not frozen.requires_grad
+        loss = nn.reduce_sum(nn.linear(frozen, w, b))
+    assert len(tape) == 2  # recording resumes once the parameters thaw
     grads = backward(tape, loss)
-    # d/dw sum(c * w) = c: the frozen factor is a constant, not tanh(w * w)
-    np.testing.assert_array_equal(grads[w], frozen.data)
+    # d/dW sum(c W^T + b) = column sums of c: the frozen factor is a constant,
+    # not tanh(x W^T + b)
+    np.testing.assert_array_equal(grads[w], np.ones((2, 4)).T @ frozen.data)
+    np.testing.assert_array_equal(grads[b], np.full(4, 2.0))
 
 
 def test_backward_sum_gives_ones():
@@ -108,8 +113,8 @@ def test_backward_mse_closed_form():
     x = rng.standard_normal(6)
     y = rng.standard_normal(4)
     with GradTape() as tape:
-        pred = nn.linear(Tensor(x), W, b)
-        loss = mse(pred, Tensor(y))
+        pred = nn.linear(Tensor(x[None]), W, b)
+        loss = mse(pred, Tensor(y[None]))
     grads = backward(tape, loss)
     resid = W.data @ x - y
     expected = 2.0 / 4.0 * np.outer(resid, x)
@@ -509,6 +514,19 @@ def _untrained_model(stage: str):
         return FlowModel.create(cfg, 0), cfg
     cfg = ClassifierConfig(widths=(4, 3, 1))
     return ClassifierModel.create(cfg, 0), cfg
+
+
+@pytest.mark.parametrize("call", [
+    lambda: nn.linear(Tensor(np.zeros(3)), Tensor(np.zeros((2, 3))), Tensor(np.zeros(2))),
+    lambda: _untrained_model(STAGE_EXTRACTOR)[0].encode(np.zeros(1600)),
+    lambda: _untrained_model(STAGE_CLASSIFIER)[0].score(np.zeros(4)),
+    lambda: _untrained_model(STAGE_FLOW)[0].normalize(np.zeros(4)),
+    lambda: _untrained_model(STAGE_FLOW)[0].generate(np.zeros(4)),
+], ids=["linear", "encode", "score", "normalize", "generate"])
+def test_a_single_row_of_the_right_width_is_refused(call):
+    # every layer and model takes a batch [n, width]; a row is one of n = 1
+    with pytest.raises(ShapeMismatch):
+        call()
 
 
 def _untrained_checkpoint(stage: str) -> Checkpoint:

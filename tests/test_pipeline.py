@@ -16,7 +16,7 @@ from flowgate.classifier import ClassifierConfig, ClassifierModel
 from flowgate.cli import main as cli_main
 from flowgate.corpus import synthetic_frame
 from flowgate.dataset import codes_matrix, read_dataset, values_matrix, write_dataset
-from flowgate.errors import AnomalyInTrainingSet, CheckpointMismatch
+from flowgate.errors import AnomalyInTrainingSet, BadConfig, CheckpointMismatch
 from flowgate.extractor import ExtractorConfig, FeatureExtractor, encode_codes, score_width
 from flowgate.metrics import read_report, read_scores
 from flowgate.packets import EncodedPacket, VECTOR_LEN
@@ -578,3 +578,12 @@ def test_pipeline_from_captures_writes_the_csvs_preprocess_writes(tmp_path):
     assert (workdir / "test.csv").read_bytes() == (
         (tmp_path / "normal.pcap.csv").read_bytes() + anomaly_rows)
     assert len(read_dataset(workdir / "test.csv")) == 40
+
+
+@pytest.mark.parametrize("grid", [(), ((0.0,),), ((0.0, 1.0, 2.0),), (0.0, 1.0)],
+                         ids=["empty", "one-number", "three-numbers", "flat"])
+def test_a_malformed_noise_grid_is_refused_before_any_stage(tmp_path, grid):
+    # an empty grid used to train two stages and then fail on max() of no AUROCs
+    missing = tmp_path / "missing.csv"
+    with pytest.raises(BadConfig, match="noise_grid"):
+        tiny_pipeline_config(tmp_path / "w", missing, missing, noise_grid=grid)

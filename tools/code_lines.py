@@ -2,13 +2,17 @@
 
     python3 tools/code_lines.py               # src/flowgate of this checkout
     python3 tools/code_lines.py path/to/pkg   # any directory of modules
+    python3 tools/code_lines.py --against ../parent/src/flowgate
 
 A code line is a line that holds a token of code: blank lines, comment lines
 and the lines of docstrings (the first statement of a module, class or
 function when it is a string) are not counted, and a statement spread over
 several lines counts each line that holds a token of it. Prints one JSON
 object, {"<module>.py": lines, ..., "total": lines}, modules sorted by name.
-Standard library only.
+With --against DIR (another directory of modules, say the parent's), each
+value is instead {"against": DIR's lines, "here": lines, "delta": here -
+against}, a module that only one side has counting 0 on the other. Standard
+library only.
 """
 from __future__ import annotations
 
@@ -57,12 +61,24 @@ def count_package(package: Path) -> dict[str, int]:
     return counts
 
 
+def compare(here: dict[str, int], against: dict[str, int]) -> dict[str, dict[str, int]]:
+    """Both sides' lines and their delta per module of either side, and in total."""
+    names = sorted((here.keys() | against.keys()) - {"total"}) + ["total"]
+    return {name: {"against": against.get(name, 0), "here": here.get(name, 0),
+                   "delta": here.get(name, 0) - against.get(name, 0)} for name in names}
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("package", nargs="?", type=Path, default=ROOT / "src" / "flowgate",
                     help="directory of modules (default: src/flowgate)")
+    ap.add_argument("--against", type=Path, metavar="DIR",
+                    help="another directory of modules to compare with")
     args = ap.parse_args()
-    print(json.dumps(count_package(args.package), indent=1))
+    counts = count_package(args.package)
+    if args.against is not None:
+        counts = compare(counts, count_package(args.against))
+    print(json.dumps(counts, indent=1))
     return 0
 
 
