@@ -141,9 +141,9 @@ def cmd_train_flow(args) -> int:
 
 
 def cmd_synthesize(args) -> int:
+    spec = NoiseSpec(mu=args.mu, sigma=args.sigma, seed=args.seed)
     latents = _encode_training_data(args.data, args.extractor)
     flow = flow_from_checkpoint(load_checkpoint(args.flow, expect_stage=STAGE_FLOW))
-    spec = NoiseSpec(mu=args.mu, sigma=args.sigma, seed=args.seed)
     pseudo = synthesize(flow, latents, spec, SynthesisConfig(ratio=args.ratio))
     write_latents(args.out, pseudo, [Label.ANOMALY] * pseudo.shape[0])
     print(f"wrote {pseudo.shape[0]} pseudo-anomaly latents to {args.out}")

@@ -44,8 +44,12 @@ def tied_ranks(values: np.ndarray) -> np.ndarray:
 def auroc(scored: Iterable[tuple[float, int]]) -> float:
     """Rank-sum AUROC over (score, label) pairs; label 1 is the positive class."""
     pairs = list(scored)
-    scores = np.array([s for s, _ in pairs], dtype=np.float64)
-    labels = np.array([int(l) for _, l in pairs])
+    return _auroc(np.array([s for s, _ in pairs], dtype=np.float64),
+                  np.array([int(l) for _, l in pairs]))
+
+
+def _auroc(scores: np.ndarray, labels: np.ndarray) -> float:
+    """Rank-sum AUROC of float64 scores against labels, 1 positive and 0 negative."""
     n_pos = int((labels == 1).sum())
     n_neg = int((labels == 0).sum())
     if n_pos == 0 or n_neg == 0:
@@ -74,11 +78,10 @@ def evaluate(scored: Sequence[ScoredSample]) -> EvalReport:
     """Report over fully labeled scored samples."""
     if any(s.label is None for s in scored):
         raise OneClassOnly("every sample must carry a ground-truth label")
-    labels = np.array([1 if s.label is Label.ANOMALY else 0 for s in scored])
-    values = np.array([s.score for s in scored])
-    area = auroc(zip(values, labels))
+    labels = np.fromiter((s.label is Label.ANOMALY for s in scored), np.int64, len(scored))
+    values = np.fromiter((s.score for s in scored), np.float64, len(scored))
     return EvalReport(
-        auroc=area,
+        auroc=_auroc(values, labels),
         n_pos=int((labels == 1).sum()),
         n_neg=int((labels == 0).sum()),
         bins=HISTOGRAM_BINS,

@@ -96,20 +96,23 @@ def strip_link_layer(frame: bytes) -> bytes | DropReason:
     """Bytes after the Ethernet II header (single VLAN tag skipped), or an ARP drop."""
     if len(frame) < 14:
         raise TooShort(f"frame has {len(frame)} bytes, link header needs 14")
-    ethertype = int.from_bytes(frame[12:14], "big")
+    ethertype = frame[12] << 8 | frame[13]
     offset = 14
     if ethertype == ETHERTYPE_VLAN:
         if len(frame) < 18:
             raise TooShort("VLAN-tagged frame shorter than 18 bytes")
-        ethertype = int.from_bytes(frame[16:18], "big")
+        ethertype = frame[16] << 8 | frame[17]
         offset = 18
     if ethertype == ETHERTYPE_ARP:
         return DropReason.ARP
     return frame[offset:]
 
 
-def parse_network_transport(data: bytes) -> ParsedPacket:
-    """Extract IPv4 and TCP/UDP fields; payload is everything after the transport header."""
+def _layout(data: bytes) -> tuple[int, int, int, Transport, int, int]:
+    """Where IPv4 and TCP/UDP put things in network-layer bytes: the ends of the
+    IP header, of the transport header and of the packet (its total length, when
+    that trims only link-layer padding), the transport, and the two ports (0 and
+    0 for another transport, whose bytes are all payload)."""
     if len(data) < 1:
         raise HeaderTruncated("no network-layer bytes")
     if data[0] >> 4 != 4:
@@ -119,58 +122,74 @@ def parse_network_transport(data: bytes) -> ParsedPacket:
         raise BadIHL(f"IHL {ihl} below minimum of 5")
     header_len = ihl * 4
     if len(data) < header_len:
-        raise HeaderTruncated(
-            f"IPv4 header wants {header_len} bytes, {len(data)} available")
-    total_length = int.from_bytes(data[2:4], "big")
-    if header_len <= total_length <= len(data):
-        data = data[:total_length]  # trim link-layer padding
-    ip_header = data[:header_len]
+        raise HeaderTruncated(f"IPv4 header wants {header_len} bytes, {len(data)} available")
+    end = data[2] << 8 | data[3]
+    if not header_len <= end <= len(data):
+        end = len(data)
     proto = data[9]
-    rest = data[header_len:]
-
     if proto == 6:
-        if len(rest) < 20:
+        if end - header_len < 20:
             raise HeaderTruncated("TCP header needs 20 bytes")
-        data_offset = (rest[12] >> 4) * 4
+        data_offset = (data[header_len + 12] >> 4) * 4
         if data_offset < 20:
             raise BadIHL(f"TCP data offset {data_offset // 4} below minimum of 5")
-        if len(rest) < data_offset:
+        if end - header_len < data_offset:
             raise HeaderTruncated("TCP options extend past captured bytes")
         transport = Transport.TCP
     elif proto == 17:
-        if len(rest) < 8:
+        if end - header_len < 8:
             raise HeaderTruncated("UDP header needs 8 bytes")
         transport, data_offset = Transport.UDP, 8
     else:
-        return ParsedPacket(ip_header, Transport.OTHER, b"", rest, src_port=0, dst_port=0)
-    return ParsedPacket(ip_header, transport, rest[:data_offset], rest[data_offset:],
-                        src_port=int.from_bytes(rest[0:2], "big"),
-                        dst_port=int.from_bytes(rest[2:4], "big"))
+        return header_len, header_len, end, Transport.OTHER, 0, 0
+    return (header_len, header_len + data_offset, end, transport,
+            data[header_len] << 8 | data[header_len + 1],
+            data[header_len + 2] << 8 | data[header_len + 3])
+
+
+def _drop_reason(transport: Transport, sport: int, dport: int,
+                 payload_len: int) -> DropReason | None:
+    """Why DNS, payload-less TCP control and non-TCP/UDP drop; None keeps."""
+    if transport is Transport.OTHER:
+        return DropReason.UNPARSEABLE
+    if sport == DNS_PORT or dport == DNS_PORT:
+        return DropReason.DNS
+    if transport is Transport.TCP and payload_len == 0:
+        return DropReason.TCP_CONTROL
+    return None
+
+
+def _row(data: bytes, ip_end: int, payload_start: int, end: int) -> bytes:
+    """The 1600-byte row of `data[:ip_end]` as the IP header (20 to 60 bytes),
+    then up to `payload_start` the transport header (at most 60), then up to
+    `end` the payload, cut to its slot: each zero-padded to its slot, with the
+    IP checksum and both addresses (header bytes 10-19) zeroed."""
+    payload_end = end if end - payload_start <= MAX_PAYLOAD else payload_start + MAX_PAYLOAD
+    return b"".join((
+        data[:10], bytes(10), data[20:ip_end], bytes(IP_HEADER_SLOT - ip_end),
+        data[ip_end:payload_start], bytes(TRANSPORT_HEADER_SLOT - payload_start + ip_end),
+        data[payload_start:payload_end], bytes(MAX_PAYLOAD - payload_end + payload_start)))
+
+
+def parse_network_transport(data: bytes) -> ParsedPacket:
+    """Extract IPv4 and TCP/UDP fields; payload is everything after the transport header."""
+    ip_end, start, end, transport, src_port, dst_port = _layout(data)
+    return ParsedPacket(data[:ip_end], transport, data[ip_end:start], data[start:end],
+                        src_port, dst_port)
 
 
 def filter_packet(p: ParsedPacket) -> DropReason | None:
     """The drop reason of DNS, payload-less TCP control and non-TCP/UDP; None keeps."""
-    if p.transport_protocol is Transport.OTHER:
-        return DropReason.UNPARSEABLE
-    if p.src_port == DNS_PORT or p.dst_port == DNS_PORT:
-        return DropReason.DNS
-    if p.transport_protocol is Transport.TCP and len(p.payload) == 0:
-        return DropReason.TCP_CONTROL
-    return None
+    return _drop_reason(p.transport_protocol, p.src_port, p.dst_port, len(p.payload))
 
 
 def canonicalize(p: ParsedPacket, label: Optional[Label] = None,
                  source_id: Optional[tuple[str, int]] = None) -> EncodedPacket:
     """Fixed layout: 60-byte IP slot, 60-byte transport slot, payload, total 1600."""
-    buf = bytearray(VECTOR_LEN)
-    ip = p.ip_header[:IP_HEADER_SLOT]
-    buf[:len(ip)] = ip
-    buf[10:20] = bytes(10)  # anonymized: the IP checksum and both addresses
+    ip = p.ip_header[:IP_HEADER_SLOT].ljust(20, b"\0")  # bytes 10-19 are zeroed anyway
     th = p.transport_header[:TRANSPORT_HEADER_SLOT]
-    buf[IP_HEADER_SLOT:IP_HEADER_SLOT + len(th)] = th
-    payload = p.payload[:MAX_PAYLOAD]
-    buf[PAYLOAD_OFFSET:PAYLOAD_OFFSET + len(payload)] = payload
-    return EncodedPacket(bytes(buf), label, source_id)
+    data = ip + th + p.payload
+    return EncodedPacket(_row(data, len(ip), len(ip) + len(th), len(data)), label, source_id)
 
 
 @dataclass
@@ -192,14 +211,14 @@ def encode_frame(frame: bytes, label: Optional[Label] = None,
                  source_id: Optional[tuple[str, int]] = None,
                  ) -> EncodedPacket | DropReason:
     """Run one raw frame through the whole cleaning chain: its row, or why it drops."""
-    stripped = strip_link_layer(frame)
-    if isinstance(stripped, DropReason):
-        return stripped
-    parsed = parse_network_transport(stripped)
-    reason = filter_packet(parsed)
+    data = strip_link_layer(frame)
+    if isinstance(data, DropReason):
+        return data
+    ip_end, start, end, transport, src_port, dst_port = _layout(data)
+    reason = _drop_reason(transport, src_port, dst_port, end - start)
     if reason is not None:
         return reason
-    return canonicalize(parsed, label=label, source_id=source_id)
+    return EncodedPacket(_row(data, ip_end, start, end), label, source_id)
 
 
 def process_capture(file_path: str | Path, label: Optional[Label] = None,
@@ -207,13 +226,13 @@ def process_capture(file_path: str | Path, label: Optional[Label] = None,
     """Parse, clean, and encode every packet of one capture file, in file
     order; each packet's source id is (file name, capture index)."""
     path = Path(file_path)
+    name = path.name
     stats = PreprocessStats()
     kept: list[EncodedPacket] = []
-    for raw in parse_capture(path):
+    for index, frame, _caplen, _origlen in parse_capture(path):
         stats.seen += 1
         try:
-            encoded = encode_frame(raw.link_bytes, label=label,
-                                   source_id=(path.name, raw.capture_index))
+            encoded = encode_frame(frame, label=label, source_id=(name, index))
         except (TooShort, NotIPv4, HeaderTruncated, BadIHL):
             stats.drop(DropReason.UNPARSEABLE)
             continue

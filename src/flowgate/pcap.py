@@ -6,9 +6,8 @@ container is out of scope.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .errors import IoFailure, OversizedRecord, TruncatedRecord, UnrecognizedMagic
 
@@ -27,9 +26,9 @@ _MAGICS = {
 }
 
 
-@dataclass(frozen=True)
-class RawPacket:
-    """One captured frame, exactly as stored in the file."""
+class RawPacket(NamedTuple):
+    """One captured frame, exactly as stored in the file: a tuple, so that a
+    record costs what its fields do."""
 
     capture_index: int
     link_bytes: bytes
@@ -71,8 +70,7 @@ def parse_capture(file_path: str | Path) -> Iterator[RawPacket]:
                     raise TruncatedRecord(
                         f"{path}: record {index} claims {caplen} bytes, "
                         f"only {len(data)} remain")
-                yield RawPacket(capture_index=index, link_bytes=data,
-                                caplen=caplen, origlen=origlen)
+                yield RawPacket(index, data, caplen, origlen)
                 index += 1
     except OSError as err:
         raise IoFailure(f"cannot read capture {path}: {err}") from err

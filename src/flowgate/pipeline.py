@@ -109,7 +109,10 @@ class PipelineConfig:
         # a tag names a setting's files and keys its classifier
         tagged: dict[str, tuple[float, float]] = {}
         for mu, sigma in self.noise_grid:
-            NoiseSpec(mu=mu, sigma=sigma, seed=self.seed)
+            try:
+                NoiseSpec(mu=mu, sigma=sigma, seed=self.seed)
+            except BadConfig as err:
+                raise BadConfig(f"noise_grid setting ({mu!r}, {sigma!r}): {err}") from None
             tag = _noise_tag(mu, sigma, self.ratio)
             if tag in tagged:
                 raise BadConfig(f"noise settings {tagged[tag]} and {(mu, sigma)} "
@@ -265,8 +268,8 @@ class InferenceEngine:
 
 
 def _scored(scores: np.ndarray, packets: Sequence[EncodedPacket]) -> list[ScoredSample]:
-    return [ScoredSample(score=float(s), label=p.label, source_id=p.source_id)
-            for s, p in zip(scores, packets)]
+    return [ScoredSample(score=s, label=p.label, source_id=p.source_id)
+            for s, p in zip(scores.tolist(), packets)]
 
 
 def infer(extractor_ckpt: str | Path, classifier_ckpt: str | Path,

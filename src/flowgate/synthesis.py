@@ -6,7 +6,7 @@ the generation direction. No real anomaly data is involved anywhere.
 """
 from __future__ import annotations
 
-import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,10 +16,16 @@ from .flow import FlowModel
 from .seeding import rng_for
 
 
+# The paper's grid reaches |mu| = 100 with sigma = 5. Ten times that leaves
+# room for wider sweeps, while mu + sigma * eps, and the latents a flow
+# generates from it, stay many orders of magnitude inside float64.
+MAX_NOISE = 1000.0
+
+
 @dataclass(frozen=True)
 class NoiseSpec:
     """Scalar Gaussian noise parameters, broadcast over every latent dimension;
-    `mu` and `sigma` are finite."""
+    `mu` and `sigma` are numbers no larger in magnitude than MAX_NOISE."""
 
     mu: float
     sigma: float
@@ -27,8 +33,11 @@ class NoiseSpec:
 
     def __post_init__(self):
         for name, value in (("mu", self.mu), ("sigma", self.sigma)):
-            if not math.isfinite(value):
-                raise BadConfig(f"{name} must be finite, got {value}")
+            if not isinstance(value, numbers.Real):
+                raise BadConfig(f"{name} must be a number, got {value!r}")
+            if not abs(value) <= MAX_NOISE:
+                raise BadConfig(f"{name} must be finite and at most {MAX_NOISE:g} in "
+                                f"magnitude, got {value}")
         if self.sigma < 0:
             raise NegativeSigma(f"sigma must be >= 0, got {self.sigma}")
 

@@ -305,6 +305,8 @@ def test_console_entry_point_runs():
     (["--ratio", "1e300"], "ratio"),
     (["--noise-grid", "nan,5"], "mu"),
     (["--noise-grid", "0,inf"], "sigma"),
+    (["--noise-grid=0,1e308"], "sigma"),
+    (["--noise-grid=1e308,1"], "mu"),
     (["--seeds", "1,2", "--ratios", "0.5,1"], "--seeds and --ratios"),
     (["--seeds", "3,4,3"], "seed 3 is listed twice"),
     (["--latent-dim", "16", "--encoder-widths", "1600,-5,16"], "encoder_widths"),
@@ -316,6 +318,7 @@ def test_console_entry_point_runs():
         "seed-abc", "encoder-widths-x", "grid-shared-tag", "grid-repeated",
         "ratios-shared-tag", "w-adv-nan", "w-adv-inf", "w-rec-nan", "w-rec-inf",
         "lr-nan", "lr-inf", "ratio-inf", "ratio-huge", "grid-mu-nan", "grid-sigma-inf",
+        "grid-sigma-huge", "grid-mu-huge",
         "seeds-with-ratios", "seeds-repeated", "encoder-width-negative", "disc-width-0",
         "classifier-width-0", "classifier-not-latent-dim"])
 def test_pipeline_bad_value_fails_before_training(tiny_corpus, tmp_path, capsys,

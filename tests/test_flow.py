@@ -7,7 +7,7 @@ import pytest
 from flowgate import nn
 from flowgate.checkpoint import load_checkpoint, save_checkpoint
 from flowgate.errors import (
-    CheckpointMismatch, EmptyDataset, NonFiniteInput, ShapeMismatch,
+    CheckpointMismatch, EmptyDataset, NonFiniteInput, NonFiniteIntermediate, ShapeMismatch,
 )
 from flowgate.flow import (
     FlowConfig, FlowModel, flow_from_checkpoint, nll_t, train_flow,
@@ -208,6 +208,32 @@ def test_train_flow_empty_dataset():
     model = FlowModel.create(cfg, seed=0)
     with pytest.raises(EmptyDataset):
         train_flow(model, np.zeros((0, 4)), cfg, seed=0)
+
+
+def shifting_flow(shift: float) -> FlowModel:
+    """One coupling block over 4 columns that passes columns 0-1 through and
+    shifts columns 2-3 by `shift`: its scale net is zero, and its shift net's
+    last layer has zero weights and bias `shift`."""
+    model = make_flow(dim=4, blocks=1, hidden=4)
+    dict(model.param_items())["flow.block0.t.2.b"].data = np.full(2, shift)
+    return model
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_normalize_refuses_a_coupling_block_that_overflows():
+    z = np.array([[0.0, 0.0, 1e308, 1e308]])
+    c, _ = shifting_flow(0.0).normalize(z)
+    np.testing.assert_array_equal(c, z)
+    with pytest.raises(NonFiniteIntermediate, match="coupling block overflowed"):
+        shifting_flow(1.5e308).normalize(z)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_generate_refuses_a_coupling_block_that_overflows():
+    c = np.array([[0.0, 0.0, -1e308, -1e308]])
+    np.testing.assert_array_equal(shifting_flow(0.0).generate(c), c)
+    with pytest.raises(NonFiniteIntermediate, match="coupling block overflowed"):
+        shifting_flow(1.5e308).generate(c)
 
 
 def test_flow_checkpoint_round_trip():

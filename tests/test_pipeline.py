@@ -580,8 +580,10 @@ def test_pipeline_from_captures_writes_the_csvs_preprocess_writes(tmp_path):
     assert len(read_dataset(workdir / "test.csv")) == 40
 
 
-@pytest.mark.parametrize("grid", [(), ((0.0,),), ((0.0, 1.0, 2.0),), (0.0, 1.0)],
-                         ids=["empty", "one-number", "three-numbers", "flat"])
+@pytest.mark.parametrize("grid", [(), ((0.0,),), ((0.0, 1.0, 2.0),), (0.0, 1.0),
+                                  (("a", "b"),), ((0.0, None),), ((-1e4, 5.0),)],
+                         ids=["empty", "one-number", "three-numbers", "flat", "strings",
+                              "none", "mu-past-max-noise"])
 def test_a_malformed_noise_grid_is_refused_before_any_stage(tmp_path, grid):
     # an empty grid used to train two stages and then fail on max() of no AUROCs
     missing = tmp_path / "missing.csv"

@@ -4,7 +4,7 @@ import pytest
 from flowgate.errors import BadConfig, EmptyInput, NegativeSigma
 from flowgate.flow import FlowConfig, FlowModel
 from flowgate.synthesis import (
-    MAX_RATIO, NoiseSpec, SynthesisConfig, sample_noise, synthesize,
+    MAX_NOISE, MAX_RATIO, NoiseSpec, SynthesisConfig, sample_noise, synthesize,
 )
 
 
@@ -37,9 +37,18 @@ def test_negative_sigma_rejected():
 
 @pytest.mark.parametrize("field, value", [
     ("mu", float("nan")), ("mu", float("-inf")), ("sigma", float("nan")), ("sigma", float("inf")),
+    ("mu", -MAX_NOISE * 1.01), ("mu", 1e308), ("sigma", MAX_NOISE * 1.01), ("sigma", 1e308),
 ])
 def test_noise_that_is_not_finite_is_a_bad_config_naming_the_field(field, value):
     with pytest.raises(BadConfig, match=f"{field} must be finite"):
+        NoiseSpec(**{"mu": 0.0, "sigma": 1.0, field: value}, seed=0)
+    # the bound itself is a setting whose noise stays finite
+    assert np.isfinite(sample_noise(NoiseSpec(-MAX_NOISE, MAX_NOISE, seed=0), 1000)).all()
+
+
+@pytest.mark.parametrize("field, value", [("mu", "a"), ("mu", None), ("sigma", "1")])
+def test_noise_that_is_not_a_number_is_a_bad_config_naming_the_field(field, value):
+    with pytest.raises(BadConfig, match=f"{field} must be a number"):
         NoiseSpec(**{"mu": 0.0, "sigma": 1.0, field: value}, seed=0)
 
 
