@@ -48,7 +48,7 @@ class Checkpoint:
     # names present in the file; equals tensors.keys() unless loading filtered
     available: tuple[str, ...] = ()
     path: str = ""  # the file it was loaded from, named in errors
-    sha256: str = ""  # of the file's bytes, when loaded from one
+    sha256: str = ""  # of the file's bytes, when loaded whole from one
 
     def __post_init__(self):
         if self.stage not in STAGES:
@@ -135,6 +135,16 @@ def replacing(path: str | Path, what: str):
         tmp.unlink(missing_ok=True)
 
 
+def make_dir(path: str | Path, what: str) -> Path:
+    """`path` as a directory, made with its parents if missing. An OSError, say
+    for a path that names a file, is an IoFailure naming `what`."""
+    try:
+        Path(path).mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        raise IoFailure(f"cannot create {what} {path}: {err}") from err
+    return Path(path)
+
+
 def load_checkpoint(path: str | Path, expect_stage: Optional[str] = None,
                     include: Optional[Sequence[str]] = None) -> Checkpoint:
     """Load and verify a checkpoint.
@@ -143,7 +153,8 @@ def load_checkpoint(path: str | Path, expect_stage: Optional[str] = None,
     whose name starts with one of the given prefixes are read, everything else
     is skipped over. The returned Checkpoint's `tensors` holds exactly what was
     materialized; `available` lists every table in the file, and `sha256` is
-    the digest of the file's bytes as read. A malformed header,
+    the digest of the file's bytes as read when every table is loaded (no
+    `include`), empty otherwise. A malformed header,
     or a NaN or infinity in a materialized tensor, raises CheckpointMismatch
     naming the path.
     """
@@ -212,7 +223,7 @@ def load_checkpoint(path: str | Path, expect_stage: Optional[str] = None,
                       config_fingerprint=header["config_fingerprint"],
                       tensors=tensors, meta=meta,
                       available=tuple(name for name, _ in table), path=str(path),
-                      sha256=hashlib.sha256(raw).hexdigest())
+                      sha256=hashlib.sha256(raw).hexdigest() if include is None else "")
 
 
 def _is_table_entry(entry) -> bool:

@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Optional, get_type_hints
 
 from .checkpoint import (
-    STAGE_EXTRACTOR, STAGE_FLOW, load_checkpoint, save_checkpoint,
+    STAGE_EXTRACTOR, STAGE_FLOW, load_checkpoint, make_dir, save_checkpoint,
 )
 from .classifier import ClassifierConfig, train_classifier
 from .corpus import make_synthetic_corpus
@@ -80,8 +80,7 @@ def cmd_make_corpus(args) -> int:
         raise BadConfig("not enough normal rows for the requested splits")
     if args.n_train and args.n_test_anomaly > args.n_anomaly:
         raise BadConfig("not enough anomaly rows for the requested split")
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = make_dir(args.out_dir, "output directory")
     normals, anomalies = make_synthetic_corpus(args.seed, args.n_normal,
                                                args.n_anomaly)
     write_dataset(normals, out_dir / "normal.csv")

@@ -109,21 +109,11 @@ class FeatureExtractor:
         arr = nn.as_rows(x, self.config.input_dim)
         return self.encoder.eval_blocks(len(arr), lambda block, rows: np.copyto(block, arr[rows]))
 
-    def reconstruct(self, x: np.ndarray) -> np.ndarray:
-        return self.decoder.eval_np(self.encoder.eval_np(nn.as_rows(x, self.config.input_dim)))
-
     # --- objectives ---
 
     def generator_loss(self, x: np.ndarray) -> float:
         arr = nn.as_rows(x, self.config.input_dim)
         return self._generator_loss_t(Tensor(arr, requires_grad=False)).item()
-
-    def discriminator_loss(self, x: np.ndarray) -> float:
-        arr = nn.as_rows(x, self.config.input_dim)
-        x_hat = self.decoder.eval_np(self.encoder.eval_np(arr))
-        d_real = Tensor(self.discriminator.eval_np(arr))
-        d_fake = Tensor(self.discriminator.eval_np(x_hat))
-        return discriminator_objective(d_real, d_fake).item()
 
     def _reconstruct_t(self, x: Tensor) -> Tensor:
         """The generator's forward pass, on the active tape."""

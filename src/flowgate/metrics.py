@@ -3,8 +3,7 @@
 AUROC is computed from tied rank sums: the probability that a uniformly
 random positive outranks a uniformly random negative, with ties counted as
 one half. The report carries the AUROC, class counts, and 50-bin score
-histograms per class; it serializes to a small key/value text format that
-parses back exactly.
+histograms per class; it serializes to a small key/value text format.
 """
 from __future__ import annotations
 
@@ -15,7 +14,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .dataset import csv_records, text_lines
+from .dataset import csv_records
 from .errors import IoFailure, MalformedRow, OneClassOnly
 from .packets import Label
 
@@ -102,38 +101,11 @@ def format_report(report: EvalReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_report(text: str) -> EvalReport:
-    fields: dict[str, str] = {}
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        key, _, value = line.partition(":")
-        fields[key.strip()] = value.strip()
-    try:
-        area = float(fields["auroc"])
-        if not 0.0 <= area <= 1.0:
-            raise ValueError(f"auroc {area} is not in [0, 1]")
-        return EvalReport(
-            auroc=area,
-            n_pos=int(fields["n_pos"]),
-            n_neg=int(fields["n_neg"]),
-            bins=int(fields["bins"]),
-            hist_normal=tuple(int(v) for v in fields["hist_normal"].split(",") if v),
-            hist_anomaly=tuple(int(v) for v in fields["hist_anomaly"].split(",") if v),
-        )
-    except (KeyError, ValueError) as err:
-        raise MalformedRow(f"cannot parse report: {err}") from err
-
-
 def write_report(path: str | Path, report: EvalReport) -> None:
     try:
         Path(path).write_text(format_report(report))
     except OSError as err:
         raise IoFailure(f"cannot write report {path}: {err}") from err
-
-
-def read_report(path: str | Path) -> EvalReport:
-    return parse_report("".join(text_lines(path, "report")))
 
 
 # --- per-sample score CSV ---

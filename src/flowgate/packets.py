@@ -56,16 +56,6 @@ class DropReason(Enum):
     UNPARSEABLE = "unparseable"
 
 
-@dataclass(frozen=True)
-class ParsedPacket:
-    ip_header: bytes
-    transport_protocol: Transport
-    transport_header: bytes
-    payload: bytes
-    src_port: int
-    dst_port: int
-
-
 def byte_values(codes: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     """uint8 byte codes as the float64 values the models read, each byte/255,
     written into `out` when given: the one place a byte becomes a value."""
@@ -169,27 +159,6 @@ def _row(data: bytes, ip_end: int, payload_start: int, end: int) -> bytes:
         data[:10], bytes(10), data[20:ip_end], bytes(IP_HEADER_SLOT - ip_end),
         data[ip_end:payload_start], bytes(TRANSPORT_HEADER_SLOT - payload_start + ip_end),
         data[payload_start:payload_end], bytes(MAX_PAYLOAD - payload_end + payload_start)))
-
-
-def parse_network_transport(data: bytes) -> ParsedPacket:
-    """Extract IPv4 and TCP/UDP fields; payload is everything after the transport header."""
-    ip_end, start, end, transport, src_port, dst_port = _layout(data)
-    return ParsedPacket(data[:ip_end], transport, data[ip_end:start], data[start:end],
-                        src_port, dst_port)
-
-
-def filter_packet(p: ParsedPacket) -> DropReason | None:
-    """The drop reason of DNS, payload-less TCP control and non-TCP/UDP; None keeps."""
-    return _drop_reason(p.transport_protocol, p.src_port, p.dst_port, len(p.payload))
-
-
-def canonicalize(p: ParsedPacket, label: Optional[Label] = None,
-                 source_id: Optional[tuple[str, int]] = None) -> EncodedPacket:
-    """Fixed layout: 60-byte IP slot, 60-byte transport slot, payload, total 1600."""
-    ip = p.ip_header[:IP_HEADER_SLOT].ljust(20, b"\0")  # bytes 10-19 are zeroed anyway
-    th = p.transport_header[:TRANSPORT_HEADER_SLOT]
-    data = ip + th + p.payload
-    return EncodedPacket(_row(data, len(ip), len(ip) + len(th), len(data)), label, source_id)
 
 
 @dataclass

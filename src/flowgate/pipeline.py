@@ -42,7 +42,7 @@ import numpy as np
 
 from .checkpoint import (
     Checkpoint, STAGE_CLASSIFIER, STAGE_EXTRACTOR, STAGE_FLOW,
-    config_fingerprint, load_checkpoint, matches, replacing, save_checkpoint,
+    config_fingerprint, load_checkpoint, make_dir, matches, replacing, save_checkpoint,
 )
 from .classifier import (
     ClassifierConfig, ClassifierModel, classifier_from_checkpoint,
@@ -330,8 +330,7 @@ def _synthesize(cfg: PipelineConfig, workdir: Path, flow: FlowModel,
 
 def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
     """All stages end to end; returns every per-noise report plus the best."""
-    workdir = Path(cfg.workdir)
-    workdir.mkdir(parents=True, exist_ok=True)
+    workdir = make_dir(cfg.workdir, "workdir")
     train_csv, test_csv = _prepare_datasets(cfg, workdir)
 
     @functools.cache
@@ -405,7 +404,8 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
                  mu, sigma, cfg.ratio, report.auroc)
         reports[(mu, sigma)], clf_paths[(mu, sigma)] = report, clf_path
     best = max(reports, key=lambda k: reports[k].auroc)  # the first of equals
-    (workdir / "summary.txt").write_text(noise_grid_table(reports, cfg.ratio))
+    with replacing(workdir / "summary.txt", "summary") as fh:
+        fh.write(noise_grid_table(reports, cfg.ratio).encode())
     log.info("best: mu=%g sigma=%g AUROC %.4f", *best, reports[best].auroc)
     record = {"extractor_sha256": ext_digest, "train_latents_sha256": latents_digest}
     with replacing(workdir / RUN_RECORD, "run record") as fh:
@@ -446,7 +446,8 @@ def ratio_ablation(cfg: PipelineConfig, ratios: Sequence[float],
             f"{results[r].reports[(mu, sigma)].auroc:12.4f}" for r in ratios)
         lines.append(f"{mu:>8g}  {sigma:>6g}  {cells}")
     table = "\n".join(lines) + "\n"
-    Path(cfg.workdir, "ratio_ablation.txt").write_text(table)
+    with replacing(Path(cfg.workdir, "ratio_ablation.txt"), "ratio ablation") as fh:
+        fh.write(table.encode())
     return table, results
 
 
@@ -464,6 +465,6 @@ def repeat_pipeline(cfg: PipelineConfig, seeds: Sequence[int],
     summary = (f"seeds: {', '.join(str(s) for s in seeds)}\n"
                f"best-auroc mean: {aurocs.mean():.4f}\n"
                f"best-auroc stddev: {aurocs.std(ddof=1) if len(seeds) > 1 else 0.0:.4f}\n")
-    Path(cfg.workdir).mkdir(parents=True, exist_ok=True)
-    (Path(cfg.workdir) / "seed_summary.txt").write_text(summary)
+    with replacing(make_dir(cfg.workdir, "workdir") / "seed_summary.txt", "seed summary") as fh:
+        fh.write(summary.encode())
     return summary, results

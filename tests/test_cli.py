@@ -14,7 +14,7 @@ from flowgate.errors import IoFailure
 from flowgate.nn import TrainConfig
 from flowgate.pipeline import PipelineConfig
 from flowgate.dataset import read_dataset, read_latents
-from flowgate.metrics import read_report, read_scores
+from flowgate.metrics import evaluate, format_report, read_scores
 from flowgate.packets import Label
 from crafting import check_mutants, pcap_bytes, tcp_frame, udp_frame
 
@@ -119,7 +119,8 @@ def test_infer_and_eval_commands(stage_artifacts, tmp_path):
     assert len(read_scores(scores_csv)) == 120
     assert run_cli("eval", "--scores", scores_csv,
                    "--report-out", report_txt) == 0
-    report = read_report(report_txt)
+    report = evaluate(read_scores(scores_csv))
+    assert report_txt.read_text() == format_report(report)
     assert report.n_pos == 60 and report.n_neg == 60
 
 
@@ -166,6 +167,23 @@ def test_make_corpus_rejects_bad_counts_before_writing(tmp_path, capsys, bad_arg
     err = capsys.readouterr().err
     assert err.startswith("error:") and named in err
     assert not (tmp_path / "c").exists()
+
+
+@pytest.mark.parametrize("command, flag, extra", [
+    ("make-corpus", "--out-dir", []),
+    ("pipeline", "--workdir", []),
+    ("pipeline", "--workdir", ["--seeds", "4,9"]),
+], ids=["make-corpus", "pipeline", "pipeline-seeds"])
+def test_a_directory_that_is_a_file_exits_2_naming_it(tiny_corpus, tmp_path, capsys,
+                                                      command, flag, extra):
+    train_csv, test_csv = tiny_corpus
+    taken = tmp_path / "taken"
+    taken.write_text("a file\n")
+    csvs = ["--train-csv", train_csv, "--test-csv", test_csv] if command == "pipeline" else []
+    assert run_cli(command, flag, taken, *csvs, *extra) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot create ") and str(taken) in err
+    assert taken.read_text() == "a file\n"
 
 
 @pytest.mark.parametrize("grid_args", [["--noise-grid", "-9,5;0,1"],
@@ -230,9 +248,14 @@ def test_pipeline_seeds_write_a_workdir_per_seed_and_their_summary(tiny_corpus, 
                    "--disc-widths", "1600,16,1", "--classifier-widths", "16,8,1") == 0
     best = []
     for seed in (4, 9):
-        reports = [read_report(p) for p in (work / f"seed{seed}").glob("report_*.txt")]
-        assert len(reports) == 2
-        best.append(max(r.auroc for r in reports))
+        aurocs = []
+        for scores in (work / f"seed{seed}").glob("scores_*.csv"):
+            report = evaluate(read_scores(scores))
+            report_txt = scores.with_name(scores.stem.replace("scores_", "report_") + ".txt")
+            assert report_txt.read_text() == format_report(report)
+            aurocs.append(report.auroc)
+        assert len(aurocs) == 2
+        best.append(max(aurocs))
     summary = (f"seeds: 4, 9\nbest-auroc mean: {np.mean(best):.4f}\n"
                f"best-auroc stddev: {np.std(best, ddof=1):.4f}\n")
     assert (work / "seed_summary.txt").read_text() == summary

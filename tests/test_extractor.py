@@ -84,7 +84,7 @@ def test_encode_rejects_bad_shape():
 def test_reconstruct_range_and_length():
     model = FeatureExtractor.create(ExtractorConfig(), seed=2)
     x = np.random.default_rng(3).integers(0, 256, size=(4, 1600)) / 255.0
-    out = model.reconstruct(x)
+    out = model.decoder.eval_np(model.encoder.eval_np(x))
     assert out.shape == (4, 1600)
     assert out.min() > 0.0 and out.max() < 1.0
 
@@ -111,10 +111,11 @@ def test_discriminator_loss_gradient_check():
     rng = np.random.default_rng(5)
     model = FeatureExtractor.create(toy_config(), seed=5)
     x = rng.uniform(0.0, 1.0, size=(3, 8))
-    x_hat = model.reconstruct(x)
+    x_hat = model.decoder.eval_np(model.encoder.eval_np(x))
 
     def loss_value() -> float:
-        return model.discriminator_loss(x)
+        return discriminator_objective(Tensor(model.discriminator.eval_np(x)),
+                                       Tensor(model.discriminator.eval_np(x_hat))).item()
 
     with GradTape() as tape:
         d_real = model.discriminator(Tensor(x))
@@ -144,10 +145,12 @@ def test_training_improves_heldout_reconstruction():
     cfg = toy_config(input_dim=40, latent_dim=8, encoder_widths=(40, 32, 8),
                      disc_widths=(40, 16, 1), epochs=20, batch_size=32)
     untrained = FeatureExtractor.create(cfg, seed=7)
-    before = float(np.mean((untrained.reconstruct(held) - held) ** 2))
+    rebuilt = untrained.decoder.eval_np(untrained.encoder.eval_np(held))
+    before = float(np.mean((rebuilt - held) ** 2))
     ckpt = train_extractor(data, cfg, seed=7)
     model = extractor_from_checkpoint(ckpt)
-    after = float(np.mean((model.reconstruct(held) - held) ** 2))
+    rebuilt = model.decoder.eval_np(model.encoder.eval_np(held))
+    after = float(np.mean((rebuilt - held) ** 2))
     assert after < before
     history = ckpt.meta["holdout_generator_loss"]
     assert min(history[1:]) < history[0]
@@ -163,8 +166,10 @@ def test_anomalous_rows_reconstruct_worse():
     model = extractor_from_checkpoint(train_extractor(data, cfg, seed=9))
     normal = textured_rows(rng, 200, base=base)
     anomalous = rng.uniform(0.0, 1.0, size=(200, 40))
-    err_normal = np.mean((model.reconstruct(normal) - normal) ** 2, axis=1)
-    err_anom = np.mean((model.reconstruct(anomalous) - anomalous) ** 2, axis=1)
+    rebuilt_normal = model.decoder.eval_np(model.encoder.eval_np(normal))
+    rebuilt_anom = model.decoder.eval_np(model.encoder.eval_np(anomalous))
+    err_normal = np.mean((rebuilt_normal - normal) ** 2, axis=1)
+    err_anom = np.mean((rebuilt_anom - anomalous) ** 2, axis=1)
     assert np.median(err_anom) > np.median(err_normal)
 
 

@@ -6,8 +6,8 @@ import pytest
 from flowgate.dataset import read_dataset, read_latents, write_dataset, write_latents
 from flowgate.errors import MalformedRow, OneClassOnly
 from flowgate.metrics import (
-    ScoredSample, auroc, evaluate, format_report, parse_report, read_report,
-    read_scores, tied_ranks, write_report, write_scores,
+    ScoredSample, auroc, evaluate, format_report, read_scores, tied_ranks, write_report,
+    write_scores,
 )
 from flowgate.packets import EncodedPacket, Label
 from crafting import check_mutants
@@ -116,10 +116,10 @@ def test_evaluate_score_one_lands_in_last_bin():
 def test_report_round_trip(tmp_path):
     rng = np.random.default_rng(3)
     report = evaluate(make_scored(rng, 100, 80))
-    assert parse_report(format_report(report)) == report
     path = tmp_path / "report.txt"
     write_report(path, report)
-    assert read_report(path) == report
+    assert path.read_text() == format_report(report)
+    assert format_report(report).startswith(f"auroc: {report.auroc!r}\nn_pos: 80\nn_neg: 100\n")
 
 
 def test_scores_round_trip(tmp_path):
@@ -159,24 +159,6 @@ def test_csv_readers_name_the_line_of_a_bad_byte_or_an_oversized_field(tmp_path,
         read(path)
 
 
-@pytest.mark.parametrize("auroc", ["nan", "inf", "-inf", "-0.5", "1.5"])
-def test_a_report_with_an_auroc_outside_zero_to_one_is_malformed(auroc):
-    text = format_report(evaluate(make_scored(np.random.default_rng(7), 5, 5)))
-    with pytest.raises(MalformedRow, match="auroc"):
-        parse_report(re.sub(r"auroc: .*", f"auroc: {auroc}", text))
-
-
-def test_mutated_reports_raise_only_flowgate_errors_or_read_finite_values(tmp_path):
-    def finite_report(report) -> int:
-        assert 0.0 <= report.auroc <= 1.0
-        assert all(isinstance(v, int) for v in (report.n_pos, report.n_neg, report.bins,
-                                                 *report.hist_normal, *report.hist_anomaly))
-        return 1
-
-    report = evaluate(make_scored(np.random.default_rng(8), 20, 20))
-    check_mutants(tmp_path, lambda path: write_report(path, report), read_report, finite_report)
-
-
 def test_mutated_score_csvs_raise_only_flowgate_errors_or_read_valid_scores(tmp_path):
     def valid_scores(scored) -> int:
         assert all(0.0 <= s.score <= 1.0 for s in scored)
@@ -184,11 +166,3 @@ def test_mutated_score_csvs_raise_only_flowgate_errors_or_read_valid_scores(tmp_
 
     scored = make_scored(np.random.default_rng(9), 3, 3) + [ScoredSample(score=0.5)]
     check_mutants(tmp_path, lambda path: write_scores(path, scored), read_scores, valid_scores)
-
-
-def test_read_report_names_the_line_of_a_bad_byte(tmp_path):
-    path = tmp_path / "report.txt"
-    write_report(path, evaluate(make_scored(np.random.default_rng(6), 5, 5)))
-    prefix_line(path, 2, b"\xff")
-    with pytest.raises(MalformedRow, match=re.escape(f"{path}:2: undecodable text")):
-        read_report(path)

@@ -5,6 +5,7 @@ keeps, drops or refuses; the mutants come from `crafting.mutate`, half of them
 confined to the first 64 bytes, where the headers are. For each input the test
 records what the reader made of it:
 - a kept frame: its 1600 codes, label and source id;
+- a frame past the link layer: its network-layer bytes;
 - a dropped frame: the drop reason, and for a capture file its PreprocessStats;
 - a refused frame or file: the exception type and message.
 
@@ -17,9 +18,7 @@ import numpy as np
 
 from flowgate.corpus import synthetic_frame
 from flowgate.packets import (
-    DropReason, EncodedPacket, Label, ParsedPacket, Transport,
-    canonicalize, encode_frame, filter_packet, parse_network_transport, process_capture,
-    strip_link_layer,
+    DropReason, EncodedPacket, Label, encode_frame, process_capture, strip_link_layer,
 )
 from crafting import (
     ethernet, ipv4_header, mutate, pcap_bytes, tcp_frame, tcp_header, udp_frame,
@@ -70,16 +69,10 @@ def record(call) -> tuple[str, bytes]:
         out = call()
     except Exception as err:  # every refusal is part of the outcome, whatever its type
         return f"refused {type(err).__name__}", str(err).encode()
-    if out is None:  # filter_packet keeps it
-        return "passed", b""
     if isinstance(out, DropReason):
         return "dropped", out.value.encode()
     if isinstance(out, EncodedPacket):
         return "kept", _packet_bytes(out)
-    if isinstance(out, ParsedPacket):
-        return "parsed", b"|".join([
-            out.ip_header, out.transport_protocol.value.encode(), out.transport_header,
-            out.payload, b"%d,%d" % (out.src_port, out.dst_port)])
     if isinstance(out, bytes):
         return "stripped", out
     packets, stats = out
@@ -116,16 +109,12 @@ def test_every_frame_outcome_is_the_pinned_one():
             rng, frames[int(rng.integers(0, len(frames)))])
         label, source = LABELS[i % 3], ("f.pcap", i) if i % 2 else None
         digest.add(record(lambda: encode_frame(frame, label=label, source_id=source)))
-        kind, data = record(lambda: strip_link_layer(frame))
-        digest.add((kind, data))
-        if kind == "stripped":
-            digest.add(record(lambda: parse_network_transport(data)))
-            digest.add(record(lambda: filter_packet(parse_network_transport(data))))
+        digest.add(record(lambda: strip_link_layer(frame)))
     assert digest.kinds["kept"] > 1000 and digest.kinds["dropped"] > 1000
     assert {"refused TooShort", "refused NotIPv4", "refused HeaderTruncated",
             "refused BadIHL"} <= set(digest.kinds)
     assert digest.sha.hexdigest() == \
-        "92ee4369a730225294d8c9402ab1c11ae7914831d75f4dac3f52e36f2b609b53"
+        "92daf160c2edd606a4fae8a6439e5c500d81b56105e139647916aa50e4fdcf70"
 
 
 def test_every_capture_outcome_is_the_pinned_one(tmp_path):
@@ -148,17 +137,3 @@ def test_every_capture_outcome_is_the_pinned_one(tmp_path):
     assert digest.sha.hexdigest() == \
         "03776d9d7e50215e73e01a37722b02ed52b33b27a91d7541ac7be1e26972647e"
 
-
-def test_every_canonical_layout_is_the_pinned_one():
-    rng = np.random.default_rng(20261023)
-    digest = Digest()
-    for i in range(20_000):
-        ip_len, th_len = (int(n) for n in rng.integers(0, 71, size=2))
-        parsed = ParsedPacket(
-            ip_header=rng.bytes(ip_len), transport_protocol=Transport.TCP,
-            transport_header=rng.bytes(th_len),
-            payload=rng.bytes(int(rng.integers(0, 2001))), src_port=1, dst_port=2)
-        digest.add(record(lambda: canonicalize(parsed, label=LABELS[i % 3],
-                                               source_id=("c", i))))
-    assert digest.sha.hexdigest() == \
-        "4dd19dc327c881ee6b5c141adf4596d0baf7fdac31b0375464c23f89a3c6cea1"

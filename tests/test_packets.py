@@ -3,8 +3,7 @@ import pytest
 
 from flowgate.errors import BadIHL, HeaderTruncated, NotIPv4, ShapeMismatch, TooShort
 from flowgate.packets import (
-    DropReason, EncodedPacket, Label, Transport, canonicalize, encode_frame,
-    filter_packet, parse_network_transport, strip_link_layer,
+    DropReason, EncodedPacket, Label, encode_frame, strip_link_layer,
 )
 from crafting import (
     ethernet, ipv4_header, tcp_frame, tcp_header, udp_frame, udp_header,
@@ -44,178 +43,158 @@ def test_strip_too_short():
         strip_link_layer(b"\x00" * 13)
 
 
-# --- parse_network_transport ---
+# --- encode_frame: parsing IPv4 and TCP/UDP ---
 
 def test_parse_minimal_udp():
-    data = ipv4_header(proto=17, payload_len=12) + udp_header(payload_len=4) + b"abcd"
-    p = parse_network_transport(data)
-    assert p.transport_protocol is Transport.UDP
-    assert len(p.ip_header) == 20
-    assert len(p.transport_header) == 8
-    assert p.payload == b"abcd"
-    assert (p.src_port, p.dst_port) == (5000, 6000)
+    ip = ipv4_header(proto=17, payload_len=12)
+    udp = udp_header(payload_len=4)
+    row = encode_frame(ethernet(ip + udp + b"abcd")).codes
+    assert row[9] == 17
+    assert row[20:60] == bytes(40)
+    assert row[60:68] == udp and row[68:120] == bytes(52)
+    assert row[120:124] == b"abcd" and row[124:] == bytes(1476)
+    assert (row[60] << 8 | row[61], row[62] << 8 | row[63]) == (5000, 6000)
 
 
 def test_parse_ihl_6():
     options = b"\x01\x02\x03\x04"
     data = (ipv4_header(proto=17, ihl=6, options=options, payload_len=8)
             + udp_header())
-    p = parse_network_transport(data)
-    assert len(p.ip_header) == 24
-    assert p.ip_header[20:] == options
+    row = encode_frame(ethernet(data)).codes
+    assert row[20:24] == options
+    assert row[24:60] == bytes(36)
+    assert row[60:68] == udp_header()
 
 
 def test_parse_rejects_version_6():
     data = bytearray(ipv4_header())
     data[0] = (6 << 4) | 5
     with pytest.raises(NotIPv4):
-        parse_network_transport(bytes(data))
+        encode_frame(ethernet(bytes(data)))
 
 
 def test_parse_rejects_bad_ihl():
     data = bytearray(ipv4_header())
     data[0] = (4 << 4) | 4
     with pytest.raises(BadIHL):
-        parse_network_transport(bytes(data))
+        encode_frame(ethernet(bytes(data)))
 
 
 def test_parse_truncated_header():
     with pytest.raises(HeaderTruncated):
-        parse_network_transport(ipv4_header()[:16])
+        encode_frame(ethernet(ipv4_header()[:16]))
 
 
 def test_parse_tcp_options_and_flags():
     opts = b"\x01\x01\x01\x01"
-    data = (ipv4_header(proto=6, payload_len=24 + 3)
-            + tcp_header(data_offset=6, options=opts, flags=0x02) + b"xyz")
-    p = parse_network_transport(data)
-    assert len(p.transport_header) == 24
-    assert p.transport_header[13] == 0x02
-    assert p.payload == b"xyz"
+    tcp = tcp_header(data_offset=6, options=opts, flags=0x02)
+    row = encode_frame(ethernet(ipv4_header(proto=6, payload_len=24 + 3) + tcp + b"xyz")).codes
+    assert row[60:84] == tcp and row[84:120] == bytes(36)
+    assert row[73] == 0x02
+    assert row[120:123] == b"xyz"
 
 
 def test_parse_other_protocol():
     data = ipv4_header(proto=47, payload_len=10) + bytes(10)
-    p = parse_network_transport(data)
-    assert p.transport_protocol is Transport.OTHER
-    assert p.transport_header == b""
+    assert encode_frame(ethernet(data)) is DropReason.UNPARSEABLE
 
 
 def test_parse_trims_ethernet_padding():
     # 4-byte UDP payload plus 10 bytes of link padding after total_length
     data = (ipv4_header(proto=17, payload_len=12) + udp_header(payload_len=4)
-            + b"abcd" + bytes(10))
-    p = parse_network_transport(data)
-    assert p.payload == b"abcd"
+            + b"abcd" + b"\xee" * 10)
+    row = encode_frame(ethernet(data)).codes
+    assert row[120:124] == b"abcd" and row[124:] == bytes(1476)
 
 
-# --- filter_packet ---
-
-def udp_packet(sport=5000, dport=6000, payload=b"x"):
-    data = (ipv4_header(proto=17, payload_len=8 + len(payload))
-            + udp_header(sport, dport, len(payload)) + payload)
-    return parse_network_transport(data)
-
-def tcp_packet(sport=443, dport=50000, payload=b"x", flags=0x18):
-    data = (ipv4_header(proto=6, payload_len=20 + len(payload))
-            + tcp_header(sport, dport, flags=flags) + payload)
-    return parse_network_transport(data)
-
+# --- encode_frame: what drops ---
 
 def test_filter_dns_by_dst_port():
-    v = filter_packet(udp_packet(dport=53))
-    assert v is DropReason.DNS
+    assert encode_frame(udp_frame(b"x", dport=53)) is DropReason.DNS
 
 
 def test_filter_dns_by_src_port():
-    v = filter_packet(tcp_packet(sport=53))
-    assert v is DropReason.DNS
+    assert encode_frame(tcp_frame(b"x", sport=53)) is DropReason.DNS
 
 
 def test_filter_tcp_control():
-    v = filter_packet(tcp_packet(payload=b"", flags=0x02))
-    assert v is DropReason.TCP_CONTROL
+    assert encode_frame(tcp_frame(flags=0x02)) is DropReason.TCP_CONTROL
 
 
 def test_filter_keeps_payload_tcp():
-    v = filter_packet(tcp_packet(payload=b"p" * 100))
-    assert v is None
+    assert isinstance(encode_frame(tcp_frame(b"p" * 100)), EncodedPacket)
 
 
 def test_filter_keeps_empty_udp():
-    v = filter_packet(udp_packet(payload=b""))
-    assert v is None
+    assert isinstance(encode_frame(udp_frame()), EncodedPacket)
 
 
 def test_filter_drops_other_transport():
     data = ipv4_header(proto=47, payload_len=4) + bytes(4)
-    v = filter_packet(parse_network_transport(data))
-    assert v is DropReason.UNPARSEABLE
+    assert encode_frame(ethernet(data)) is DropReason.UNPARSEABLE
 
 
 def test_filter_never_keeps_port_53():
     for sport, dport in [(53, 1000), (1000, 53), (53, 53)]:
-        for maker in (udp_packet, tcp_packet):
-            assert filter_packet(maker(sport=sport, dport=dport)) is not None
+        for maker in (udp_frame, tcp_frame):
+            assert encode_frame(maker(b"x", sport=sport, dport=dport)) is DropReason.DNS
 
 
-# --- canonicalize ---
+# --- encode_frame: the row's layout ---
 
 def test_canonicalize_zeroes_addresses_and_checksum():
-    p = tcp_packet(payload=b"data")
-    q = canonicalize(p).codes
+    frame = tcp_frame(b"data")
+    ip, tcp = frame[14:34], frame[34:54]
+    q = encode_frame(frame).codes
     assert q[12:16] == bytes(4) and q[16:20] == bytes(4)
     assert q[12:20] == bytes(8)
     assert q[10:12] == bytes(2)
     # everything else in the IP header is untouched
-    for i in list(range(10)) + list(range(20, len(p.ip_header))):
-        assert q[i] == p.ip_header[i]
-    assert q[120:120 + len(p.payload)] == p.payload
-    assert q[60:60 + len(p.transport_header)] == p.transport_header
+    for i in range(10):
+        assert q[i] == ip[i]
+    assert q[120:124] == b"data"
+    assert q[60:80] == tcp
 
 
 def test_canonicalize_layout_and_padding():
-    p = tcp_packet(payload=b"")
-    enc = canonicalize(p)
-    v = enc.values
+    frame = tcp_frame(b"\x00")
+    ip, tcp = frame[14:34], frame[34:54]
+    v = encode_frame(frame).values
     assert v.shape == (1600,)
-    anonymized = p.ip_header[:10] + bytes(10) + p.ip_header[20:]
-    ip = np.frombuffer(anonymized, dtype=np.uint8) / 255.0
-    th = np.frombuffer(p.transport_header, dtype=np.uint8) / 255.0
-    np.testing.assert_array_equal(v[:20], ip)
+    anonymized = ip[:10] + bytes(10)
+    np.testing.assert_array_equal(v[:20], np.frombuffer(anonymized, dtype=np.uint8) / 255.0)
     np.testing.assert_array_equal(v[20:60], np.zeros(40))
-    np.testing.assert_array_equal(v[60:80], th)
+    np.testing.assert_array_equal(v[60:80], np.frombuffer(tcp, dtype=np.uint8) / 255.0)
     np.testing.assert_array_equal(v[80:140], np.zeros(60))
     np.testing.assert_array_equal(v[120:], np.zeros(1480))
 
 
 def test_canonicalize_byte_scaling():
-    p = tcp_packet(payload=b"\xff\x00\x80")
-    v = canonicalize(p).values
+    v = encode_frame(tcp_frame(b"\xff\x00\x80")).values
     assert v[120] == 1.0
     assert v[121] == 0.0
     assert v[122] == 128 / 255.0
 
 
 def test_canonicalize_truncates_long_payload():
-    p = tcp_packet(payload=bytes(2000))
-    v = canonicalize(p).values
-    assert v.shape == (1600,)
+    row = encode_frame(tcp_frame(bytes(range(250)) * 8)).codes
+    assert len(row) == 1600
+    assert row[120:] == (bytes(range(250)) * 8)[:1480]
 
 
 def test_canonicalize_udp_header_slot():
-    p = udp_packet(payload=b"zz")
-    v = canonicalize(p).values
-    th = np.frombuffer(p.transport_header, dtype=np.uint8) / 255.0
+    frame = udp_frame(b"zz")
+    v = encode_frame(frame).values
+    th = np.frombuffer(frame[34:42], dtype=np.uint8) / 255.0
     np.testing.assert_array_equal(v[60:68], th)
     np.testing.assert_array_equal(v[68:120], np.zeros(52))
     assert v[120] == ord("z") / 255.0
 
 
 def test_canonicalize_deterministic():
-    p = tcp_packet(payload=b"same bytes")
-    a = canonicalize(p).values
-    b = canonicalize(p).values
+    frame = tcp_frame(b"same bytes")
+    a = encode_frame(frame).values
+    b = encode_frame(frame).values
     np.testing.assert_array_equal(a, b)
 
 

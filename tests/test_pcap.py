@@ -9,7 +9,7 @@ import pytest
 from flowgate.errors import FlowgateError, IoFailure, TruncatedRecord, UnrecognizedMagic
 from flowgate.packets import process_capture
 from flowgate.pcap import parse_capture
-from crafting import pcap_bytes, tcp_frame, udp_frame
+from crafting import mutate, pcap_bytes, tcp_frame, udp_frame
 
 
 def write(tmp_path, data, name="t.pcap"):
@@ -98,24 +98,6 @@ def test_oversized_caplen_refused_before_reading(tmp_path):
     assert "record 0 claims 4294967280 bytes" in proc.stdout
 
 
-def mutate(rng, data: bytes) -> bytes:
-    """Flip, delete, insert or truncate a few bytes of `data`."""
-    buf = bytearray(data)
-    for _ in range(int(rng.integers(1, 4))):
-        pos = int(rng.integers(0, len(buf) + 1))
-        kind = int(rng.integers(0, 4))
-        if kind == 0 and pos < len(buf):
-            buf[pos] ^= int(rng.integers(1, 256))
-        elif kind == 1:
-            del buf[pos:pos + int(rng.integers(1, 16))]
-        elif kind == 2:
-            buf[pos:pos] = bytes(rng.integers(0, 256, size=int(rng.integers(1, 16)),
-                                              dtype=np.uint8))
-        else:
-            del buf[pos:]
-    return bytes(buf)
-
-
 def test_mutated_captures_raise_only_flowgate_errors(tmp_path):
     frames = [tcp_frame(payload=b"GET / HTTP/1.1\r\n" * 3), udp_frame(payload=b"x" * 40),
               tcp_frame(payload=b"", flags=0x10), udp_frame(payload=b"q", dport=53),
@@ -125,7 +107,7 @@ def test_mutated_captures_raise_only_flowgate_errors(tmp_path):
     path = tmp_path / "mutant.pcap"
     kept = 0
     for _ in range(400):
-        path.write_bytes(mutate(rng, data))
+        path.write_bytes(mutate(rng, data, inserted=np.arange(256, dtype=np.uint8)))
         try:
             packets, stats = process_capture(path)
         except FlowgateError:
