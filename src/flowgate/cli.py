@@ -22,7 +22,7 @@ from .corpus import make_synthetic_corpus
 from .dataset import read_dataset, read_latents, write_dataset, write_latents
 from .errors import AnomalyInTrainingSet, BadConfig, FlowgateError, IoFailure
 from .extractor import (
-    ExtractorConfig, encode_codes, extractor_from_checkpoint, train_extractor,
+    ExtractorConfig, encode_codes, encoder_from_checkpoint, train_extractor,
     training_matrix,
 )
 from .flow import FlowConfig, FlowModel, flow_from_checkpoint, train_flow
@@ -124,11 +124,11 @@ def cmd_train_extractor(args) -> int:
 
 
 def _encode_training_data(data_csv: str, extractor_ckpt: str):
-    """Latents of a normal packet CSV; rows labeled as anomalies are refused."""
-    ext = extractor_from_checkpoint(
-        load_checkpoint(extractor_ckpt, expect_stage=STAGE_EXTRACTOR))
-    return encode_codes(ext.encoder,
-                        training_matrix(read_dataset(data_csv), ext.config.input_dim))
+    """Latents of a normal packet CSV; rows labeled as anomalies are refused.
+    Only the extractor's encoder tables are read."""
+    encoder = encoder_from_checkpoint(
+        load_checkpoint(extractor_ckpt, expect_stage=STAGE_EXTRACTOR, include=("encoder.",)))
+    return encode_codes(encoder, training_matrix(read_dataset(data_csv), encoder.widths[0]))
 
 
 def cmd_train_flow(args) -> int:

@@ -17,16 +17,22 @@ reads it as the byte b: a near-grid decimal such as 0.003921568627 becomes
 exactly 1/255. NaN, infinities, values outside [0, 1] or off that grid, a
 wrong column count and a label other than empty, "0" or "1" are rejected
 with MalformedRow naming the line.
+
+The writers write beside their target and rename the file over it
+(`checkpoint.replacing`), so a write that fails or is killed partway leaves
+the old file or none, never a truncated one.
 """
 from __future__ import annotations
 
 import csv
+import io
 import itertools
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
+from .checkpoint import replacing
 from .errors import IoFailure, MalformedRow
 from .packets import EncodedPacket, Label, VECTOR_LEN, byte_values
 
@@ -52,15 +58,12 @@ def _label_str(label: Optional[Label]) -> str:
 def write_dataset(packets: Iterable[EncodedPacket], out: str | Path) -> int:
     """One row per packet; returns the number of rows written."""
     count = 0
-    try:
-        with open(out, "w", newline="") as fh:
-            fh.write(",".join(DATASET_HEADER) + "\n")
-            for packet in packets:
-                fh.write(",".join(map(_BYTE_STR.__getitem__, packet.codes)))
-                fh.write("," + _label_str(packet.label) + "\n")
-                count += 1
-    except OSError as err:
-        raise IoFailure(f"cannot write {out}: {err}") from err
+    with replacing(out, "dataset") as raw, io.TextIOWrapper(raw, newline="") as fh:
+        fh.write(",".join(DATASET_HEADER) + "\n")
+        for packet in packets:
+            fh.write(",".join(map(_BYTE_STR.__getitem__, packet.codes)))
+            fh.write("," + _label_str(packet.label) + "\n")
+            count += 1
     return count
 
 
@@ -177,15 +180,12 @@ def write_latents(path: str | Path, latents: np.ndarray,
     arr = np.asarray(latents, dtype=np.float64)
     if arr.ndim != 2:
         raise MalformedRow(f"latents must be 2-D, got shape {arr.shape}")
-    try:
-        with open(path, "w", newline="") as fh:
-            fh.write(",".join(f"z{i}" for i in range(arr.shape[1])) + ",label\n")
-            for i, row in enumerate(arr.tolist()):  # Python floats: repr spells each exactly
-                label = labels[i] if labels is not None else None
-                fh.write(",".join(map(repr, row)))
-                fh.write("," + _label_str(label) + "\n")
-    except OSError as err:
-        raise IoFailure(f"cannot write {path}: {err}") from err
+    with replacing(path, "latents") as raw, io.TextIOWrapper(raw, newline="") as fh:
+        fh.write(",".join(f"z{i}" for i in range(arr.shape[1])) + ",label\n")
+        for i, row in enumerate(arr.tolist()):  # Python floats: repr spells each exactly
+            label = labels[i] if labels is not None else None
+            fh.write(",".join(map(repr, row)))
+            fh.write("," + _label_str(label) + "\n")
     return arr.shape[0]
 
 

@@ -8,14 +8,16 @@ histograms per class; it serializes to a small key/value text format.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
+from .checkpoint import replacing
 from .dataset import csv_records
-from .errors import IoFailure, MalformedRow, OneClassOnly
+from .errors import MalformedRow, OneClassOnly
 from .packets import Label
 
 HISTOGRAM_BINS = 50
@@ -102,10 +104,8 @@ def format_report(report: EvalReport) -> str:
 
 
 def write_report(path: str | Path, report: EvalReport) -> None:
-    try:
-        Path(path).write_text(format_report(report))
-    except OSError as err:
-        raise IoFailure(f"cannot write report {path}: {err}") from err
+    with replacing(path, "report") as fh:
+        fh.write(format_report(report).encode())
 
 
 # --- per-sample score CSV ---
@@ -114,16 +114,13 @@ SCORES_HEADER = ["source_file", "capture_index", "score", "label"]
 
 
 def write_scores(path: str | Path, scored: Sequence[ScoredSample]) -> int:
-    try:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(SCORES_HEADER)
-            for s in scored:
-                fid, idx = s.source_id if s.source_id else ("", -1)
-                label = "" if s.label is None else str(s.label.value)
-                writer.writerow([fid, idx, repr(float(s.score)), label])
-    except OSError as err:
-        raise IoFailure(f"cannot write scores {path}: {err}") from err
+    with replacing(path, "scores") as raw, io.TextIOWrapper(raw, newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(SCORES_HEADER)
+        for s in scored:
+            fid, idx = s.source_id if s.source_id else ("", -1)
+            label = "" if s.label is None else str(s.label.value)
+            writer.writerow([fid, idx, repr(float(s.score)), label])
     return len(scored)
 
 

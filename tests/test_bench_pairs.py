@@ -106,3 +106,50 @@ def test_unscaled_figures_are_summarized_as_metrics_of_their_own():
     rate = out["unscaled_csv_rows_per_s"]
     assert rate["better"] == "higher" and rate["change_better_in"] == 2
     assert "unscaled_setup_s" not in out  # no run recorded it
+
+
+def _pairs(parent_walls, change_walls):
+    runs = []
+    for seed, (p, c) in enumerate(zip(parent_walls, change_walls)):
+        runs += [_run("parent", seed, p, 100), _run("change", seed, c, 100)]
+    return runs
+
+
+PARENT_WALLS = [10.0, 10.2, 10.4, 10.6, 10.8, 11.0, 11.2, 11.4, 11.6, 11.8]
+
+
+@pytest.mark.parametrize("change_walls, holds", [
+    # every pair won, medians 2.0 apart against a parent interquartile range of 1.1
+    ([w - 2.0 for w in PARENT_WALLS], True),
+    # nine pairs won of ten is enough
+    ([w - 2.0 for w in PARENT_WALLS[:9]] + [12.0], True),
+    # eight is not
+    ([w - 2.0 for w in PARENT_WALLS[:8]] + [12.0, 12.0], False),
+    # every pair won, but the medians only 0.5 apart
+    ([w - 0.5 for w in PARENT_WALLS], False),
+])
+def test_the_claim_rule_needs_nine_pairs_in_ten_and_medians_past_the_spread(
+        change_walls, holds):
+    wall = bench_pairs.summarize(_pairs(PARENT_WALLS, change_walls), BETTER)[
+        "resweep"]["metrics"]["wall_s"]
+    assert wall["parent"]["q3"] - wall["parent"]["q1"] == pytest.approx(1.1)
+    assert wall["claim_holds"] is holds
+
+
+def test_the_table_has_a_line_per_workload_and_metric():
+    runs = _pairs(PARENT_WALLS, [w - 2.0 for w in PARENT_WALLS])
+    runs += [_run("parent", 0, 0.0, 90, workload="score"),
+             _run("change", 0, 0.0, 80, workload="score")]
+    lines = bench_pairs.table(bench_pairs.summarize(runs, BETTER)).splitlines()
+    assert lines[0].split() == ["workload", "metric", "parent", "median", "[q1,", "q3]",
+                                "change", "moved", "won", "claim"]
+    assert [line.split() for line in lines[1:]] == [
+        ["resweep", "wall_s", "10.9", "[10.35,", "11.45]", "8.9", "-18.3%", "10/10", "holds"],
+        ["resweep", "csv_rows_per_s", "100", "[100,", "100]", "100", "+0.0%", "0/10", "no"],
+        ["resweep", "spans", "7", "[7,", "7]", "7", "+0.0%", "-", "-"],
+        # a parent median of zero moves by no ratio
+        ["score", "wall_s", "0", "[0,", "0]", "0", "n/a", "0/1", "no"],
+        ["score", "csv_rows_per_s", "90", "[90,", "90]", "80", "-11.1%", "0/1", "no"],
+        ["score", "spans", "7", "[7,", "7]", "7", "+0.0%", "-", "-"]]
+    # the columns line up
+    assert len({line.index(" wall_s") for line in lines if " wall_s" in line}) == 1

@@ -110,6 +110,35 @@ def test_stage_commands_compose(stage_artifacts):
     assert all(l is Label.ANOMALY for l in labels)
 
 
+def test_train_flow_and_synthesize_build_from_the_encoder_tables_alone(
+        tiny_corpus, stage_artifacts, tmp_path, monkeypatch):
+    from flowgate.checkpoint import load_checkpoint
+    from flowgate.extractor import encode_codes, extractor_from_checkpoint
+    train_csv, _ = tiny_corpus
+    root, ext, flw, clf, test_csv = stage_artifacts
+    built, build = [], cli.encoder_from_checkpoint
+
+    def spy(ckpt):
+        built.append(sorted(ckpt.tensors))
+        return build(ckpt)
+
+    monkeypatch.setattr(cli, "encoder_from_checkpoint", spy)
+    assert run_cli("train-flow", "--latents-from", ext, "--data", train_csv,
+                   "--out", tmp_path / "f.ckpt", "--seed", 2, "--epochs", 1,
+                   "--blocks", 4, "--hidden", 16) == 0
+    assert run_cli("synthesize", "--flow", flw, "--extractor", ext, "--data", train_csv,
+                   "--mu", 0, "--sigma", 1, "--ratio", 0.5, "--seed", 2,
+                   "--out", tmp_path / "p.csv") == 0
+    assert len(built) == 2
+    for names in built:
+        assert names and all(name.startswith("encoder.") for name in names)
+    # the same latents as the encoder of the whole extractor
+    whole = extractor_from_checkpoint(load_checkpoint(ext)).encoder
+    np.testing.assert_array_equal(
+        cli._encode_training_data(train_csv, ext),
+        encode_codes(whole, [p.codes for p in read_dataset(train_csv)]))
+
+
 def test_infer_and_eval_commands(stage_artifacts, tmp_path):
     root, ext, flw, clf, test_csv = stage_artifacts
     scores_csv = tmp_path / "scores.csv"

@@ -9,6 +9,7 @@ from flowgate.dataset import (
     read_dataset, read_latents, values_matrix, write_dataset, write_latents,
 )
 from flowgate.errors import MalformedRow
+from flowgate.metrics import ScoredSample, write_scores
 from flowgate.packets import PAYLOAD_OFFSET, EncodedPacket, Label
 from crafting import check_mutants
 
@@ -389,3 +390,35 @@ def test_valid_utf8_outside_ascii_is_a_bad_label_not_undecodable(tmp_path):
     path.write_text(text.replace(",0\n", ",é\n", 1), encoding="utf-8")
     with pytest.raises(MalformedRow, match=r"d\.csv:2: bad label field 'é'"):
         read_dataset(path)
+
+
+class _Broken(list):
+    """Rows that raise once two of them have been read."""
+
+    def __iter__(self):
+        yield from self[:2]
+        raise RuntimeError("row source failed")
+
+    def __getitem__(self, i):
+        if isinstance(i, int) and i >= 2:
+            raise RuntimeError("row source failed")
+        return super().__getitem__(i)
+
+
+def _write_broken(writer, path, rng):
+    if writer == "write_dataset":
+        write_dataset(_Broken(make_packet(rng) for _ in range(5)), path)
+    elif writer == "write_latents":
+        write_latents(path, rng.standard_normal((5, 3)), _Broken([Label.NORMAL] * 5))
+    else:
+        write_scores(path, _Broken(ScoredSample(0.5) for _ in range(5)))
+
+
+@pytest.mark.parametrize("writer", ["write_dataset", "write_latents", "write_scores"])
+def test_a_writer_whose_rows_fail_leaves_the_old_file_and_no_tmp(tmp_path, writer):
+    path = tmp_path / "out.csv"
+    path.write_bytes(b"the old file\n")
+    with pytest.raises(RuntimeError, match="row source failed"):
+        _write_broken(writer, path, np.random.default_rng(0))
+    assert path.read_bytes() == b"the old file\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv"]

@@ -172,6 +172,55 @@ def test_gradient_check_every_layer_type(activation):
         assert max_rel_error(grads[p], num) < 1e-4
 
 
+def _where_sigmoid(x):
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+
+
+# each activation's forward and backward written with np.where, as the oracle
+# of the branch-free passes: (forward(x), backward(x, g))
+WHERE_FORMULAS = {
+    "relu": (nn.relu, lambda x: np.where(x > 0, x, 0.0), lambda x, g: g * (x > 0)),
+    "leaky_relu": (nn.leaky_relu,
+                   lambda x: np.where(x > 0, x, nn.LEAKY_RELU_SLOPE * x),
+                   lambda x, g: g * np.where(x > 0, 1.0, nn.LEAKY_RELU_SLOPE)),
+    "sigmoid": (nn.sigmoid, _where_sigmoid,
+                lambda x, g: g * _where_sigmoid(x) * (1.0 - _where_sigmoid(x))),
+}
+# signed zeros and NaNs, infinities, the smallest subnormals, and exp's edges
+EDGES = [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, -5e-324,
+         709.0, -709.0, 745.0, -745.0]
+
+
+def _assert_same_bits(got, want):
+    nan = np.isnan(want)
+    np.testing.assert_array_equal(np.isnan(got), nan)
+    np.testing.assert_array_equal(got.view(np.int64)[~nan], want.view(np.int64)[~nan])
+
+
+# fmax's sign of zero depends on where a value falls in the array's vector
+# loop, so every input is tried at lengths that take its head, body and tail
+@pytest.mark.parametrize("length", [1, 3, 8, 17, 1000])
+@pytest.mark.parametrize("name", WHERE_FORMULAS)
+def test_activations_are_bit_identical_to_their_where_formulas(name, length):
+    act, forward, grad = WHERE_FORMULAS[name]
+    rng = np.random.default_rng(length)
+    inputs = [np.full(length, edge) for edge in EDGES]
+    for scale in (1e-310, 1.0, 1e3):
+        x = scale * rng.standard_normal(length)
+        at = rng.integers(0, length, len(EDGES))
+        x[at] = EDGES  # the edges among ordinary values, at random places
+        inputs += [scale * rng.standard_normal(length), x]
+    for x in inputs:
+        g = rng.standard_normal(length)
+        a = Tensor(x)
+        with GradTape() as tape, np.errstate(all="ignore"):
+            y = act(a)
+            loss = nn.reduce_sum(nn.mul(y, Tensor(g, requires_grad=False)))
+        _assert_same_bits(y.data, forward(x))
+        _assert_same_bits(backward(tape, loss)[a], grad(x, g))
+
+
 def test_gradient_check_bce_head():
     rng = np.random.default_rng(9)
     net = MLP.create(rng, [4, 6, 1], nn.relu, nn.sigmoid)

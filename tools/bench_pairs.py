@@ -17,7 +17,11 @@ the number of pairs in which the change was better, with the machine it ran
 on: cores, BLAS threads, Python and numpy versions. Each unscaled figure is
 summarized as a metric of its own, `unscaled_<name>`, so a gain can be told
 from a drift of the slowness factor. It is rewritten after every run, so an interrupted set
-keeps the pairs done. Standard library only.
+keeps the pairs done. At the end the summary is printed as a table, one line
+per workload and metric, that says for each metric with a better direction
+whether a gain may be claimed: the change won at least nine pairs in ten, and
+its median is better than the parent's by more than the parent's interquartile
+range. Standard library only.
 """
 from __future__ import annotations
 
@@ -82,13 +86,23 @@ def figures(run: dict) -> dict[str, float]:
             **{f"unscaled_{name}": v for name, v in run.get("unscaled", {}).items()}}
 
 
+def claim_holds(entry: dict, sign: int) -> bool:
+    """The rule for claiming a gain: the change was better in at least nine
+    pairs in ten, and its median is better than the parent's by more than the
+    parent's interquartile range. `sign` is 1 where higher is better, -1 where
+    lower is."""
+    parent, change = entry["parent"], entry["change"]
+    return (entry["change_better_in"] >= 0.9 * entry["pairs"]
+            and sign * (change["median"] - parent["median"]) > parent["q3"] - parent["q1"])
+
+
 def summarize(runs: list[dict], better: dict[str, str]) -> dict:
     """Per workload and metric (unscaled figures included, see `figures`), over
     the pairs (same workload and seed) in which both runs report it: each
     side's median and quartiles, the relative change of the medians, and, for a
     metric `better` gives as "lower" or "higher", the number of pairs in which
-    the change was better. Also whether every run passed its checks, and how
-    many operations failed."""
+    the change was better and whether the gain may be claimed (`claim_holds`).
+    Also whether every run passed its checks, and how many operations failed."""
     better = {**better, **{f"unscaled_{name}": better[name]
                            for name in UNSCALED if name in better}}
     summary: dict[str, dict] = {}
@@ -115,6 +129,7 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
                 entry["better"] = better[name]
                 entry["change_better_in"] = sum(
                     sign * (c - p) > 0 for p, c in zip(sides["parent"], sides["change"]))
+                entry["claim_holds"] = claim_holds(entry, sign)
             metrics[name] = entry
         summary[workload] = {
             "pairs": len(pairs),
@@ -122,6 +137,28 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
             "failed_operations": sum(r.get("failed", 0) for r in mine),
             "metrics": metrics}
     return summary
+
+
+def table(summary: dict) -> str:
+    """One line per workload and metric of a `summarize` result: the parent's
+    median [q1, q3], the change's median, the change of the medians, the pairs
+    the change won and whether a gain may be claimed ("-" for a metric with no
+    better direction), in aligned columns."""
+    rows = [("workload", "metric", "parent median [q1, q3]", "change", "moved", "won",
+             "claim")]
+    for workload, entry in summary.items():
+        for name, m in entry["metrics"].items():
+            parent, moved, directed = m["parent"], m["change_of_median"], "better" in m
+            rows.append((
+                workload, name,
+                f"{parent['median']:.5g} [{parent['q1']:.5g}, {parent['q3']:.5g}]",
+                f"{m['change']['median']:.5g}",
+                "n/a" if moved is None else f"{moved:+.1%}",
+                f"{m['change_better_in']}/{m['pairs']}" if directed else "-",
+                ("holds" if m["claim_holds"] else "no") if directed else "-"))
+    widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
+    return "".join("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() + "\n"
+                   for row in rows)
 
 
 def machine(blas_threads: int) -> dict:
@@ -168,6 +205,7 @@ def main() -> int:
                      "first_seed": args.first_seed, "seconds": args.seconds,
                      "trace": args.trace, "machine": machine(blas_threads),
                      "summary": summary, "runs": runs}, indent=1) + "\n")
+    print(table(summary), end="")
     return 0 if all(s["all_correct"] for s in summary.values()) else 1
 
 
