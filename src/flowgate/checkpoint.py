@@ -154,9 +154,9 @@ def load_checkpoint(path: str | Path, expect_stage: Optional[str] = None,
     is skipped over. The returned Checkpoint's `tensors` holds exactly what was
     materialized; `available` lists every table in the file, and `sha256` is
     the digest of the file's bytes as read when every table is loaded (no
-    `include`), empty otherwise. A malformed header,
-    or a NaN or infinity in a materialized tensor, raises CheckpointMismatch
-    naming the path.
+    `include`), empty otherwise. A malformed header, a shape table that
+    lists a tensor twice, or a NaN or infinity in a materialized tensor,
+    raises CheckpointMismatch naming the path.
     """
     try:
         with open(path, "rb") as fh:
@@ -198,6 +198,10 @@ def load_checkpoint(path: str | Path, expect_stage: Optional[str] = None,
         raise CheckpointMismatch(
             f"{path}: header needs an int seed, a string config_fingerprint, a meta "
             "object and a tensors list of [name, [non-negative ints]]")
+    available = tuple(name for name, _ in table)
+    if len(set(available)) != len(available):
+        twice = next(name for name in available if available.count(name) > 1)
+        raise CheckpointMismatch(f"{path}: the shape table lists tensor {twice} twice")
 
     # exact integer sizes: a shape too large for int64 cannot wrap to a small one
     total = sum(math.prod(shape) for _, shape in table)
@@ -222,7 +226,7 @@ def load_checkpoint(path: str | Path, expect_stage: Optional[str] = None,
     return Checkpoint(stage=stage, seed=seed,
                       config_fingerprint=header["config_fingerprint"],
                       tensors=tensors, meta=meta,
-                      available=tuple(name for name, _ in table), path=str(path),
+                      available=available, path=str(path),
                       sha256=hashlib.sha256(raw).hexdigest() if include is None else "")
 
 

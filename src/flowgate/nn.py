@@ -1,7 +1,7 @@
 """Minimal dense-network substrate: tensors, reverse-mode gradients, Adam.
 
 Everything runs eagerly on float64 numpy arrays. While a GradTape is active,
-operations also record backward closures; `backward` replays them in one walk
+operations also record gradient functions; `backward` replays them in one walk
 in reverse to produce exact gradients for every leaf the tape touched. Double
 precision keeps the finite-difference checks in the test suite tight. A dense
 layer's activation is one of this module's operations, such as `relu`, or None
@@ -15,8 +15,15 @@ signed zeros, NaNs, infinities and subnormals included (the comment in each
 says why). `relu`'s backward reads its mask from the input its record holds,
 so a forward pass builds none.
 
+One rule decides which inputs take a gradient, in one place. An operation
+hands `_record` one (input, gradient function) pair per input, and the record
+keeps the pairs of the inputs that require a gradient and no others.
+`backward` calls each kept function; where its result has a shape other than
+its input's (a broadcast operand), `backward` sums it to the input's shape,
+and nothing else reduces a broadcast gradient.
+
 There are two ways to stop a gradient, and no other. A tensor whose
-`requires_grad` is false is a constant: operations compute no gradient for it,
+`requires_grad` is false is a constant: no gradient is computed for it,
 `backward` returns none, and an operation on constants alone is not recorded.
 Input batches are made constants. `frozen(params)` makes a parameter list
 constant inside it and always restores each flag, so a network that only
@@ -55,8 +62,8 @@ LEAKY_RELU_SLOPE = 0.2
 class Tensor:
     """A float64 array; `backward` returns gradients keyed by tensor.
 
-    A tensor with `requires_grad` false is a constant: operations on a tape
-    compute no gradient for it and `backward` returns none. An operation none
+    A tensor with `requires_grad` false is a constant: a tape records no
+    gradient function for it and `backward` returns none. An operation none
     of whose inputs requires a gradient records nothing, and its output is a
     constant too."""
 
@@ -104,7 +111,8 @@ def _wrap(x) -> Tensor:
 
 # an operation of this module, such as `relu`, or None for none
 ActivationFn = Callable[[Tensor], Tensor] | None
-BackwardFn = Callable[[Array], tuple[Array | None, ...]]
+# an output gradient -> an input's gradient, before any broadcast is reduced
+GradFn = Callable[[Array], Array]
 
 # the innermost tape records
 _TAPE_STACK: list[GradTape] = []
@@ -118,7 +126,7 @@ class GradTape:
     """
 
     def __init__(self) -> None:
-        self._records: list[tuple[Tensor, tuple[Tensor, ...], BackwardFn]] = []
+        self._records: list[tuple[Tensor, tuple[tuple[Tensor, GradFn], ...]]] = []
         self._outputs: set[int] = set()
 
     def __enter__(self) -> "GradTape":
@@ -146,18 +154,18 @@ def frozen(params: Sequence[Tensor]):
             p.requires_grad = flag
 
 
-def _record(out: Tensor, inputs: tuple[Tensor, ...], backward_fn: BackwardFn) -> Tensor:
-    """Records an operation on the active tape; an input that is a constant when
-    it is recorded is held as None, so `backward` gives it no gradient."""
+def _record(out: Tensor, *pairs: tuple[Tensor, GradFn]) -> Tensor:
+    """Records an operation on the active tape, given one (input, gradient
+    function) pair per input. This is the one place that decides which inputs
+    take a gradient: the record keeps the pairs of inputs that require one
+    when it is made, so a constant's gradient function is never called."""
     if _TAPE_STACK:
-        tape = _TAPE_STACK[-1]
-        needed = [t.requires_grad for t in inputs]
-        if not any(needed):
+        kept = tuple([pair for pair in pairs if pair[0].requires_grad])
+        if not kept:
             out.requires_grad = False
             return out
-        if not all(needed):
-            inputs = tuple([t if need else None for t, need in zip(inputs, needed)])
-        tape._records.append((out, inputs, backward_fn))
+        tape = _TAPE_STACK[-1]
+        tape._records.append((out, kept))
         tape._outputs.add(id(out))
     return out
 
@@ -167,13 +175,16 @@ def backward(tape: GradTape, loss: Tensor,
     """Gradients of a scalar loss w.r.t. every leaf of the tape: each tensor
     a record reads that no record produced.
 
-    The walk goes once over the records, back to front. A record's output
-    gradient is dropped once the record has passed it on to its inputs, and a
-    leaf's gradient is handed off as soon as it is final, once the walk has
-    passed the earliest record that reads the leaf. Without `take` the
-    hand-offs are collected into the returned dict; tensors never touched by
-    the tape, and constants, are simply absent from it, and callers treat them
-    as zero-gradient (see `grads_for`). With `take`, each is handed to
+    The walk goes once over the records, back to front, and calls each kept
+    gradient function of a record whose output has a gradient. A result whose
+    shape is not its input's, the gradient of a broadcast operand, is summed
+    to the input's shape here, and nowhere else. A record's output gradient is
+    dropped once the record has passed it on to its inputs, and a leaf's
+    gradient is handed off as soon as it is final, once the walk has passed
+    the earliest record that reads the leaf. Without `take` the hand-offs are
+    collected into the returned dict; tensors never touched by the tape, and
+    constants, are simply absent from it, and callers treat them as
+    zero-gradient (see `grads_for`). With `take`, each is handed to
     `take(leaf, grad)` and not kept: the result is then empty. `take` may
     overwrite the leaf's array in place, unless an earlier record read that
     array as a constant (frozen).
@@ -189,21 +200,23 @@ def backward(tape: GradTape, loss: Tensor,
     # record index -> the leaves it is the earliest record to read
     finals: dict[int, list[Tensor]] = {}
     seen = set(tape._outputs)
-    for i, (_, inputs, _) in enumerate(records):
-        for tensor in inputs:
-            if tensor is not None and id(tensor) not in seen:
+    for i, (_, pairs) in enumerate(records):
+        for tensor, _ in pairs:
+            if id(tensor) not in seen:
                 seen.add(id(tensor))
                 finals.setdefault(i, []).append(tensor)
     grads: dict[int, Array] = {id(loss): np.ones_like(loss.data)}
     for i in range(len(records) - 1, -1, -1):
-        out, inputs, backward_fn = records[i]
+        out, pairs = records[i]
         if id(out) in grads:
-            for tensor, g in zip(inputs, backward_fn(grads.pop(id(out)))):
-                if tensor is None or g is None:
-                    continue
+            g_out = grads.pop(id(out))
+            for tensor, grad_fn in pairs:
+                g = grad_fn(g_out)
+                if g.shape != tensor.data.shape:
+                    g = _unbroadcast(g, tensor.data.shape)
                 key = id(tensor)
                 grads[key] = grads[key] + g if key in grads else g
-            g = None  # the loop's last gradient, which may be a leaf's taken below
+            g = g_out = None  # the loop's last gradients, which may be a leaf's taken below
         for leaf in finals.get(i, ()):
             if id(leaf) in grads:
                 take(leaf, grads.pop(id(leaf)))
@@ -216,8 +229,8 @@ def grads_for(grads: dict[Tensor, Array], params: Sequence[Tensor]) -> list[Arra
 
 
 def _unbroadcast(g: Array, shape: tuple[int, ...]) -> Array:
-    if g.shape == shape:
-        return g
+    """`g`, the gradient of an operand broadcast to `g.shape`, summed over
+    the axes the broadcast added or stretched."""
     extra = g.ndim - len(shape)
     if extra > 0:
         g = g.sum(axis=tuple(range(extra)))
@@ -227,73 +240,42 @@ def _unbroadcast(g: Array, shape: tuple[int, ...]) -> Array:
     return g.reshape(shape)
 
 
+def _same(g: Array) -> Array:
+    return g
+
+
 # --- elementwise operations ---
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    out = Tensor(a.data + b.data)
-
-    def bw(g: Array):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
-
-    return _record(out, (a, b), bw)
+    return _record(Tensor(a.data + b.data), (a, _same), (b, _same))
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    out = Tensor(a.data - b.data)
-
-    def bw(g: Array):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape)
-
-    return _record(out, (a, b), bw)
+    return _record(Tensor(a.data - b.data), (a, _same), (b, np.negative))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     ad, bd = a.data, b.data
-    out = Tensor(ad * bd)
-
-    def bw(g: Array):
-        return _unbroadcast(g * bd, ad.shape), _unbroadcast(g * ad, bd.shape)
-
-    return _record(out, (a, b), bw)
+    return _record(Tensor(ad * bd), (a, lambda g: g * bd), (b, lambda g: g * ad))
 
 
 def neg(a: Tensor) -> Tensor:
-    out = Tensor(-a.data)
-
-    def bw(g: Array):
-        return (-g,)
-
-    return _record(out, (a,), bw)
+    return _record(Tensor(-a.data), (a, np.negative))
 
 
 def exp(a: Tensor) -> Tensor:
     e = np.exp(a.data)
-    out = Tensor(e)
-
-    def bw(g: Array):
-        return (g * e,)
-
-    return _record(out, (a,), bw)
+    return _record(Tensor(e), (a, lambda g: g * e))
 
 
 def log(a: Tensor) -> Tensor:
-    out = Tensor(np.log(a.data))
     ad = a.data
-
-    def bw(g: Array):
-        return (g / ad,)
-
-    return _record(out, (a,), bw)
+    return _record(Tensor(np.log(ad)), (a, lambda g: g / ad))
 
 
 def tanh(a: Tensor) -> Tensor:
     t = np.tanh(a.data)
-    out = Tensor(t)
-
-    def bw(g: Array):
-        return (g * (1.0 - t * t),)
-
-    return _record(out, (a,), bw)
+    return _record(Tensor(t), (a, lambda g: g * (1.0 - t * t)))
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -307,69 +289,42 @@ def sigmoid(a: Tensor) -> Tensor:
     s += 0.5
     np.maximum(s, e, out=s)
     s /= 1.0 + e
-    out = Tensor(s)
-
-    def bw(g: Array):
-        return (g * s * (1.0 - s),)
-
-    return _record(out, (a,), bw)
+    return _record(Tensor(s), (a, lambda g: g * s * (1.0 - s)))
 
 
 def relu(a: Tensor) -> Tensor:
     x = a.data
     out = Tensor(np.fmax(x, 0.0))  # 0 for NaN, as fmax takes the number
     out.data += 0.0  # +0.0 for the -0.0 fmax returns for -0.0 at some lengths
-
-    def bw(g: Array):
-        return (g * (x > 0),)
-
-    return _record(out, (a,), bw)
+    return _record(out, (a, lambda g: g * (x > 0)))
 
 
 def leaky_relu(a: Tensor) -> Tensor:
     # exact for a slope in [0, 1]: x is the larger above 0, slope * x below
     x = a.data
-    out = Tensor(np.maximum(x, LEAKY_RELU_SLOPE * x))
-
-    def bw(g: Array):
-        return (g * np.maximum(x > 0, LEAKY_RELU_SLOPE),)
-
-    return _record(out, (a,), bw)
+    return _record(Tensor(np.maximum(x, LEAKY_RELU_SLOPE * x)),
+                   (a, lambda g: g * np.maximum(x > 0, LEAKY_RELU_SLOPE)))
 
 
 def clamp(a: Tensor, lo: float, hi: float) -> Tensor:
-    out = Tensor(np.clip(a.data, lo, hi))
     inside = (a.data > lo) & (a.data < hi)
-
-    def bw(g: Array):
-        return (g * inside,)
-
-    return _record(out, (a,), bw)
+    return _record(Tensor(np.clip(a.data, lo, hi)), (a, lambda g: g * inside))
 
 
 # --- reductions ---
 
 def reduce_sum(a: Tensor, axis: int | None = None) -> Tensor:
-    out = Tensor(a.data.sum(axis=axis))
     shape = a.data.shape
 
-    def bw(g: Array):
-        if axis is None:
-            return (np.broadcast_to(g, shape),)
-        return (np.broadcast_to(np.expand_dims(g, axis), shape),)
+    def grad(g: Array) -> Array:
+        return np.broadcast_to(g if axis is None else np.expand_dims(g, axis), shape)
 
-    return _record(out, (a,), bw)
+    return _record(Tensor(a.data.sum(axis=axis)), (a, grad))
 
 
 def mean(a: Tensor) -> Tensor:
-    out = Tensor(a.data.mean())
-    n = a.data.size
-    shape = a.data.shape
-
-    def bw(g: Array):
-        return (np.broadcast_to(g / n, shape),)
-
-    return _record(out, (a,), bw)
+    n, shape = a.data.size, a.data.shape
+    return _record(Tensor(a.data.mean()), (a, lambda g: np.broadcast_to(g / n, shape)))
 
 
 # --- structural ops ---
@@ -380,26 +335,22 @@ def mean(a: Tensor) -> Tensor:
 
 def columns(a: Tensor, cols: slice) -> Tensor:
     """The columns `cols` of a batch [n, width]."""
-    out = Tensor(np.asfortranarray(a.data[:, cols]))
     shape = a.data.shape
 
-    def bw(g: Array):
+    def grad(g: Array) -> Array:
         ga = np.zeros(shape)
         ga[:, cols] = g
-        return (ga,)
+        return ga
 
-    return _record(out, (a,), bw)
+    return _record(Tensor(np.asfortranarray(a.data[:, cols])), (a, grad))
 
 
 def concat(parts: Sequence[Tensor]) -> Tensor:
     """Batches [n, width_i] side by side, in order."""
     out = Tensor(np.concatenate([p.data for p in parts], axis=1))
     bounds = np.cumsum([0] + [p.data.shape[1] for p in parts])
-
-    def bw(g: Array):
-        return tuple(np.asfortranarray(g[:, lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:]))
-
-    return _record(out, tuple(parts), bw)
+    return _record(out, *[(p, lambda g, lo=lo, hi=hi: np.asfortranarray(g[:, lo:hi]))
+                          for p, lo, hi in zip(parts, bounds[:-1], bounds[1:])])
 
 
 def linear(x: Tensor, weights: Tensor, bias: Tensor) -> Tensor:
@@ -410,15 +361,8 @@ def linear(x: Tensor, weights: Tensor, bias: Tensor) -> Tensor:
             f"input shape {xd.shape} incompatible with weights {wd.shape}")
     y = xd @ wd.T
     y += bd
-    out = Tensor(y)
-    # only the gradients `backward` will take: none for a constant input or frozen weights
-    need_x, need_w, need_b = x.requires_grad, weights.requires_grad, bias.requires_grad
-
-    def bw(g: Array):
-        return (g @ wd if need_x else None, g.T @ xd if need_w else None,
-                g.sum(axis=0) if need_b else None)
-
-    return _record(out, (x, weights, bias), bw)
+    return _record(Tensor(y), (x, lambda g: g @ wd), (weights, lambda g: g.T @ xd),
+                   (bias, lambda g: g.sum(axis=0)))
 
 
 # --- losses ---

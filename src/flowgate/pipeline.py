@@ -429,6 +429,8 @@ def ratio_ablation(cfg: PipelineConfig, ratios: Sequence[float],
     workdir cache. Emits a comparison table: one row per noise setting, one
     column per ratio.
     """
+    if not ratios:
+        raise BadConfig("the ratio ablation needs at least one ratio")
     # two ratios that share a tag would write, and overwrite, the same files
     tagged: dict[str, float] = {}
     for r in ratios:
@@ -454,6 +456,8 @@ def ratio_ablation(cfg: PipelineConfig, ratios: Sequence[float],
 def repeat_pipeline(cfg: PipelineConfig, seeds: Sequence[int],
                     ) -> tuple[str, list[PipelineResult]]:
     """Run the whole pipeline once per seed; summarizes mean/stddev of best AUROC."""
+    if not seeds:
+        raise BadConfig("repeating the pipeline needs at least one seed")
     # a repeated seed would rerun `seed<N>` and count its AUROC twice
     for i, seed in enumerate(seeds):
         if seed in seeds[:i]:

@@ -101,6 +101,22 @@ def checkpoint_with_nested_header(raw: bytes, depth: int = 200_000) -> bytes:
     return raw[:10] + struct.pack("<I", len(blob)) + blob + raw[14 + length:]
 
 
+def checkpoint_with_table_twice(raw: bytes, name: str) -> bytes:
+    """A checkpoint file's bytes whose header's table lists table `name` again
+    at its end, with that table's bytes repeated at the payload's end, so the
+    payload still holds as many values as the table wants."""
+    (length,) = struct.unpack_from("<I", raw, 10)
+    payload, start = raw[14 + length:], 0
+    for entry in json.loads(raw[14:14 + length])["tensors"]:
+        size = 8 * math.prod(entry[1])
+        if entry[0] == name:
+            break
+        start += size
+    assert entry[0] == name, name
+    return (checkpoint_with_header(raw, lambda h: {**h, "tensors": h["tensors"] + [entry]})
+            + payload[start:start + size])
+
+
 def checkpoint_without_table(raw: bytes, name: str) -> bytes:
     """A checkpoint file's bytes with table `name` dropped from both the header's
     table and the payload, so the file stays self-consistent."""

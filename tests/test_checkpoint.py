@@ -10,14 +10,16 @@ from flowgate.checkpoint import (
     config_fingerprint, load_checkpoint, matches, save_checkpoint,
 )
 from flowgate.classifier import (
-    ClassifierConfig, classifier_from_checkpoint, train_classifier,
+    ClassifierConfig, ClassifierModel, classifier_from_checkpoint, train_classifier,
 )
 from flowgate.errors import CheckpointMismatch, FlowgateError, IoFailure
 from flowgate.extractor import (
     ExtractorConfig, encoder_from_checkpoint, extractor_from_checkpoint, train_extractor,
 )
 from flowgate.flow import FlowConfig, FlowModel, flow_from_checkpoint, train_flow
-from crafting import checkpoint_with_header, checkpoint_with_nested_header
+from crafting import (
+    checkpoint_with_header, checkpoint_with_nested_header, checkpoint_with_table_twice,
+)
 
 
 def sample_checkpoint(stage=STAGE_FLOW, seed=3):
@@ -218,6 +220,21 @@ def test_a_header_nested_too_deep_raises_mismatch_naming_the_path(tmp_path):
     save_checkpoint(path, sample_checkpoint())
     path.write_bytes(checkpoint_with_nested_header(path.read_bytes()))
     with pytest.raises(CheckpointMismatch, match=re.escape(f"{path}: corrupt header")):
+        load_checkpoint(path)
+
+
+def test_a_shape_table_listing_a_tensor_twice_raises_mismatch_naming_it(tmp_path):
+    # the repeated table's bytes are in the payload, so its size is right
+    cfg = ClassifierConfig(widths=(4, 3, 2, 1))
+    model = ClassifierModel.create(cfg, 0)
+    path = tmp_path / "clf.ckpt"
+    save_checkpoint(path, Checkpoint(
+        stage=STAGE_CLASSIFIER, seed=0, config_fingerprint="",
+        tensors={name: t.data for name, t in model.param_items()},
+        meta={"config": cfg.to_dict()}))
+    path.write_bytes(checkpoint_with_table_twice(path.read_bytes(), "classifier.0.W"))
+    with pytest.raises(CheckpointMismatch, match=re.escape(
+            f"{path}: the shape table lists tensor classifier.0.W twice")):
         load_checkpoint(path)
 
 

@@ -89,12 +89,10 @@ def stage_artifacts(tiny_corpus, tmp_path_factory):
     assert run_cli("synthesize", "--flow", flw, "--extractor", ext,
                    "--data", train_csv, "--mu", 0, "--sigma", 1,
                    "--ratio", 0.5, "--seed", 2, "--out", pseudo) == 0
-    # normal latents for classifier training come from the same encoder
-    from flowgate.checkpoint import load_checkpoint
-    from flowgate.dataset import values_matrix, write_latents
-    from flowgate.extractor import extractor_from_checkpoint
-    model = extractor_from_checkpoint(load_checkpoint(ext))
-    latents = model.encode(values_matrix(read_dataset(train_csv)))
+    # normal latents for classifier training come from the same encoder, on
+    # the path `train-flow` and `synthesize` encode them by
+    from flowgate.dataset import write_latents
+    latents = cli._encode_training_data(str(train_csv), str(ext))
     normals_csv = root / "normals.csv"
     write_latents(normals_csv, latents, [Label.NORMAL] * latents.shape[0])
     assert run_cli("train-classifier", "--normals", normals_csv,

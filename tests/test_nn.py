@@ -268,8 +268,58 @@ def test_columns_and_their_gradients_are_column_major():
         merged = nn.concat([a, nn.columns(x, slice(2, 5))])
     assert a.data.flags.f_contiguous
     np.testing.assert_array_equal(merged.data, x.data)
-    _, _, concat_backward = tape._records[-1]
-    assert all(g.flags.f_contiguous for g in concat_backward(np.ones((4, 5))))
+    _, pairs = tape._records[-1]
+    assert len(pairs) == 2
+    assert all(grad(np.ones((4, 5))).flags.f_contiguous for _, grad in pairs)
+
+
+# an operation with a constant operand c: c's shape, the operation, and dL/dx
+# of L = sum(op(c, x) * w) for a constant w
+CONSTANT_OPERANDS = {
+    "c * x": ((), lambda c, x: c * x, lambda c, w: w * c),  # a scalar, as the flow's clamp
+    "c - x": ((3, 4), lambda c, x: c - x, lambda c, w: -w),
+    "x + c": ((3, 4), lambda c, x: x + c, lambda c, w: w),
+    "concat([c, x])": ((3, 2), lambda c, x: nn.concat([c, x]), lambda c, w: w[:, 2:]),
+}
+
+
+@pytest.mark.parametrize("shape,op,closed_form", CONSTANT_OPERANDS.values(),
+                         ids=CONSTANT_OPERANDS.keys())
+def test_a_record_holds_a_gradient_function_for_its_trainable_inputs_only(
+        shape, op, closed_form):
+    rng = np.random.default_rng(15)
+    x = Tensor(rng.standard_normal((3, 4)))
+    c = Tensor(rng.standard_normal(shape), requires_grad=False)
+    with GradTape() as tape:
+        y = op(c, x)
+        w = Tensor(rng.standard_normal(y.shape), requires_grad=False)
+        loss = nn.reduce_sum(y * w)
+    _, pairs = tape._records[0]
+    assert [t for t, _ in pairs] == [x]
+    grads = backward(tape, loss)
+    assert c not in grads
+    np.testing.assert_array_equal(grads[x], closed_form(c.data, w.data))
+
+
+def test_gradient_check_trainable_operands_that_broadcast():
+    # a [4] bias added to a [3, 4] batch, and a scalar times a matrix: each
+    # gradient is summed back to its operand's shape in `backward`
+    rng = np.random.default_rng(16)
+    batch = Tensor(rng.standard_normal((3, 4)))
+    bias = Tensor(rng.standard_normal(4))
+    scale = Tensor(np.array(1.5))
+
+    def compute():
+        y = scale * nn.tanh(batch + bias)
+        return nn.mean(y * y)
+
+    with GradTape() as tape:
+        loss = compute()
+    grads = backward(tape, loss)
+    for t in (batch, bias, scale):
+        assert grads[t].shape == t.shape
+        num = numeric_grad(lambda: compute().item(), t.data)
+        assert max_rel_error(grads[t], num) < 1e-6
 
 
 def test_mse_values():

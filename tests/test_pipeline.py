@@ -21,7 +21,9 @@ from flowgate.extractor import ExtractorConfig, FeatureExtractor, encode_codes, 
 from flowgate.metrics import format_report, read_scores
 from flowgate.packets import EncodedPacket, VECTOR_LEN
 import flowgate.pipeline as pipeline
-from flowgate.pipeline import InferenceEngine, infer, ratio_ablation, run_pipeline
+from flowgate.pipeline import (
+    InferenceEngine, infer, ratio_ablation, repeat_pipeline, run_pipeline,
+)
 from conftest import tiny_pipeline_config
 from crafting import (
     checkpoint_with_header, checkpoint_with_nested_header, checkpoint_without_table,
@@ -542,6 +544,18 @@ def test_ratio_ablation_completes_and_tabulates(tiny_corpus, tmp_path):
     for r, res in results.items():
         for report in res.reports.values():
             assert 0.0 <= report.auroc <= 1.0
+
+
+@pytest.mark.parametrize("run", [repeat_pipeline, ratio_ablation],
+                         ids=["seeds", "ratios"])
+def test_an_empty_seed_or_ratio_list_is_refused_before_anything_is_written(
+        run, tiny_corpus, tmp_path):
+    # a summary of no runs would read a NaN mean, or a table with no column
+    train_csv, test_csv = tiny_corpus
+    cfg = tiny_pipeline_config(tmp_path / "w", train_csv, test_csv)
+    with pytest.raises(BadConfig, match="at least one"):
+        run(cfg, [])
+    assert not (tmp_path / "w").exists()
 
 
 def test_unlabeled_inference_report_absent(pipeline_run, tiny_corpus, tmp_path):

@@ -12,8 +12,9 @@ directory, with one BLAS thread:
   - `pipeline --config` with file values (ratio 0.75, w_adv 2, w_rec 40, tiny
     widths, 3 epochs) and flags (seed 5, lr 0.002, batch size 32, patience 1);
   - the stage chain `train-extractor` -> `train-flow` -> `synthesize` ->
-    `train-classifier` -> `infer`, its normal latents written from the
-    extractor by `write_latents`.
+    `train-classifier` -> `infer`, its normal latents encoded from the
+    extractor's encoder tables by `encode_codes`, as `train-flow` encodes
+    them, and written by `write_latents`.
 Prints one JSON object, {"<run>/<file>": sha256}, sorted; `run.json` is left
 out. With --against FILE (an earlier output, say the parent's), it also lists
 on standard error every file whose digest differs or that only one side has,
@@ -67,14 +68,15 @@ def differences(mine: dict[str, str], theirs: dict[str, str]) -> list[str]:
 
 
 def write_normal_latents(extractor: Path, data: Path, out: Path) -> None:
-    """The extractor's latents of a normal CSV, which no subcommand writes."""
+    """The extractor's latents of a normal CSV, which no subcommand writes,
+    encoded from the packets' byte codes."""
     from flowgate.checkpoint import load_checkpoint
-    from flowgate.dataset import read_dataset, values_matrix, write_latents
-    from flowgate.extractor import extractor_from_checkpoint
+    from flowgate.dataset import codes_matrix, read_dataset, write_latents
+    from flowgate.extractor import encode_codes, encoder_from_checkpoint
     from flowgate.packets import Label
 
-    latents = extractor_from_checkpoint(load_checkpoint(extractor)).encode(
-        values_matrix(read_dataset(data)))
+    encoder = encoder_from_checkpoint(load_checkpoint(extractor, include=("encoder.",)))
+    latents = encode_codes(encoder, codes_matrix(read_dataset(data)))
     write_latents(out, latents, [Label.NORMAL] * latents.shape[0])
 
 
