@@ -11,7 +11,6 @@ import argparse
 import logging
 import re
 import sys
-from pathlib import Path
 from typing import Optional, get_type_hints
 
 from .checkpoint import (
@@ -19,8 +18,8 @@ from .checkpoint import (
 )
 from .classifier import ClassifierConfig, train_classifier
 from .corpus import make_synthetic_corpus
-from .dataset import read_dataset, read_latents, write_dataset, write_latents
-from .errors import AnomalyInTrainingSet, BadConfig, FlowgateError, IoFailure
+from .dataset import read_dataset, read_latents, text_lines, write_dataset, write_latents
+from .errors import AnomalyInTrainingSet, BadConfig, FlowgateError
 from .extractor import (
     ExtractorConfig, encode_codes, encoder_from_checkpoint, train_extractor,
     training_matrix,
@@ -202,14 +201,8 @@ def _config_value(key: str, text: str, where: str = ""):
 
 
 def _read_config_file(path: str) -> dict:
-    try:
-        text = Path(path).read_text()
-    except OSError as err:
-        raise IoFailure(f"cannot read config file {path}: {err}") from err
-    except UnicodeDecodeError as err:
-        raise BadConfig(f"{path}: not a text file: {err}") from None
     values: dict = {}
-    for lineno, line in enumerate(text.splitlines(), 1):
+    for lineno, line in enumerate(text_lines(path, "config file"), 1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue

@@ -18,6 +18,12 @@ exactly 1/255. NaN, infinities, values outside [0, 1] or off that grid, a
 wrong column count and a label other than empty, "0" or "1" are rejected
 with MalformedRow naming the line.
 
+Every reader (read_dataset, read_latents, metrics.read_scores, the CLI's
+config file) takes its lines from text_lines, which reads the file as bytes
+in 1 MB blocks: a line ends at LF, CR or CR LF only, and each is decoded
+once, strictly as UTF-8, at ASCII speed when it is ASCII. An error names
+the physical line, also after a quoted field that spans lines.
+
 The writers write beside their target and rename the file over it
 (`checkpoint.replacing`), so a write that fails or is killed partway leaves
 the old file or none, never a truncated one.
@@ -49,6 +55,8 @@ _LABEL_OF = {"": None, "0": Label.NORMAL, "1": Label.ANOMALY}
 # count of trailing zeros a row can hold
 _ZERO_RUNS = [(1 << i, ",0.0" * (1 << i))
               for i in reversed(range((VECTOR_LEN - 1).bit_length()))]
+# bytes `text_lines` reads from its file at a time
+_READ_BUFFER = 1 << 20
 
 
 def _label_str(label: Optional[Label]) -> str:
@@ -116,23 +124,27 @@ def _parse_row(row: list[str], where: str) -> tuple[bytes, Optional[Label]]:
 
 def text_lines(path: str | Path, what: str) -> Iterator[str]:
     """The lines of the file at `path` as UTF-8 text, line ends kept, read as
-    they are used. A file that cannot be read is an IoFailure naming `what`; a
-    line that is not UTF-8, a MalformedRow naming it. Only a line that is not
-    ASCII is encoded again to find out."""
+    they are used. The file is read as bytes: a line ends at LF, CR or CR LF,
+    as in text mode with newline="", and no other separator (FF, NEL, U+2028)
+    ends one. Each line is decoded once, strictly as UTF-8, which runs at
+    ASCII speed on an ASCII line. An LF or CR LF file is held one line at a
+    time; a file whose lines end in a lone CR is held until its next LF. A
+    file that cannot be read is an IoFailure naming `what`; a line that is
+    not UTF-8, a MalformedRow naming it."""
     try:
-        fh = open(path, encoding="utf-8", errors="surrogateescape", newline="")
+        fh = open(path, "rb", buffering=_READ_BUFFER)
     except OSError as err:
         raise IoFailure(f"cannot read {what} {path}: {err}") from err
     with fh:
-        for lineno, line in enumerate(fh, 1):
-            # an undecodable byte reads as a lone surrogate, which UTF-8 cannot
-            # encode; an ASCII line holds none, and isascii costs no scan
-            if not line.isascii():
+        lineno = 0
+        for chunk in fh:
+            # a chunk ends at its first LF; a CR before that ends lines too
+            for line in chunk.splitlines(keepends=True) if b"\r" in chunk else (chunk,):
+                lineno += 1
                 try:
-                    line.encode("utf-8")
-                except UnicodeEncodeError:
+                    yield line.decode("utf-8")
+                except UnicodeDecodeError:
                     raise MalformedRow(f"{path}:{lineno}: undecodable text") from None
-            yield line
 
 
 def read_dataset(path: str | Path) -> list[EncodedPacket]:
@@ -144,15 +156,21 @@ def read_dataset(path: str | Path) -> list[EncodedPacket]:
     try:
         if next(csv.reader(lines), None) != DATASET_HEADER:
             raise MalformedRow(f"{path}: missing or wrong header row")
-        for lineno, line in enumerate(lines):
-            where = f"{path}:{lineno + 2}"
+        lineno = 1
+        # a packet's source id is its record index, which runs behind the line
+        # number once a quoted field has spanned lines
+        for index, line in enumerate(lines):
+            lineno += 1
+            where = f"{path}:{lineno}"
             looked_up = _lookup_row(line)
             if looked_up is None:
                 # csv.reader pulls further lines when a quoted field spans them
-                record = next(csv.reader(itertools.chain([line], lines)))
+                reader = csv.reader(itertools.chain([line], lines))
+                record = next(reader)
+                lineno += reader.line_num - 1
                 looked_up = _parse_row(record, where)
             codes, label = looked_up
-            packets.append(EncodedPacket(codes, label, (fid, lineno)))
+            packets.append(EncodedPacket(codes, label, (fid, index)))
     except csv.Error as err:
         raise MalformedRow(f"{where}: {err}") from err
     return packets

@@ -46,7 +46,8 @@ class IoFailure(FlowgateError):
 
 
 class MalformedRow(FlowgateError):
-    """CSV row has the wrong column count, a non-numeric field, or an out-of-range value."""
+    """CSV row has the wrong column count, a non-numeric field, or an out-of-range
+    value, or a line of a CSV or config file is not UTF-8."""
 
 
 # --- numeric core ---

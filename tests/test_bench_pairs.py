@@ -153,3 +153,21 @@ def test_the_table_has_a_line_per_workload_and_metric():
         ["score", "spans", "7", "[7,", "7]", "7", "+0.0%", "-", "-"]]
     # the columns line up
     assert len({line.index(" wall_s") for line in lines if " wall_s" in line}) == 1
+
+
+def test_slowness_is_summarized_with_no_better_direction():
+    # a loaded machine: the parent's runs were slowed more than the change's
+    runs = []
+    for seed, (p_slow, c_slow) in enumerate([(0.63, 1.0), (1.49, 1.1), (1.2, 0.9), (0.8, 1.0)]):
+        for side, slowness in (("parent", p_slow), ("change", c_slow)):
+            runs.append({**_run(side, seed, 10, 100), "slowness": slowness})
+    runs.append({**_run("parent", 9, 10, 100, correct=False)})  # a failed run has none
+    summary = bench_pairs.summarize(runs, {**BETTER, "spans": "lower"})
+    slowness = summary["resweep"]["metrics"]["slowness"]
+    assert slowness["pairs"] == 4 and "better" not in slowness
+    assert slowness["parent"] == pytest.approx({"median": 1.0, "q1": 0.6725, "q3": 1.4175})
+    assert slowness["change"]["median"] == pytest.approx(1.0)
+    assert "change_better_in" not in slowness and "claim_holds" not in slowness
+    (line,) = [line for line in bench_pairs.table(summary).splitlines() if " slowness " in line]
+    assert line.split() == ["resweep", "slowness", "1", "[0.6725,", "1.4175]", "1", "+0.0%",
+                            "-", "-"]

@@ -1,6 +1,7 @@
 import argparse
 import dataclasses
 import math
+import re
 import struct
 import subprocess
 import sys
@@ -10,7 +11,7 @@ import pytest
 
 import flowgate.cli as cli
 from flowgate.cli import _PIPELINE_KEYS, build_parser, main
-from flowgate.errors import IoFailure
+from flowgate.errors import BadConfig, FlowgateError, IoFailure
 from flowgate.nn import TrainConfig
 from flowgate.pipeline import PipelineConfig
 from flowgate.dataset import read_dataset, read_latents
@@ -395,6 +396,28 @@ def test_pipeline_bad_config_file_value_names_key_and_line(tiny_corpus, tmp_path
     assert err.startswith("error:")
     assert f"{config}:4: epochs" in err
     assert not list(tmp_path.rglob("*.ckpt"))
+
+
+@pytest.mark.parametrize("separator", ["\u2028", "\x0c", "\x85", "\x0b", "\x1c"],
+                         ids=["line-separator", "form-feed", "nel", "vertical-tab", "file-sep"])
+def test_a_separator_inside_a_config_comment_is_text_of_the_comment(tmp_path, separator):
+    # only LF, CR and CR LF end a line: the comment is one line, and seed
+    # stays on line 3
+    config = tmp_path / "ls.cfg"
+    config.write_bytes(f"workdir = w\n# see {separator} note\nseed = 3\n".encode())
+    assert cli._read_config_file(str(config)) == {"workdir": "w", "seed": 3}
+    config.write_bytes(f"workdir = w\n# see {separator} note\nseed = x\n".encode())
+    with pytest.raises(BadConfig, match=re.escape(f"{config}:3: seed")):
+        cli._read_config_file(str(config))
+
+
+def test_an_undecodable_config_line_is_refused_naming_its_line(tmp_path, capsys):
+    config = tmp_path / "bin.cfg"
+    config.write_bytes(b"workdir = w\r\nseed = 3\r\n# caf\xe9\r\nepochs = 2\r\n")
+    with pytest.raises(FlowgateError, match=re.escape(f"{config}:3: undecodable text")):
+        cli._read_config_file(str(config))
+    assert run_cli("pipeline", "--config", config) == 2
+    assert capsys.readouterr().err == f"error: {config}:3: undecodable text\n"
 
 
 def test_mutated_config_files_raise_only_flowgate_errors_or_hold_finite_values(tmp_path):

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import re
 
 import numpy as np
@@ -9,7 +10,7 @@ from flowgate.dataset import (
     read_dataset, read_latents, values_matrix, write_dataset, write_latents,
 )
 from flowgate.errors import MalformedRow
-from flowgate.metrics import ScoredSample, write_scores
+from flowgate.metrics import ScoredSample, read_scores, write_scores
 from flowgate.packets import PAYLOAD_OFFSET, EncodedPacket, Label
 from crafting import check_mutants
 
@@ -279,6 +280,29 @@ def test_rejections_name_their_line(tmp_path, line, col, text):
         read_dataset(path)
 
 
+def test_a_row_after_a_record_spanning_lines_is_named_by_its_physical_line(tmp_path):
+    path = tmp_path / "m.csv"
+    packets = canonical_csv(path)
+    lines = path.read_text().splitlines()
+    # the first row's quoted first field holds a newline, so that record
+    # spans lines 2 and 3, and the next two rows are on lines 4 and 5
+    lines[1] = '"' + lines[1].replace(",", '\n",', 1)
+    path.write_text("\n".join(lines) + "\n")
+    got = read_dataset(path)
+    assert [p.codes for p in got] == [p.codes for p in packets]
+    # source ids stay record indices
+    assert [p.source_id for p in got] == [("m.csv", 0), ("m.csv", 1), ("m.csv", 2)]
+    lines[3] = "0.7" + lines[3][lines[3].index(","):]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(MalformedRow, match=r"m\.csv:5: values must be integral multiples"):
+        read_dataset(path)
+    # a record that spans lines is named by its first one
+    lines[1] = '"0.7\n",' + lines[1].split(",", 1)[1]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(MalformedRow, match=r"m\.csv:2: values must be integral multiples"):
+        read_dataset(path)
+
+
 def test_a_near_grid_decimal_reads_as_its_byte(tmp_path):
     path = tmp_path / "d.csv"
     packets = canonical_csv(path)
@@ -390,6 +414,122 @@ def test_valid_utf8_outside_ascii_is_a_bad_label_not_undecodable(tmp_path):
     path.write_text(text.replace(",0\n", ",é\n", 1), encoding="utf-8")
     with pytest.raises(MalformedRow, match=r"d\.csv:2: bad label field 'é'"):
         read_dataset(path)
+
+
+# --- every text reader's outcome over seeded mutants, pinned as one digest ---
+
+# what a mutation inserts: line ends, NUL, undecodable and split UTF-8 (a lead
+# byte before ASCII or a line end), separators that end no CSV line (U+2028,
+# NEL, FF), and quotes, the last one opening a field that spans lines
+TEXT_TOKENS = [b"\n", b"\r", b"\r\n", b"\x00", b"\xff", b"\xc3", b"\xc3\n", b"\xc3\xa9",
+               "\u2028".encode(), "\x85".encode(), b"\x0c", b'"', b',"0.0\n"']
+LINE_ENDS = (b"\n", b"\r\n", b"\r")
+
+
+TEXT_READERS = {"text_lines": lambda path: list(dataset.text_lines(path, "text")),
+                "read_dataset": read_dataset, "read_latents": read_latents,
+                "read_scores": read_scores}
+
+
+def serialized(result) -> bytes:
+    """The bytes of a reader's result: lines, packets, latents or scores."""
+    if isinstance(result, tuple):  # read_latents
+        matrix, labels = result
+        return matrix.tobytes() + repr((matrix.shape, labels)).encode()
+    if result and isinstance(result[0], EncodedPacket):
+        return b"".join(p.codes + repr((p.label, p.source_id)).encode() for p in result)
+    if result and isinstance(result[0], ScoredSample):
+        return repr([(float(s.score).hex(), s.label, s.source_id) for s in result]).encode()
+    return repr(result).encode()
+
+
+def text_mutant(rng, data: bytes) -> bytes:
+    """`data` with one or two TEXT_TOKENS inserted, each at a random offset
+    or, half the time, just before a line end; then, at random, its line ends
+    rewritten as CR LF or CR, or its last one dropped or made a lone CR."""
+    buf = bytearray(data)
+    for _ in range(int(rng.integers(1, 3))):
+        pos = int(rng.integers(0, len(buf) + 1))
+        if rng.integers(0, 2):
+            pos = buf.find(b"\n", pos) % (len(buf) + 1)
+            pos -= buf[pos - 1:pos] == b"\r"
+        buf[pos:pos] = TEXT_TOKENS[int(rng.integers(0, len(TEXT_TOKENS)))]
+    out = bytes(buf)
+    end = int(rng.integers(0, 6))
+    if end == 1:
+        out = out.replace(b"\n", b"\r\n")
+    elif end == 2:
+        out = out.replace(b"\n", b"\r")
+    elif end == 3:
+        out = out.removesuffix(b"\n")
+    elif end == 4:
+        out = out.removesuffix(b"\n") + b"\r"
+    return out
+
+
+def spanning_mutant(rng, data: bytes) -> bytes:
+    """`data` with the first field of one row after the header quoted around
+    a line end, so that its record spans two lines, in LF, CR LF or CR."""
+    lines = data.split(b"\n")
+    row = int(rng.integers(1, max(len(lines) - 1, 2)))
+    eol = LINE_ENDS[int(rng.integers(0, 3))]
+    lines[row] = b'"' + lines[row].replace(b",", b'\n",', 1)
+    return b"\n".join(lines).replace(b"\n", eol)
+
+
+def text_bases(tmp_path) -> dict[str, bytes]:
+    """The files the mutants start from: each writer's output, and a latent
+    file whose lines are longer than the reader's buffer."""
+    rng = np.random.default_rng(20261025)
+    paths = {name: tmp_path / f"{name}.csv" for name in
+             ("canonical", "zero_tailed", "latents", "scores", "long_latents")}
+    canonical_csv(paths["canonical"])
+    zero_tailed_csv(paths["zero_tailed"])
+    write_latents(paths["latents"], rng.standard_normal((4, 3)), [Label.NORMAL, None] * 2)
+    write_scores(paths["scores"], [ScoredSample(float(s), label, ("f.pcap", i))
+                                   for i, (s, label) in enumerate(zip(
+                                       rng.random(4), [Label.ANOMALY, None] * 2))])
+    long_row = 0.125 + np.arange(2 * 80_000).reshape(2, -1) / 1024
+    write_latents(paths["long_latents"], long_row, [Label.NORMAL, Label.ANOMALY])
+    # in LF, as write_scores' CR LF is one of the line ends the mutants choose
+    return {name: path.read_bytes().replace(b"\r\n", b"\n") for name, path in paths.items()}
+
+
+def test_every_text_reader_outcome_is_the_pinned_one(tmp_path):
+    """Each base file in each line end, and seeded mutants of it, read by
+    text_lines, read_dataset, read_latents and read_scores. An outcome is the
+    reader's result, serialized, or the type and message of what it raised,
+    with the path masked; the outcomes are hashed in order, so a change to the
+    line source or a reader that alters any of them changes the digest. No
+    input holds a bad row after a record that spans lines; the line that
+    read_dataset names for one is tested on its own above."""
+    bases = text_bases(tmp_path)
+    assert max(map(len, bases["long_latents"].split(b"\n"))) > 1 << 20  # text_lines' buffer
+    rng = np.random.default_rng(20261026)
+    inputs = [base.replace(b"\n", eol) for base in bases.values() for eol in LINE_ENDS]
+    for name, base in bases.items():
+        if name != "long_latents":
+            inputs += [text_mutant(rng, base) for _ in range(300)]
+            inputs += [spanning_mutant(rng, base) for _ in range(20)]
+    inputs += [text_mutant(rng, bases["long_latents"]) for _ in range(6)]
+    path = tmp_path / "m.csv"
+    digest = hashlib.sha256()
+    kinds: dict[str, int] = {}
+    for data in inputs:
+        path.write_bytes(data)
+        for reader, read in TEXT_READERS.items():
+            try:
+                kind, out = f"{reader} read", serialized(read(path))
+            except Exception as err:  # every refusal is part of the outcome, whatever its type
+                kind = f"{reader} refused {type(err).__name__}"
+                out = str(err).replace(str(path), "<path>").encode()
+            for part in (kind.encode(), out):
+                digest.update(len(part).to_bytes(8, "little") + part)
+            kinds[kind] = kinds.get(kind, 0) + 1
+    assert all(kinds.get(f"{reader} read", 0) > 20 for reader in TEXT_READERS)
+    assert kinds["text_lines refused MalformedRow"] > 50
+    assert digest.hexdigest() == \
+        "d1f0f4035ab53c6402503b96cf8b3f0d2c41b095b5eaeb9b89187c4a27b6e507"
 
 
 class _Broken(list):

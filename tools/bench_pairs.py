@@ -16,8 +16,10 @@ and metric, both sides' median and quartiles, the change in the medians and
 the number of pairs in which the change was better, with the machine it ran
 on: cores, BLAS threads, Python and numpy versions. Each unscaled figure is
 summarized as a metric of its own, `unscaled_<name>`, so a gain can be told
-from a drift of the slowness factor. It is rewritten after every run, so an interrupted set
-keeps the pairs done. At the end the summary is printed as a table, one line
+from a drift of the slowness factor, and so is the slowness itself, with no
+better direction, so a loaded machine shows in each side's median and
+quartiles. It is rewritten after every run, so an interrupted set keeps the
+pairs done. At the end the summary is printed as a table, one line
 per workload and metric, that says for each metric with a better direction
 whether a gain may be claimed: the change won at least nine pairs in ten, and
 its median is better than the parent's by more than the parent's interquartile
@@ -81,9 +83,11 @@ def quartiles(values: list[float]) -> dict:
 
 
 def figures(run: dict) -> dict[str, float]:
-    """A run's metrics, and its unscaled figures as `unscaled_<name>`."""
+    """A run's metrics, its unscaled figures as `unscaled_<name>`, and its
+    slowness, which has no better direction: it tells a loaded machine."""
     return {**run["metrics"],
-            **{f"unscaled_{name}": v for name, v in run.get("unscaled", {}).items()}}
+            **{f"unscaled_{name}": v for name, v in run.get("unscaled", {}).items()},
+            **({"slowness": run["slowness"]} if "slowness" in run else {})}
 
 
 def claim_holds(entry: dict, sign: int) -> bool:
