@@ -1,8 +1,9 @@
 """Command-line interface.
 
-Subcommands mirror the pipeline stages: preprocess, train-extractor,
-train-flow, synthesize, train-classifier, infer, eval, pipeline, make-corpus.
-The pipeline subcommand also reads a flat key=value config file; command-line
+Subcommands: preprocess, make-corpus, pipeline, infer and eval. Training runs
+only as `pipeline`, whose workdir cache resumes it stage by stage; `infer`
+scores packets with the extractor and any classifier checkpoint it wrote. The
+pipeline subcommand also reads a flat key=value config file; command-line
 flags override file values.
 """
 from __future__ import annotations
@@ -13,25 +14,15 @@ import re
 import sys
 from typing import Optional, get_type_hints
 
-from .checkpoint import (
-    STAGE_EXTRACTOR, STAGE_FLOW, load_checkpoint, make_dir, save_checkpoint,
-)
-from .classifier import ClassifierConfig, train_classifier
+from .checkpoint import make_dir
 from .corpus import make_synthetic_corpus
-from .dataset import read_dataset, read_latents, text_lines, write_dataset, write_latents
-from .errors import AnomalyInTrainingSet, BadConfig, FlowgateError
-from .extractor import (
-    ExtractorConfig, encode_codes, encoder_from_checkpoint, train_extractor,
-    training_matrix,
-)
-from .flow import FlowConfig, FlowModel, flow_from_checkpoint, train_flow
+from .dataset import read_dataset, text_lines, write_dataset
+from .errors import BadConfig, FlowgateError
 from .metrics import evaluate, format_report, read_scores, write_report, write_scores
-from .nn import TrainConfig
 from .packets import Label, preprocess_captures
 from .pipeline import (
     NoiseGrid, PipelineConfig, infer, ratio_ablation, repeat_pipeline, run_pipeline,
 )
-from .synthesis import NoiseSpec, SynthesisConfig, synthesize
 
 
 def _parse_label(text: str) -> Label | None:
@@ -94,70 +85,6 @@ def cmd_make_corpus(args) -> int:
         print(f"wrote train.csv ({args.n_train} normal) and test.csv "
               f"({args.n_test_normal} normal + {args.n_test_anomaly} anomaly)")
     return 0
-
-
-def _add_training_flags(p: argparse.ArgumentParser) -> None:
-    """The shared training flags of the stage commands, defaults from TrainConfig."""
-    defaults = TrainConfig()
-    p.add_argument("--epochs", type=int, default=defaults.epochs)
-    p.add_argument("--batch", type=int, default=defaults.batch_size)
-    p.add_argument("--lr", type=float, default=defaults.lr)
-    p.add_argument("--patience", type=int, default=defaults.patience)
-
-
-def _training(args) -> dict:
-    return dict(epochs=args.epochs, batch_size=args.batch, lr=args.lr,
-                patience=args.patience)
-
-
-def _save_trained(path: str, ckpt) -> int:
-    save_checkpoint(path, ckpt)
-    print(f"{ckpt.stage.lower()} checkpoint -> {path} "
-          f"(best epoch {ckpt.meta['best_epoch']} of {ckpt.meta['epochs_run']})")
-    return 0
-
-
-def cmd_train_extractor(args) -> int:
-    cfg = ExtractorConfig(**_training(args))
-    return _save_trained(args.out, train_extractor(read_dataset(args.data), cfg, args.seed))
-
-
-def _encode_training_data(data_csv: str, extractor_ckpt: str):
-    """Latents of a normal packet CSV; rows labeled as anomalies are refused.
-    Only the extractor's encoder tables are read."""
-    encoder = encoder_from_checkpoint(
-        load_checkpoint(extractor_ckpt, expect_stage=STAGE_EXTRACTOR, include=("encoder.",)))
-    return encode_codes(encoder, training_matrix(read_dataset(data_csv), encoder.widths[0]))
-
-
-def cmd_train_flow(args) -> int:
-    latents = _encode_training_data(args.data, args.latents_from)
-    cfg = FlowConfig(dim=latents.shape[1], blocks=args.blocks, hidden=args.hidden,
-                     **_training(args))
-    model = FlowModel.create(cfg, args.seed)
-    return _save_trained(args.out, train_flow(model, latents, cfg, args.seed))
-
-
-def cmd_synthesize(args) -> int:
-    spec = NoiseSpec(mu=args.mu, sigma=args.sigma, seed=args.seed)
-    latents = _encode_training_data(args.data, args.extractor)
-    flow = flow_from_checkpoint(load_checkpoint(args.flow, expect_stage=STAGE_FLOW))
-    pseudo = synthesize(flow, latents, spec, SynthesisConfig(ratio=args.ratio))
-    write_latents(args.out, pseudo, [Label.ANOMALY] * pseudo.shape[0])
-    print(f"wrote {pseudo.shape[0]} pseudo-anomaly latents to {args.out}")
-    return 0
-
-
-def cmd_train_classifier(args) -> int:
-    normals, normal_labels = read_latents(args.normals)
-    for i, label in enumerate(normal_labels):
-        if label is Label.ANOMALY:
-            raise AnomalyInTrainingSet(
-                f"{args.normals}: row {i} is labeled as an anomaly")
-    pseudo, _ = read_latents(args.pseudo)
-    cfg = ClassifierConfig(widths=(normals.shape[1],) + ClassifierConfig.widths[1:],
-                           **_training(args))
-    return _save_trained(args.out, train_classifier(normals, pseudo, cfg, args.seed))
 
 
 def cmd_infer(args) -> int:
@@ -273,42 +200,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-test-normal", type=int, default=1000)
     p.add_argument("--n-test-anomaly", type=int, default=1000)
     p.set_defaults(fn=cmd_make_corpus)
-
-    p = sub.add_parser("train-extractor", help="stage 1: reconstruction model")
-    p.add_argument("--data", required=True, help="normal packet CSV")
-    p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, required=True)
-    _add_training_flags(p)
-    p.set_defaults(fn=cmd_train_extractor)
-
-    p = sub.add_parser("train-flow", help="stage 2: bidirectional flow")
-    p.add_argument("--latents-from", required=True, help="extractor checkpoint")
-    p.add_argument("--data", required=True, help="normal packet CSV")
-    p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, required=True)
-    _add_training_flags(p)
-    p.add_argument("--blocks", type=int, default=FlowConfig.blocks)
-    p.add_argument("--hidden", type=int, default=FlowConfig.hidden)
-    p.set_defaults(fn=cmd_train_flow)
-
-    p = sub.add_parser("synthesize", help="pseudo-anomaly latents via the flow")
-    p.add_argument("--flow", required=True)
-    p.add_argument("--extractor", required=True)
-    p.add_argument("--data", required=True, help="normal packet CSV")
-    p.add_argument("--mu", type=float, required=True)
-    p.add_argument("--sigma", type=float, required=True)
-    p.add_argument("--ratio", type=float, default=SynthesisConfig.ratio)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--out", required=True, help="latent CSV output")
-    p.set_defaults(fn=cmd_synthesize)
-
-    p = sub.add_parser("train-classifier", help="stage 3: latent classifier")
-    p.add_argument("--normals", required=True, help="normal latent CSV")
-    p.add_argument("--pseudo", required=True, help="pseudo-anomaly latent CSV")
-    p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, required=True)
-    _add_training_flags(p)
-    p.set_defaults(fn=cmd_train_classifier)
 
     p = sub.add_parser("infer", help="score packets with encoder + classifier only")
     p.add_argument("--extractor", required=True)

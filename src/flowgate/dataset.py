@@ -207,11 +207,11 @@ def write_latents(path: str | Path, latents: np.ndarray,
     return arr.shape[0]
 
 
-def csv_records(path: str | Path, what: str) -> Iterator[tuple[str, list[str]]]:
-    """`(path:line, record)` for each csv.reader record of `text_lines(path, what)`,
-    at the record's last line; a record csv.reader refuses (a field over its size
-    limit, say) is a MalformedRow naming its line."""
-    reader = csv.reader(text_lines(path, what))
+def csv_records(path: str | Path, lines: Iterable[str]) -> Iterator[tuple[str, list[str]]]:
+    """`(path:line, record)` for each csv.reader record of `lines`, the lines of
+    the file at `path`, at the record's last line; a record csv.reader refuses
+    (a field over its size limit, say) is a MalformedRow naming its line."""
+    reader = csv.reader(lines)
     try:
         for record in reader:
             yield f"{path}:{reader.line_num}", record
@@ -221,22 +221,31 @@ def csv_records(path: str | Path, what: str) -> Iterator[tuple[str, list[str]]]:
 
 def read_latents(path: str | Path) -> tuple[np.ndarray, list[Optional[Label]]]:
     """The latents and labels of a latent CSV, with rows of any count of
-    finite values. A file in write_latents' form is parsed by one np.loadtxt
-    call; any other, or any refused, is read record by record, which names
-    the line of the first bad record."""
-    bulk = _bulk_latents(path)
-    return bulk if bulk is not None else _latents_by_record(path)
+    finite values. The file is read once. A file in write_latents' form is
+    parsed by one np.loadtxt call; any other, or any refused, is parsed
+    record by record from the same lines, which names the line of the first
+    bad record."""
+    lines: list[str] = []
+    try:
+        for line in text_lines(path, "latents"):
+            lines.append(line)
+    except MalformedRow as err:
+        # an undecodable line: a bad record before it is still named first
+        return _latents_by_record(path, _then_raise(lines, err))
+    bulk = _bulk_latents(lines)
+    return bulk if bulk is not None else _latents_by_record(path, lines)
 
 
-def _bulk_latents(path: str | Path) -> Optional[tuple[np.ndarray, list[Optional[Label]]]]:
-    """read_latents' result for a file of unquoted lines that np.loadtxt
+def _then_raise(lines: list[str], err: Exception) -> Iterator[str]:
+    yield from lines
+    raise err
+
+
+def _bulk_latents(lines: list[str]) -> Optional[tuple[np.ndarray, list[Optional[Label]]]]:
+    """read_latents' result for a file of unquoted `lines` that np.loadtxt
     parses whole, else None. It accepts no line the record reader refuses:
     a quote, an empty or non-numeric field, a line csv.reader would find
     over its field limit, a bad label or a non-finite value all return None."""
-    try:
-        lines = list(text_lines(path, "latents"))
-    except MalformedRow:
-        return None
     if not lines or '"' in lines[0] or max(map(len, lines)) >= csv.field_size_limit():
         return None
     header = lines[0].rstrip("\r\n").split(",")
@@ -262,8 +271,9 @@ def _bulk_latents(path: str | Path) -> Optional[tuple[np.ndarray, list[Optional[
     return matrix, labels
 
 
-def _latents_by_record(path: str | Path) -> tuple[np.ndarray, list[Optional[Label]]]:
-    records = csv_records(path, "latents")
+def _latents_by_record(path: str | Path, lines: Iterable[str],
+                       ) -> tuple[np.ndarray, list[Optional[Label]]]:
+    records = csv_records(path, lines)
     _, header = next(records, (None, None))
     if not header or header[-1] != "label":
         raise MalformedRow(f"{path}: missing latent header row")

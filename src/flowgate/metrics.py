@@ -16,7 +16,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .checkpoint import replacing
-from .dataset import csv_records
+from .dataset import csv_records, text_lines
 from .errors import MalformedRow, OneClassOnly
 from .packets import Label
 
@@ -125,7 +125,7 @@ def write_scores(path: str | Path, scored: Sequence[ScoredSample]) -> int:
 
 
 def read_scores(path: str | Path) -> list[ScoredSample]:
-    records = csv_records(path, "scores")
+    records = csv_records(path, text_lines(path, "scores"))
     if next(records, (None, None))[1] != SCORES_HEADER:
         raise MalformedRow(f"{path}: missing scores header")
     out = []

@@ -182,21 +182,32 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _cached_stage(path: Path, stage: str, seed: int, key: str,
-                  train: Callable[[], Checkpoint], build: Callable):
-    """`build`'s model of the cached checkpoint at `path`, else of `train()`'s,
-    saved there under `key`: the fingerprint of the stage's config and the
-    sha256 of its direct upstream, so it covers everything upstream. Returns
-    the model and the sha256 of the file at `path`."""
-    cached = _cached_checkpoint(path, stage, key, seed, build)
-    if cached is not None:
-        return cached
-    ckpt = train()
-    ckpt.config_fingerprint = key
-    digest = save_checkpoint(path, ckpt)
-    log.info("%s: best epoch %s of %s", path.name,
-             ckpt.meta["best_epoch"], ckpt.meta["epochs_run"])
-    return build(ckpt), digest
+def _cached_stage(workdir: Path, stage: str, tag: Optional[str], config: dict,
+                  upstream: str, seed: int, train: Callable[[int], Checkpoint],
+                  build: Callable):
+    """The model `build` makes of the checkpoint of `stage` (for noise `tag`,
+    if given) cached in `workdir` under the stage's seed and key, else of
+    `train(stage seed)`'s, saved there. Returns the model, the file's sha256
+    and its path. The one naming rule of a checkpoint stage, `<tag>` only if
+    given: file `classifier_<tag>.ckpt`, stage `train-classifier-<tag>`, seed
+    `derive_seed(seed, "stage:classifier:<tag>")`, and a key of `config`, the
+    tag and `upstream`: the sha256 of the stage's direct upstream, so the key
+    covers everything upstream."""
+    parts = [stage.lower()] + ([tag] if tag else [])
+    path = workdir / ("_".join(parts) + ".ckpt")
+    stage_seed = derive_seed(seed, ":".join(["stage", *parts]))
+    key = config_fingerprint({**config, **({"noise": tag} if tag else {}),
+                              "upstream": upstream})
+    with _stage("-".join(["train", *parts])):
+        cached = _cached_checkpoint(path, stage, key, stage_seed, build)
+        if cached is not None:
+            return (*cached, path)
+        ckpt = train(stage_seed)
+        ckpt.config_fingerprint = key
+        digest = save_checkpoint(path, ckpt)
+        log.info("%s: best epoch %s of %s", path.name,
+                 ckpt.meta["best_epoch"], ckpt.meta["epochs_run"])
+        return build(ckpt), digest, path
 
 
 RUN_RECORD = "run.json"
@@ -338,14 +349,11 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
         with _stage("load-train"):
             return training_matrix(read_dataset(train_csv), VECTOR_LEN)
 
-    ext_cfg, ext_seed = cfg.extractor_config(), derive_seed(cfg.seed, "stage:extractor")
-    ext_path = workdir / "extractor.ckpt"
-    with _stage("train-extractor"):
-        extractor, ext_digest = _cached_stage(
-            ext_path, STAGE_EXTRACTOR, ext_seed,
-            config_fingerprint({**ext_cfg.to_dict(), "upstream": _sha256(train_csv)}),
-            lambda: train_extractor(train_matrix(), ext_cfg, ext_seed),
-            extractor_from_checkpoint)
+    ext_cfg = cfg.extractor_config()
+    extractor, ext_digest, ext_path = _cached_stage(
+        workdir, STAGE_EXTRACTOR, None, ext_cfg.to_dict(), _sha256(train_csv), cfg.seed,
+        lambda seed: train_extractor(train_matrix(), ext_cfg, seed),
+        extractor_from_checkpoint)
 
     latents_path = workdir / TRAIN_LATENTS
     latents_digest = _recorded_latents(workdir, ext_digest)
@@ -363,15 +371,11 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
         with _stage("load-latents"):
             return read_latents(latents_path)[0]
 
-    flow_cfg, flow_seed = cfg.flow_config(), derive_seed(cfg.seed, "stage:flow")
-    flow_path = workdir / "flow.ckpt"
-    with _stage("train-flow"):
-        flow, flow_digest = _cached_stage(
-            flow_path, STAGE_FLOW, flow_seed,
-            config_fingerprint({**flow_cfg.to_dict(), "upstream": ext_digest}),
-            lambda: train_flow(FlowModel.create(flow_cfg, flow_seed), latents(),
-                               flow_cfg, flow_seed),
-            flow_from_checkpoint)
+    flow_cfg = cfg.flow_config()
+    flow, flow_digest, flow_path = _cached_stage(
+        workdir, STAGE_FLOW, None, flow_cfg.to_dict(), ext_digest, cfg.seed,
+        lambda seed: train_flow(FlowModel.create(flow_cfg, seed), latents(), flow_cfg, seed),
+        flow_from_checkpoint)
 
     with _stage("load-test"):
         test_packets = read_dataset(test_csv)
@@ -382,18 +386,14 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
     clf_cfg = cfg.classifier_config()
     for mu, sigma in cfg.noise_grid:
         tag = _noise_tag(mu, sigma, cfg.ratio)
-        clf_seed = derive_seed(cfg.seed, f"stage:classifier:{tag}")
-        clf_path = workdir / f"classifier_{tag}.ckpt"
-        with _stage(f"train-classifier-{tag}"):
-            classifier, _ = _cached_stage(
-                clf_path, STAGE_CLASSIFIER, clf_seed,
-                config_fingerprint({**clf_cfg.to_dict(), "noise": tag,
-                                    "exact": [repr(float(v)) for v in (mu, sigma, cfg.ratio)],
-                                    "upstream": flow_digest}),
-                lambda: train_classifier(
-                    latents(), _synthesize(cfg, workdir, flow, latents(), mu, sigma),
-                    clf_cfg, clf_seed),
-                classifier_from_checkpoint)
+        exact = [repr(float(v)) for v in (mu, sigma, cfg.ratio)]
+        classifier, _, clf_path = _cached_stage(
+            workdir, STAGE_CLASSIFIER, tag, {**clf_cfg.to_dict(), "exact": exact},
+            flow_digest, cfg.seed,
+            lambda seed: train_classifier(
+                latents(), _synthesize(cfg, workdir, flow, latents(), mu, sigma),
+                clf_cfg, seed),
+            classifier_from_checkpoint)
         with _stage(f"infer-{tag}"):
             scored = _scored(classifier.score(test_latents), test_packets)
             write_scores(workdir / f"scores_{tag}.csv", scored)

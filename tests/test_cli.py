@@ -2,6 +2,7 @@ import argparse
 import dataclasses
 import math
 import re
+import shutil
 import struct
 import subprocess
 import sys
@@ -12,9 +13,8 @@ import pytest
 import flowgate.cli as cli
 from flowgate.cli import _PIPELINE_KEYS, build_parser, main
 from flowgate.errors import BadConfig, FlowgateError, IoFailure
-from flowgate.nn import TrainConfig
 from flowgate.pipeline import PipelineConfig
-from flowgate.dataset import read_dataset, read_latents
+from flowgate.dataset import read_dataset
 from flowgate.metrics import evaluate, format_report, read_scores
 from flowgate.packets import Label
 from crafting import check_mutants, pcap_bytes, tcp_frame, udp_frame
@@ -74,72 +74,21 @@ def test_make_corpus_with_splits(tmp_path):
 
 
 @pytest.fixture(scope="module")
-def stage_artifacts(tiny_corpus, tmp_path_factory):
-    """Stage checkpoints built through the CLI commands themselves."""
+def trained_workdir(tiny_corpus, tmp_path_factory):
+    """The checkpoints of one tiny `flowgate pipeline` run."""
     train_csv, test_csv = tiny_corpus
-    root = tmp_path_factory.mktemp("cli_stages")
-    ext = root / "extractor.ckpt"
-    flw = root / "flow.ckpt"
-    pseudo = root / "pseudo.csv"
-    clf = root / "classifier.ckpt"
-    assert run_cli("train-extractor", "--data", train_csv, "--out", ext,
-                   "--seed", 2, "--epochs", 2) == 0
-    assert run_cli("train-flow", "--latents-from", ext, "--data", train_csv,
-                   "--out", flw, "--seed", 2, "--epochs", 2,
-                   "--blocks", 4, "--hidden", 16) == 0
-    assert run_cli("synthesize", "--flow", flw, "--extractor", ext,
-                   "--data", train_csv, "--mu", 0, "--sigma", 1,
-                   "--ratio", 0.5, "--seed", 2, "--out", pseudo) == 0
-    # normal latents for classifier training come from the same encoder, on
-    # the path `train-flow` and `synthesize` encode them by
-    from flowgate.dataset import write_latents
-    latents = cli._encode_training_data(str(train_csv), str(ext))
-    normals_csv = root / "normals.csv"
-    write_latents(normals_csv, latents, [Label.NORMAL] * latents.shape[0])
-    assert run_cli("train-classifier", "--normals", normals_csv,
-                   "--pseudo", pseudo, "--out", clf, "--seed", 2,
-                   "--epochs", 2) == 0
-    return root, ext, flw, clf, test_csv
+    work = tmp_path_factory.mktemp("cli_pipeline")
+    assert run_cli("pipeline", "--workdir", work, "--train-csv", train_csv,
+                   "--test-csv", test_csv, "--seed", 2, "--epochs", 2,
+                   "--noise-grid", "0,1", "--latent-dim", 16,
+                   "--encoder-widths", "1600,64,16", "--disc-widths", "1600,32,16,1",
+                   "--classifier-widths", "16,16,8,1", "--flow-blocks", 4,
+                   "--flow-hidden", 16) == 0
+    return work / "extractor.ckpt", work / "classifier_mu0_sigma1_ratio0.5.ckpt", test_csv
 
 
-def test_stage_commands_compose(stage_artifacts):
-    root, ext, flw, clf, test_csv = stage_artifacts
-    pseudo, labels = read_latents(root / "pseudo.csv")
-    assert pseudo.shape == (150, 70)
-    assert all(l is Label.ANOMALY for l in labels)
-
-
-def test_train_flow_and_synthesize_build_from_the_encoder_tables_alone(
-        tiny_corpus, stage_artifacts, tmp_path, monkeypatch):
-    from flowgate.checkpoint import load_checkpoint
-    from flowgate.extractor import encode_codes, extractor_from_checkpoint
-    train_csv, _ = tiny_corpus
-    root, ext, flw, clf, test_csv = stage_artifacts
-    built, build = [], cli.encoder_from_checkpoint
-
-    def spy(ckpt):
-        built.append(sorted(ckpt.tensors))
-        return build(ckpt)
-
-    monkeypatch.setattr(cli, "encoder_from_checkpoint", spy)
-    assert run_cli("train-flow", "--latents-from", ext, "--data", train_csv,
-                   "--out", tmp_path / "f.ckpt", "--seed", 2, "--epochs", 1,
-                   "--blocks", 4, "--hidden", 16) == 0
-    assert run_cli("synthesize", "--flow", flw, "--extractor", ext, "--data", train_csv,
-                   "--mu", 0, "--sigma", 1, "--ratio", 0.5, "--seed", 2,
-                   "--out", tmp_path / "p.csv") == 0
-    assert len(built) == 2
-    for names in built:
-        assert names and all(name.startswith("encoder.") for name in names)
-    # the same latents as the encoder of the whole extractor
-    whole = extractor_from_checkpoint(load_checkpoint(ext)).encoder
-    np.testing.assert_array_equal(
-        cli._encode_training_data(train_csv, ext),
-        encode_codes(whole, [p.codes for p in read_dataset(train_csv)]))
-
-
-def test_infer_and_eval_commands(stage_artifacts, tmp_path):
-    root, ext, flw, clf, test_csv = stage_artifacts
+def test_infer_and_eval_commands(trained_workdir, tmp_path):
+    ext, clf, test_csv = trained_workdir
     scores_csv = tmp_path / "scores.csv"
     report_txt = tmp_path / "report.txt"
     assert run_cli("infer", "--extractor", ext, "--classifier", clf,
@@ -152,9 +101,9 @@ def test_infer_and_eval_commands(stage_artifacts, tmp_path):
     assert report.n_pos == 60 and report.n_neg == 60
 
 
-def test_eval_of_an_undecodable_score_file_exits_2_naming_its_line(stage_artifacts,
+def test_eval_of_an_undecodable_score_file_exits_2_naming_its_line(trained_workdir,
                                                                   tmp_path, capsys):
-    root, ext, flw, clf, test_csv = stage_artifacts
+    ext, clf, test_csv = trained_workdir
     scores_csv = tmp_path / "scores.csv"
     assert run_cli("infer", "--extractor", ext, "--classifier", clf,
                    "--data", test_csv, "--scores-out", scores_csv) == 0
@@ -166,8 +115,8 @@ def test_eval_of_an_undecodable_score_file_exits_2_naming_its_line(stage_artifac
     assert err.startswith("error: ") and f"{scores_csv}:3: undecodable text" in err
 
 
-def test_infer_refuses_a_nan_in_the_classifier(stage_artifacts, tmp_path, capsys):
-    root, ext, flw, clf, test_csv = stage_artifacts
+def test_infer_refuses_a_nan_in_the_classifier(trained_workdir, tmp_path, capsys):
+    ext, clf, test_csv = trained_workdir
     poisoned = tmp_path / "classifier.ckpt"
     poisoned.write_bytes(clf.read_bytes()[:-8] + struct.pack("<d", np.nan))
     assert run_cli("infer", "--extractor", ext, "--classifier", poisoned,
@@ -255,13 +204,18 @@ classifier_widths = 16,8,1
     assert "auroc:" in out
     from flowgate.checkpoint import load_checkpoint
     from flowgate.seeding import derive_seed
-    ckpt = load_checkpoint(tmp_path / "work" / "extractor.ckpt")
-    assert ckpt.seed == derive_seed(5, "stage:extractor")
+    work = tmp_path / "work"
+    (clf_ckpt,) = work.glob("classifier_*.ckpt")
+    tag = clf_ckpt.stem.removeprefix("classifier_")
+    for path, label in [(work / "extractor.ckpt", "stage:extractor"),
+                        (work / "flow.ckpt", "stage:flow"),
+                        (clf_ckpt, f"stage:classifier:{tag}")]:
+        assert load_checkpoint(path).seed == derive_seed(5, label), path.name
+    ckpt = load_checkpoint(work / "extractor.ckpt")
     config_meta = ckpt.meta["config"]
     assert config_meta["encoder_widths"] == [1600, 32, 16]
     assert config_meta["disc_widths"] == [1600, 16, 1]
     assert config_meta["w_rec"] == 10.0
-    (clf_ckpt,) = (tmp_path / "work").glob("classifier_*.ckpt")
     assert load_checkpoint(clf_ckpt).meta["config"]["widths"] == [16, 8, 1]
 
 
@@ -309,22 +263,6 @@ def test_pipeline_command_unreadable_config_file(tmp_path, capsys):
     assert run_cli("pipeline", "--config", binary) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and str(binary) in err
-
-
-def test_train_classifier_rejects_anomaly_labeled_normals(tmp_path, capsys):
-    from flowgate.dataset import write_latents
-    rng = np.random.default_rng(0)
-    normals_csv = tmp_path / "normals.csv"
-    pseudo_csv = tmp_path / "pseudo.csv"
-    write_latents(normals_csv, rng.standard_normal((10, 8)),
-                  [Label.NORMAL] * 9 + [Label.ANOMALY])
-    write_latents(pseudo_csv, rng.standard_normal((5, 8)),
-                  [Label.ANOMALY] * 5)
-    code = run_cli("train-classifier", "--normals", normals_csv,
-                   "--pseudo", pseudo_csv, "--out", tmp_path / "c.ckpt",
-                   "--seed", 1)
-    assert code == 2
-    assert "anomaly" in capsys.readouterr().err.lower()
 
 
 def test_console_entry_point_runs():
@@ -438,23 +376,31 @@ def test_mutated_config_files_raise_only_flowgate_errors_or_hold_finite_values(t
     check_mutants(tmp_path, write, read, finite_config)
 
 
-def test_train_flow_rejects_labeled_anomalies(stage_artifacts, tmp_path, capsys):
-    root, ext, flw, clf, test_csv = stage_artifacts  # test.csv holds anomalies
-    code = run_cli("train-flow", "--latents-from", ext, "--data", test_csv,
-                   "--out", tmp_path / "f.ckpt", "--seed", 2, "--epochs", 1)
-    assert code == 2
-    assert "labeled anomaly" in capsys.readouterr().err
-    assert not (tmp_path / "f.ckpt").exists()
+def test_train_flow_rejects_labeled_anomalies(tiny_corpus, tmp_path, capsys):
+    train_csv, test_csv = tiny_corpus  # test.csv holds anomalies
+    work = tmp_path / "work"
+    assert run_cli("pipeline", "--workdir", work, "--train-csv", test_csv,
+                   "--test-csv", test_csv, "--epochs", 1) == 2
+    err = capsys.readouterr().err
+    assert "labeled anomaly" in err and "[stage load-train]" in err
+    assert not list(work.glob("*.ckpt"))
 
 
-def test_synthesize_rejects_labeled_anomalies(stage_artifacts, tmp_path, capsys):
-    root, ext, flw, clf, test_csv = stage_artifacts
-    code = run_cli("synthesize", "--flow", flw, "--extractor", ext,
-                   "--data", test_csv, "--mu", 0, "--sigma", 1, "--seed", 2,
-                   "--out", tmp_path / "p.csv")
-    assert code == 2
-    assert "labeled anomaly" in capsys.readouterr().err
-    assert not (tmp_path / "p.csv").exists()
+def test_synthesize_rejects_labeled_anomalies(trained_workdir, tmp_path, capsys):
+    """A flow cached in the workdir does not let a labeled anomaly reach synthesis."""
+    ext, clf, test_csv = trained_workdir
+    work = tmp_path / "work"
+    shutil.copytree(ext.parent, work)
+    before = {p.name: p.read_bytes() for p in work.iterdir()}
+    assert run_cli("pipeline", "--workdir", work, "--train-csv", test_csv,
+                   "--test-csv", test_csv, "--seed", 2, "--epochs", 2,
+                   "--noise-grid", "0,1", "--latent-dim", 16,
+                   "--encoder-widths", "1600,64,16", "--disc-widths", "1600,32,16,1",
+                   "--classifier-widths", "16,16,8,1", "--flow-blocks", 4,
+                   "--flow-hidden", 16) == 2
+    err = capsys.readouterr().err
+    assert "labeled anomaly" in err and "[stage load-train]" in err
+    assert {p.name: p.read_bytes() for p in work.iterdir()} == before
 
 
 def _subcommands() -> dict[str, argparse.ArgumentParser]:
@@ -462,15 +408,6 @@ def _subcommands() -> dict[str, argparse.ArgumentParser]:
     action = next(a for a in parser._actions
                   if isinstance(a, argparse._SubParsersAction))
     return action.choices
-
-
-def test_stage_training_flag_defaults_follow_train_config():
-    defaults = TrainConfig()
-    expected = (defaults.epochs, defaults.batch_size, defaults.lr, defaults.patience)
-    for name in ("train-extractor", "train-flow", "train-classifier"):
-        sub = _subcommands()[name]
-        assert tuple(sub.get_default(d) for d in ("epochs", "batch", "lr", "patience")) \
-            == expected, name
 
 
 def test_pipeline_keys_are_pipeline_config_fields():
@@ -492,12 +429,6 @@ def test_subcommand_flags_unchanged():
         "preprocess": "--in --label --out",
         "make-corpus": "--n-anomaly --n-normal --n-test-anomaly --n-test-normal "
                        "--n-train --out-dir --seed",
-        "train-extractor": "--batch --data --epochs --lr --out --patience --seed",
-        "train-flow": "--batch --blocks --data --epochs --hidden --latents-from --lr "
-                      "--out --patience --seed",
-        "synthesize": "--data --extractor --flow --mu --out --ratio --seed --sigma",
-        "train-classifier": "--batch --epochs --lr --normals --out --patience "
-                            "--pseudo --seed",
         "infer": "--classifier --data --extractor --report-out --scores-out",
         "eval": "--report-out --scores",
         "pipeline": "--batch-size --config --epochs --flow-blocks --flow-hidden "

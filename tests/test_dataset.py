@@ -178,6 +178,17 @@ def test_a_written_latents_file_is_parsed_in_one_call(tmp_path, monkeypatch):
     np.testing.assert_array_equal(read_latents(path)[0], z)
 
 
+def test_a_latent_file_the_bulk_parse_refuses_is_read_once(tmp_path, monkeypatch):
+    path = tmp_path / "z.csv"
+    path.write_text(LATENTS_HEAD + '0.5,-1.25,0\n2.0,3.0,\n"4.5",-6.0,1\n', newline="")
+    calls, real = [], dataset.text_lines
+    monkeypatch.setattr(dataset, "text_lines", lambda *a: calls.append(a) or real(*a))
+    matrix, labels = read_latents(path)
+    assert len(calls) == 1
+    np.testing.assert_array_equal(matrix, [[0.5, -1.25], [2.0, 3.0], [4.5, -6.0]])
+    assert labels == [Label.NORMAL, None, Label.ANOMALY]
+
+
 # --- the value contract: lookup spelling, any other exact decimal, rejections ---
 
 def canonical_csv(path):

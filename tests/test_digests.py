@@ -17,13 +17,13 @@ def test_digests_are_the_same_twice_and_against_lists_every_difference(tmp_path)
                            check=True)
     digests = json.loads(first.stdout)
     assert {"corpus/train.csv", "tiny/extractor.ckpt", "tiny-rerun/summary.txt",
-            "ratio2/flow.ckpt", "config/work/summary.txt", "chain/clf.ckpt",
-            "chain/scores.csv"} <= digests.keys()
+            "ratio2/flow.ckpt", "config/work/summary.txt", "infer/scores.csv",
+            "infer/report.txt"} <= digests.keys()
     assert not any(name.endswith("run.json") for name in digests)
 
     earlier = dict(digests)
     earlier["tiny/flow.ckpt"] = "0" * 64
-    del earlier["chain/report.txt"]
+    del earlier["infer/report.txt"]
     earlier["gone/file.csv"] = "1" * 64
     (tmp_path / "earlier.json").write_text(json.dumps(earlier))
     second = subprocess.run([sys.executable, TOOL, "--against", tmp_path / "earlier.json"],
@@ -32,7 +32,7 @@ def test_digests_are_the_same_twice_and_against_lists_every_difference(tmp_path)
     assert second.returncode == 1
     listed = [line.split(":")[0] for line in second.stderr.splitlines()
               if line.split(":")[0] in digests.keys() | earlier.keys()]
-    assert listed == ["chain/report.txt", "gone/file.csv", "tiny/flow.ckpt"]
+    assert listed == ["gone/file.csv", "infer/report.txt", "tiny/flow.ckpt"]
 
 
 def test_the_digested_test_set_holds_packets_of_every_score_width(tmp_path):

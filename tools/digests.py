@@ -11,10 +11,8 @@ directory, with one BLAS thread:
   - `pipeline` at default widths, ratio 2, one epoch (seed 4);
   - `pipeline --config` with file values (ratio 0.75, w_adv 2, w_rec 40, tiny
     widths, 3 epochs) and flags (seed 5, lr 0.002, batch size 32, patience 1);
-  - the stage chain `train-extractor` -> `train-flow` -> `synthesize` ->
-    `train-classifier` -> `infer`, its normal latents encoded from the
-    extractor's encoder tables by `encode_codes`, as `train-flow` encodes
-    them, and written by `write_latents`.
+  - `infer --report-out` with the tiny run's `extractor.ckpt` and
+    `classifier_mu0_sigma1_ratio0.5.ckpt` on the corpus's `test.csv`.
 Prints one JSON object, {"<run>/<file>": sha256}, sorted; `run.json` is left
 out. With --against FILE (an earlier output, say the parent's), it also lists
 on standard error every file whose digest differs or that only one side has,
@@ -67,19 +65,6 @@ def differences(mine: dict[str, str], theirs: dict[str, str]) -> list[str]:
     return lines
 
 
-def write_normal_latents(extractor: Path, data: Path, out: Path) -> None:
-    """The extractor's latents of a normal CSV, which no subcommand writes,
-    encoded from the packets' byte codes."""
-    from flowgate.checkpoint import load_checkpoint
-    from flowgate.dataset import codes_matrix, read_dataset, write_latents
-    from flowgate.extractor import encode_codes, encoder_from_checkpoint
-    from flowgate.packets import Label
-
-    encoder = encoder_from_checkpoint(load_checkpoint(extractor, include=("encoder.",)))
-    latents = encode_codes(encoder, codes_matrix(read_dataset(data)))
-    write_latents(out, latents, [Label.NORMAL] * latents.shape[0])
-
-
 def run_all(tmp: Path) -> dict[str, str]:
     from flowgate.cli import main
 
@@ -115,24 +100,12 @@ def run_all(tmp: Path) -> dict[str, str]:
              *data, "--seed", 5, "--lr", 0.002, "--batch-size", 32, "--patience", 1)
     out.update(digest_dir(config, "config"))
 
-    chain = tmp / "chain"
-    chain.mkdir()
-    flowgate("train-extractor", "--data", train, "--out", chain / "ext.ckpt",
-             "--seed", 1, "--epochs", 1)
-    flowgate("train-flow", "--latents-from", chain / "ext.ckpt", "--data", train,
-             "--out", chain / "flow.ckpt", "--seed", 2, "--blocks", 2, "--hidden", 16,
-             "--epochs", 2)
-    flowgate("synthesize", "--flow", chain / "flow.ckpt", "--extractor", chain / "ext.ckpt",
-             "--data", train, "--mu", -9, "--sigma", 5, "--seed", 3,
-             "--out", chain / "pseudo.csv")
-    write_normal_latents(chain / "ext.ckpt", train, chain / "normals.csv")
-    flowgate("train-classifier", "--normals", chain / "normals.csv",
-             "--pseudo", chain / "pseudo.csv", "--out", chain / "clf.ckpt",
-             "--seed", 4, "--epochs", 2)
-    flowgate("infer", "--extractor", chain / "ext.ckpt",
-             "--classifier", chain / "clf.ckpt", "--data", test,
-             "--scores-out", chain / "scores.csv", "--report-out", chain / "report.txt")
-    out.update(digest_dir(chain, "chain"))
+    scored = tmp / "infer"
+    scored.mkdir()
+    flowgate("infer", "--extractor", tiny / "extractor.ckpt",
+             "--classifier", tiny / "classifier_mu0_sigma1_ratio0.5.ckpt", "--data", test,
+             "--scores-out", scored / "scores.csv", "--report-out", scored / "report.txt")
+    out.update(digest_dir(scored, "infer"))
     return dict(sorted(out.items()))
 
 
