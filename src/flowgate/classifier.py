@@ -98,4 +98,5 @@ def train_classifier(normals: np.ndarray, pseudo: np.ndarray,
 
 
 def classifier_from_checkpoint(ckpt: Checkpoint) -> ClassifierModel:
-    return build_model(ckpt, ClassifierConfig, ClassifierModel.from_tables)
+    return build_model(ckpt, ClassifierConfig, lambda cfg: [_network(cfg)],
+                       ClassifierModel.from_tables)

@@ -128,7 +128,8 @@ def text_lines(path: str | Path, what: str) -> Iterator[str]:
     as in text mode with newline="", and no other separator (FF, NEL, U+2028)
     ends one. Each line is decoded once, strictly as UTF-8, which runs at
     ASCII speed on an ASCII line. An LF or CR LF file is held one line at a
-    time; a file whose lines end in a lone CR is held until its next LF. A
+    time, and each of its lines is taken whole, with no second pass to split
+    it; a file whose lines end in a lone CR is held until its next LF. A
     file that cannot be read is an IoFailure naming `what`; a line that is
     not UTF-8, a MalformedRow naming it."""
     try:
@@ -138,8 +139,10 @@ def text_lines(path: str | Path, what: str) -> Iterator[str]:
     with fh:
         lineno = 0
         for chunk in fh:
-            # a chunk ends at its first LF; a CR before that ends lines too
-            for line in chunk.splitlines(keepends=True) if b"\r" in chunk else (chunk,):
+            # a chunk ends at its first LF; a CR before its closing CR LF ends lines too
+            cr = chunk.find(b"\r")
+            whole = cr < 0 or cr == len(chunk) - 2 and chunk.endswith(b"\n")
+            for line in (chunk,) if whole else chunk.splitlines(keepends=True):
                 lineno += 1
                 try:
                     yield line.decode("utf-8")
@@ -245,7 +248,8 @@ def _bulk_latents(lines: list[str]) -> Optional[tuple[np.ndarray, list[Optional[
     """read_latents' result for a file of unquoted `lines` that np.loadtxt
     parses whole, else None. It accepts no line the record reader refuses:
     a quote, an empty or non-numeric field, a line csv.reader would find
-    over its field limit, a bad label or a non-finite value all return None."""
+    over its field limit, a bad label or a non-finite value all return None,
+    a quote in any line before np.loadtxt is called."""
     if not lines or '"' in lines[0] or max(map(len, lines)) >= csv.field_size_limit():
         return None
     header = lines[0].rstrip("\r\n").split(",")
@@ -254,7 +258,7 @@ def _bulk_latents(lines: list[str]) -> Optional[tuple[np.ndarray, list[Optional[
     values, labels = [], []
     for line in lines[1:]:
         head, comma, label = line.rstrip("\r\n").rpartition(",")
-        if not comma or label not in _LABEL_OF:
+        if not comma or label not in _LABEL_OF or '"' in head:
             return None
         values.append(head)
         labels.append(_LABEL_OF[label])

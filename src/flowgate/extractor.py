@@ -254,12 +254,13 @@ def train_extractor(dataset: Sequence[EncodedPacket] | np.ndarray,
 
 
 def extractor_from_checkpoint(ckpt: Checkpoint) -> FeatureExtractor:
-    return build_model(ckpt, ExtractorConfig, FeatureExtractor.from_tables)
+    return build_model(ckpt, ExtractorConfig, _networks, FeatureExtractor.from_tables)
 
 
 def encoder_from_checkpoint(ckpt: Checkpoint) -> MLP:
     """Just the encoder; usable with a checkpoint loaded with
-    include=("encoder.",) so no other parameter table is ever materialized."""
-    return build_model(ckpt, ExtractorConfig,
-                       lambda cfg, tables: MLP.from_tables(tables, *_networks(cfg)[0]),
-                       prefix="encoder.")
+    include=("encoder.",) so no other parameter table is ever materialized.
+    The file's whole shape table is checked all the same: it is refused where
+    `extractor_from_checkpoint` is."""
+    return build_model(ckpt, ExtractorConfig, _networks,
+                       lambda cfg, tables: MLP.from_tables(tables, *_networks(cfg)[0]))

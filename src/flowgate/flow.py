@@ -97,6 +97,11 @@ def _couplings(cfg: FlowConfig) -> Iterator[tuple[slice, tuple, tuple]]:
         yield keep, *((f"flow.block{k}.{part}.", widths, nn.relu, None) for part in "st")
 
 
+def _nets(cfg: FlowConfig) -> Iterator[tuple]:
+    """Every block's scale and shift subnets, in order; lazy as `_couplings` is."""
+    return (net for _, s, t in _couplings(cfg) for net in (s, t))
+
+
 class FlowModel:
     """Ordered coupling blocks whose kept halves alternate."""
 
@@ -106,8 +111,7 @@ class FlowModel:
 
     @classmethod
     def create(cls, cfg: FlowConfig, seed: int) -> "FlowModel":
-        nets = (net for _, s, t in _couplings(cfg) for net in (s, t))
-        return cls.from_tables(cfg, nn.init_tables(rng_for(seed, "flow-init"), nets,
+        return cls.from_tables(cfg, nn.init_tables(rng_for(seed, "flow-init"), _nets(cfg),
                                                    zero_final=True))
 
     @classmethod
@@ -199,4 +203,4 @@ def train_flow(model: FlowModel, latents: np.ndarray, cfg: FlowConfig,
 
 
 def flow_from_checkpoint(ckpt: Checkpoint) -> FlowModel:
-    return build_model(ckpt, FlowConfig, FlowModel.from_tables)
+    return build_model(ckpt, FlowConfig, _nets, FlowModel.from_tables)

@@ -46,7 +46,7 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -425,19 +425,30 @@ class DenseLayer:
         return y if self.activation is None else self.activation(y)
 
 
-def init_tables(rng: np.random.Generator, nets: Iterable[tuple],
-                zero_final: bool = False) -> dict[str, Array]:
-    """Initial tables for `nets`, each a (prefix, widths, ...) as `MLP.from_tables`
-    takes it, drawn net by net and layer by layer: uniform Glorot weights, zeros
-    for each net's last layer if `zero_final`, and zero biases."""
-    tables: dict[str, Array] = {}
+def table_shapes(nets: Iterable[tuple]) -> Iterator[tuple[str, tuple[int, ...], bool]]:
+    """The name and shape of each table of `nets`, each a (prefix, widths, ...)
+    as `MLP.from_tables` takes it, and whether it is of its net's last layer:
+    net by net, layer by layer, the weights `{prefix}{i}.W` of shape
+    (out, in) before the biases `.b`. Lazy, so a check of a checkpoint's
+    tables stops at the first that misfits."""
     for prefix, widths, *_ in nets:
         for i, (n_in, n_out) in enumerate(zip(widths[:-1], widths[1:])):
-            limit = math.sqrt(6.0 / (n_in + n_out))
-            tables[f"{prefix}{i}.W"] = (
-                np.zeros((n_out, n_in)) if zero_final and i == len(widths) - 2
-                else rng.uniform(-limit, limit, size=(n_out, n_in)))
-            tables[f"{prefix}{i}.b"] = np.zeros(n_out)
+            last = i == len(widths) - 2
+            yield f"{prefix}{i}.W", (n_out, n_in), last
+            yield f"{prefix}{i}.b", (n_out,), last
+
+
+def init_tables(rng: np.random.Generator, nets: Iterable[tuple],
+                zero_final: bool = False) -> dict[str, Array]:
+    """Initial tables for `nets`, in `table_shapes`' order: uniform Glorot
+    weights, zeros for each net's last layer if `zero_final`, and zero biases."""
+    tables: dict[str, Array] = {}
+    for name, shape, last in table_shapes(nets):
+        if len(shape) == 1 or zero_final and last:
+            tables[name] = np.zeros(shape)
+        else:
+            limit = math.sqrt(6.0 / sum(shape))
+            tables[name] = rng.uniform(-limit, limit, size=shape)
     return tables
 
 
@@ -459,17 +470,12 @@ class MLP:
     def from_tables(cls, tables: Mapping[str, Array], prefix: str, widths: Sequence[int],
                     hidden: ActivationFn, final: ActivationFn) -> "MLP":
         """The network over `tables[f"{prefix}{i}.W"]` and `.b`, held as they are;
-        each must be present with the shape `widths` gives it."""
+        each must be present with the shape `table_shapes` gives it, as
+        `init_tables` makes them and `checkpoint.build_model` checks them."""
         if len(widths) < 2:
             raise ShapeMismatch("an MLP needs at least two widths")
         layers = []
-        for i, (n_in, n_out) in enumerate(zip(widths[:-1], widths[1:])):
-            for name, shape in ((f"{prefix}{i}.W", (n_out, n_in)), (f"{prefix}{i}.b", (n_out,))):
-                if name not in tables:
-                    raise ShapeMismatch(f"missing tensor {name}")
-                if tables[name].shape != shape:
-                    raise ShapeMismatch(f"tensor {name} has shape {tables[name].shape}, "
-                                        f"expected {shape}")
+        for i in range(len(widths) - 1):
             layers.append(DenseLayer(Tensor(tables[f"{prefix}{i}.W"]),
                                      Tensor(tables[f"{prefix}{i}.b"]),
                                      final if i == len(widths) - 2 else hidden))

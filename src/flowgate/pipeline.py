@@ -19,13 +19,16 @@ latents are encoded again and the file rewritten.
 
 Inference deliberately loads only the encoder and classifier parameter
 tables; the loader records what it materialized so tests can verify nothing
-else was touched. Every latent a run computes, of `train.csv` for
-`train_latents.csv` and of the test set, comes from `extractor.encode_codes`,
-which `infer` runs too: each packet through the encoder narrowed to the width
-past which its bytes are all zero, in padded blocks of `nn.EVAL_BLOCK` rows,
-one block of packet values held at a time. A packet's latent, and so its
-score, is the same bits whatever batch it is encoded in. The stages' holdout
-losses run whole-batch.
+else was touched. The extractor stage keeps only the encoder too: a reused
+`extractor.ckpt` materializes its encoder tables alone, while the loader still
+reads and checks the whole file and `build_model` its whole shape table.
+
+Every latent a run computes, of `train.csv` for `train_latents.csv` and of the
+test set, comes from `extractor.encode_codes`, which `infer` runs too: each
+packet through the encoder narrowed to the width past which its bytes are all
+zero, in padded blocks of `nn.EVAL_BLOCK` rows, one block of packet values
+held at a time. A packet's latent, and so its score, is the same bits whatever
+batch it is encoded in. The stages' holdout losses run whole-batch.
 """
 from __future__ import annotations
 
@@ -51,8 +54,8 @@ from .classifier import (
 from .dataset import read_dataset, read_latents, write_dataset, write_latents
 from .errors import BadConfig, CheckpointMismatch, FlowgateError, IoFailure
 from .extractor import (
-    ExtractorConfig, encode_codes, encoder_from_checkpoint, extractor_from_checkpoint,
-    train_extractor, training_matrix,
+    ExtractorConfig, encode_codes, encoder_from_checkpoint, train_extractor,
+    training_matrix,
 )
 from .flow import FlowConfig, FlowModel, flow_from_checkpoint, train_flow
 from .metrics import EvalReport, ScoredSample, evaluate, write_report, write_scores
@@ -155,12 +158,14 @@ def _stage(name: str):
 
 
 def _cached_checkpoint(path: Path, stage: str, fingerprint: str, seed: int,
-                       build: Callable):
+                       build: Callable, include: Optional[Sequence[str]] = None):
     """`build`'s model of the checkpoint at `path` and the file's sha256, if it
     was saved under `fingerprint` and `seed`; None if it is absent, saved under
-    another key, unreadable, or holds a config or tables `build` cannot use."""
+    another key, unreadable, or holds a config or tables `build` cannot use.
+    Only the tables `include` names are materialized; the whole file is
+    verified all the same."""
     try:
-        ckpt = load_checkpoint(path, expect_stage=stage)
+        ckpt = load_checkpoint(path, expect_stage=stage, include=include)
         if not matches(ckpt, stage, fingerprint, seed):
             return None
         model = build(ckpt)
@@ -184,22 +189,22 @@ def _sha256(path: Path) -> str:
 
 def _cached_stage(workdir: Path, stage: str, tag: Optional[str], config: dict,
                   upstream: str, seed: int, train: Callable[[int], Checkpoint],
-                  build: Callable):
+                  build: Callable, include: Optional[Sequence[str]] = None):
     """The model `build` makes of the checkpoint of `stage` (for noise `tag`,
-    if given) cached in `workdir` under the stage's seed and key, else of
-    `train(stage seed)`'s, saved there. Returns the model, the file's sha256
-    and its path. The one naming rule of a checkpoint stage, `<tag>` only if
-    given: file `classifier_<tag>.ckpt`, stage `train-classifier-<tag>`, seed
-    `derive_seed(seed, "stage:classifier:<tag>")`, and a key of `config`, the
-    tag and `upstream`: the sha256 of the stage's direct upstream, so the key
-    covers everything upstream."""
+    if given) cached in `workdir` under the stage's seed and key, loading only
+    the tables `include` names, else of `train(stage seed)`'s, saved there.
+    Returns the model, the file's sha256 and its path. The one naming rule of a
+    checkpoint stage, `<tag>` only if given: file `classifier_<tag>.ckpt`, stage
+    `train-classifier-<tag>`, seed `derive_seed(seed, "stage:classifier:<tag>")`,
+    and a key of `config`, the tag and `upstream`: the sha256 of the stage's
+    direct upstream, so the key covers everything upstream."""
     parts = [stage.lower()] + ([tag] if tag else [])
     path = workdir / ("_".join(parts) + ".ckpt")
     stage_seed = derive_seed(seed, ":".join(["stage", *parts]))
     key = config_fingerprint({**config, **({"noise": tag} if tag else {}),
                               "upstream": upstream})
     with _stage("-".join(["train", *parts])):
-        cached = _cached_checkpoint(path, stage, key, stage_seed, build)
+        cached = _cached_checkpoint(path, stage, key, stage_seed, build, include)
         if cached is not None:
             return (*cached, path)
         ckpt = train(stage_seed)
@@ -349,18 +354,19 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
         with _stage("load-train"):
             return training_matrix(read_dataset(train_csv), VECTOR_LEN)
 
+    # the encoder is all of the extractor the rest of the run uses, as `infer`
     ext_cfg = cfg.extractor_config()
-    extractor, ext_digest, ext_path = _cached_stage(
+    encoder, ext_digest, ext_path = _cached_stage(
         workdir, STAGE_EXTRACTOR, None, ext_cfg.to_dict(), _sha256(train_csv), cfg.seed,
         lambda seed: train_extractor(train_matrix(), ext_cfg, seed),
-        extractor_from_checkpoint)
+        encoder_from_checkpoint, include=("encoder.",))
 
     latents_path = workdir / TRAIN_LATENTS
     latents_digest = _recorded_latents(workdir, ext_digest)
     encoded = None
     if latents_digest is None:
         with _stage("encode-latents"):
-            encoded = encode_codes(extractor.encoder, train_matrix())
+            encoded = encode_codes(encoder, train_matrix())
             write_latents(latents_path, encoded, [Label.NORMAL] * encoded.shape[0])
             latents_digest = _sha256(latents_path)
 
@@ -380,7 +386,7 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
     with _stage("load-test"):
         test_packets = read_dataset(test_csv)
         # encoded once, as `infer` encodes; every classifier scores these latents
-        test_latents = encode_codes(extractor.encoder, [p.codes for p in test_packets])
+        test_latents = encode_codes(encoder, [p.codes for p in test_packets])
 
     reports, clf_paths = {}, {}
     clf_cfg = cfg.classifier_config()

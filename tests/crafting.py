@@ -135,6 +135,18 @@ def checkpoint_without_table(raw: bytes, name: str) -> bytes:
             + payload[:start] + payload[start + size:])
 
 
+def checkpoint_with_value(raw: bytes, name: str, value: float) -> bytes:
+    """A checkpoint file's bytes with the first value of table `name` replaced
+    by `value`."""
+    (length,) = struct.unpack_from("<I", raw, 10)
+    start = 14 + length
+    for entry_name, shape in json.loads(raw[14:14 + length])["tensors"]:
+        if entry_name == name:
+            return raw[:start] + struct.pack("<d", value) + raw[start + 8:]
+        start += 8 * math.prod(shape)
+    raise AssertionError(name)
+
+
 FUZZ_BYTES = np.frombuffer(b',"\r\n .-+e0159naif\x00\xff', dtype=np.uint8)
 
 

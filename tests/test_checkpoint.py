@@ -1,10 +1,13 @@
+import builtins
 import hashlib
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import flowgate.checkpoint as checkpoint
 from flowgate.checkpoint import (
     Checkpoint, MAGIC, STAGE_CLASSIFIER, STAGE_EXTRACTOR, STAGE_FLOW,
     config_fingerprint, load_checkpoint, matches, save_checkpoint,
@@ -14,7 +17,8 @@ from flowgate.classifier import (
 )
 from flowgate.errors import CheckpointMismatch, FlowgateError, IoFailure
 from flowgate.extractor import (
-    ExtractorConfig, encoder_from_checkpoint, extractor_from_checkpoint, train_extractor,
+    ExtractorConfig, FeatureExtractor, encoder_from_checkpoint, extractor_from_checkpoint,
+    train_extractor,
 )
 from flowgate.flow import FlowConfig, FlowModel, flow_from_checkpoint, train_flow
 from crafting import (
@@ -60,7 +64,9 @@ def test_save_and_load_give_the_sha256_of_the_file(tmp_path):
     digest = save_checkpoint(path, sample_checkpoint())
     assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
     assert load_checkpoint(path).sha256 == digest
-    assert load_checkpoint(path, include=("flow.block0.s",)).sha256 == ""
+    # a filtered load reads and hashes the tables it skips too
+    assert load_checkpoint(path, include=("flow.block0.s",)).sha256 == digest
+    assert load_checkpoint(path, include=()).sha256 == digest
 
 
 def test_magic_verified(tmp_path):
@@ -94,9 +100,9 @@ def test_include_filters_tables(tmp_path):
     save_checkpoint(path, sample_checkpoint())
     back = load_checkpoint(path, include=("flow.block0.s.",))
     assert set(back.tensors) == {"flow.block0.s.0.W", "flow.block0.s.0.b"}
-    # availability still reflects the whole file
-    assert set(back.available) == {"flow.block0.s.0.W", "flow.block0.s.0.b",
-                                   "flow.block0.t.0.W"}
+    # availability still reflects the whole file, with each table's shape
+    assert back.available == {"flow.block0.s.0.W": (4, 3), "flow.block0.s.0.b": (4,),
+                              "flow.block0.t.0.W": (4, 3)}
     full = load_checkpoint(path)
     np.testing.assert_array_equal(back.tensors["flow.block0.s.0.W"],
                                   full.tensors["flow.block0.s.0.W"])
@@ -169,9 +175,104 @@ def test_non_finite_payload_raises_mismatch(tmp_path, bad):
     path.write_bytes(path.read_bytes()[:-8] + struct.pack("<d", bad))
     with pytest.raises(CheckpointMismatch, match="flow.block0.t.0.W"):
         load_checkpoint(path)
-    # only materialized tables are checked
-    assert set(load_checkpoint(path, include=("flow.block0.s.",)).tensors) == {
-        "flow.block0.s.0.W", "flow.block0.s.0.b"}
+    # a table a filtered load skips is checked as well, and named
+    with pytest.raises(CheckpointMismatch,
+                       match=re.escape(f"{path}: tensor flow.block0.t.0.W holds a non-finite")):
+        load_checkpoint(path, include=("flow.block0.s.",))
+
+
+def _default_extractor_file(tmp_path):
+    """An untrained extractor of the default widths, saved as its stage saves it."""
+    cfg = ExtractorConfig()
+    model = FeatureExtractor.create(cfg, 0)
+    path = tmp_path / "extractor.ckpt"
+    save_checkpoint(path, Checkpoint(
+        stage=STAGE_EXTRACTOR, seed=0, config_fingerprint="",
+        tensors={name: t.data for name, t in model.param_items()},
+        meta={"config": cfg.to_dict()}))
+    return path
+
+
+def _peak_bytes(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_load_holds_the_tables_it_keeps_and_little_more(tmp_path):
+    path = _default_extractor_file(tmp_path)
+    size = path.stat().st_size
+    encoder = sum(t.nbytes for t in load_checkpoint(path, include=("encoder.",)).tensors.values())
+    assert encoder < size / 2
+    assert _peak_bytes(lambda: load_checkpoint(path, include=("encoder.",))) < size
+    assert _peak_bytes(lambda: load_checkpoint(path, include=("encoder.",))) < encoder + 2e6
+    assert _peak_bytes(lambda: load_checkpoint(path)) < size + 2e6
+
+
+class _ReadOnlyFile:
+    """A file offering only `read`, `readinto`, `seek` and `fileno`, as a
+    tracing wrapper may, that counts the bytes its reads return."""
+
+    def __init__(self, fh, counted: list[int]) -> None:
+        self._fh, self._counted = fh, counted
+
+    def __enter__(self) -> "_ReadOnlyFile":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._fh.close()
+
+    def read(self, *args) -> bytes:
+        data = self._fh.read(*args)
+        self._counted.append(len(data))
+        return data
+
+    def readinto(self, buffer) -> int:
+        n = self._fh.readinto(buffer)
+        self._counted.append(n)
+        return n
+
+    def seek(self, *args) -> int:
+        return self._fh.seek(*args)
+
+    def fileno(self) -> int:
+        return self._fh.fileno()
+
+
+@pytest.mark.parametrize("include", [None, ("encoder.",), ()], ids=["whole", "encoder", "none"])
+def test_a_load_reads_every_byte_of_the_file_once(tmp_path, monkeypatch, include):
+    path = _default_extractor_file(tmp_path)
+    raw = path.read_bytes()
+    counted: list[int] = []
+    monkeypatch.setattr(checkpoint, "open", lambda *args: _ReadOnlyFile(
+        builtins.open(*args), counted), raising=False)
+    ckpt = load_checkpoint(path, include=include)
+    assert sum(counted) == len(raw)
+    assert ckpt.sha256 == hashlib.sha256(raw).hexdigest()
+    assert set(ckpt.available) == set(load_checkpoint(path).tensors)
+
+
+class _ShortFile(_ReadOnlyFile):
+    """A file whose reads into a buffer come up one byte short, as a file cut
+    while it is read."""
+
+    def readinto(self, buffer) -> int:
+        return super().readinto(memoryview(buffer)[:-1]) if len(buffer) else 0
+
+
+@pytest.mark.parametrize("include", [None, ("flow.block0.t.",)], ids=["kept", "skipped"])
+def test_a_read_that_comes_up_short_raises_mismatch_naming_the_table(tmp_path, monkeypatch,
+                                                                     include):
+    path = tmp_path / "x.ckpt"
+    save_checkpoint(path, sample_checkpoint())
+    monkeypatch.setattr(checkpoint, "open", lambda *args: _ShortFile(
+        builtins.open(*args), []), raising=False)
+    with pytest.raises(CheckpointMismatch, match=re.escape(
+            f"{path}: the file ends inside tensor flow.block0.s.0.W")):
+        load_checkpoint(path, include=include)
 
 
 def _without(key):

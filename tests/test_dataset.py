@@ -189,6 +189,31 @@ def test_a_latent_file_the_bulk_parse_refuses_is_read_once(tmp_path, monkeypatch
     assert labels == [Label.NORMAL, None, Label.ANOMALY]
 
 
+QUOTED_LAST_ROWS = {
+    "quoted-value": ('4.5,"-6.0",1\n', [[0.5, -1.25], [4.5, -6.0]]),
+    "quoted-word": ('4.5,"x",1\n', "z.csv:3: non-numeric value"),
+    "quoted-infinity": ('4.5,"1e999",1\n', "z.csv: non-finite latent value"),
+    "quoted-comma": ('"4.5,-6.0",1\n', "z.csv:3: expected 3 columns, got 2"),
+}
+
+
+@pytest.mark.parametrize("row, outcome", QUOTED_LAST_ROWS.values(), ids=QUOTED_LAST_ROWS.keys())
+def test_a_quote_in_the_last_latent_row_never_reaches_the_bulk_parse(tmp_path, monkeypatch,
+                                                                     row, outcome):
+    path = tmp_path / "z.csv"
+    path.write_text(LATENTS_HEAD + "0.5,-1.25,0\n" + row, newline="")
+    calls, real = [], np.loadtxt
+    monkeypatch.setattr(np, "loadtxt", lambda *a, **k: calls.append(a) or real(*a, **k))
+    if isinstance(outcome, str):
+        with pytest.raises(MalformedRow, match=re.escape(outcome)):
+            read_latents(path)
+    else:
+        matrix, labels = read_latents(path)
+        np.testing.assert_array_equal(matrix, outcome)
+        assert labels == [Label.NORMAL, Label.ANOMALY]
+    assert calls == []
+
+
 # --- the value contract: lookup spelling, any other exact decimal, rejections ---
 
 def canonical_csv(path):

@@ -6,7 +6,8 @@ import pytest
 
 from flowgate import nn
 from flowgate.checkpoint import (
-    Checkpoint, STAGE_CLASSIFIER, STAGE_EXTRACTOR, STAGE_FLOW, trained_checkpoint,
+    Checkpoint, STAGE_CLASSIFIER, STAGE_EXTRACTOR, STAGE_FLOW, load_checkpoint,
+    save_checkpoint, trained_checkpoint,
 )
 from flowgate.classifier import (
     ClassifierConfig, ClassifierModel, classifier_from_checkpoint,
@@ -698,12 +699,30 @@ def test_loaders_refuse_a_table_their_config_does_not_use(load, stage, table):
         load(ckpt)
 
 
-def test_the_encoder_loader_checks_only_the_encoder_tables():
+EXTRACTOR_MISFITS = {
+    "extra-decoder-table": lambda t: {**t, "decoder.9.W": np.zeros((2, 2))},
+    "missing-decoder-table": lambda t: {k: v for k, v in t.items() if k != "decoder.1.W"},
+    "misshapen-discriminator-table": lambda t: {**t, "discriminator.0.b": np.zeros(5)},
+}
+
+
+@pytest.mark.parametrize("misfit", EXTRACTOR_MISFITS.values(), ids=EXTRACTOR_MISFITS.keys())
+def test_the_encoder_loader_checks_every_table_of_the_file(tmp_path, misfit):
+    # built from the encoder tables of a filtered load, it is refused where the
+    # whole extractor is, with the same message
     ckpt = _untrained_checkpoint(STAGE_EXTRACTOR)
-    ckpt.tensors["decoder.9.W"] = np.zeros((2, 2))
-    encoder_from_checkpoint(ckpt)  # the other networks' tables are not its concern
-    with pytest.raises(CheckpointMismatch, match="unused"):
-        extractor_from_checkpoint(ckpt)
+    path = tmp_path / "extractor.ckpt"
+    save_checkpoint(path, ckpt)
+    encoder_from_checkpoint(load_checkpoint(path, include=("encoder.",)))
+    ckpt.tensors = misfit(ckpt.tensors)
+    save_checkpoint(path, ckpt)
+    with pytest.raises(CheckpointMismatch) as whole:
+        extractor_from_checkpoint(load_checkpoint(path))
+    filtered = load_checkpoint(path, include=("encoder.",))
+    assert all(name.startswith("encoder.") for name in filtered.tensors)
+    with pytest.raises(CheckpointMismatch) as encoder_only:
+        encoder_from_checkpoint(filtered)
+    assert str(encoder_only.value) == str(whole.value)
 
 
 # --- one gradient at a time ---

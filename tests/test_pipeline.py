@@ -26,8 +26,8 @@ from flowgate.pipeline import (
 )
 from conftest import tiny_pipeline_config
 from crafting import (
-    checkpoint_with_header, checkpoint_with_nested_header, checkpoint_without_table,
-    pcap_bytes, tcp_frame, udp_frame,
+    checkpoint_with_header, checkpoint_with_nested_header, checkpoint_with_value,
+    checkpoint_without_table, pcap_bytes, tcp_frame, udp_frame,
 )
 
 
@@ -149,6 +149,35 @@ def test_pipeline_retrains_a_classifier_missing_a_table(pipeline_run, tmp_path):
     assert again.best.auroc == first.best.auroc
 
 
+def _with_a_bias_as_a_column(name):
+    def edit(header):
+        return {**header, "tensors": [[n, shape + [1] if n == name else shape]
+                                      for n, shape in header["tensors"]]}
+    return lambda raw: checkpoint_with_header(raw, edit)
+
+
+EXTRACTOR_SPOILS = {
+    "nan-in-the-discriminator": lambda raw: checkpoint_with_value(raw, "discriminator.1.W",
+                                                                  np.nan),
+    "decoder-table-missing": lambda raw: checkpoint_without_table(raw, "decoder.1.W"),
+    "decoder-table-misshapen": _with_a_bias_as_a_column("decoder.0.b"),
+}
+
+
+@pytest.mark.parametrize("spoil", EXTRACTOR_SPOILS.values(), ids=EXTRACTOR_SPOILS.keys())
+def test_pipeline_retrains_an_extractor_spoiled_outside_its_encoder(pipeline_run, tmp_path,
+                                                                   monkeypatch, spoil):
+    # a hit materializes only the encoder, and is refused where a whole load was
+    cfg, first = pipeline_run
+    workdir = tmp_path / "work"
+    shutil.copytree(first.extractor_ckpt.parent, workdir)
+    ext_before = first.extractor_ckpt.read_bytes()
+    (workdir / "extractor.ckpt").write_bytes(spoil(ext_before))
+    changed = dataclasses.replace(cfg, workdir=str(workdir))
+    assert _checkpoints_saved(monkeypatch, changed) == {"extractor.ckpt"}
+    assert (workdir / "extractor.ckpt").read_bytes() == ext_before
+
+
 def test_infer_names_a_classifier_without_a_config(pipeline_run, tiny_corpus, tmp_path,
                                                    capsys):
     cfg, first = pipeline_run
@@ -169,7 +198,7 @@ def _checkpoints_saved(monkeypatch, cfg) -> set[str]:
 
     def save(path, ckpt):
         saved.add(Path(path).name)
-        real_save(path, ckpt)
+        return real_save(path, ckpt)
     monkeypatch.setattr(pipeline, "save_checkpoint", save)
     run_pipeline(cfg)
     return saved
